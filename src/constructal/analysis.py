@@ -7,7 +7,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from . import hierarchy as hm
 from .cones import Box
@@ -157,6 +156,8 @@ def certify_contraction(
             raise DomainError("sampling sub-box needs lo <= hi of full dimension")
     d = box.dim
     m = _mobility_scalar(mode)
+    from scipy.stats import qmc  # slow to import, and only the certificate needs it
+
     sampler = qmc.Sobol(d=d, scramble=True, seed=seed)
     with warnings.catch_warnings():
         # balance only holds for power-of-two counts; irrelevant for extrema

@@ -8,6 +8,7 @@ tolerance must be positive; validation happens before any computation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -151,9 +152,12 @@ def _require(data: dict, key: str):
 
 
 def _positive(name: str, value: float) -> float:
-    value = float(value)
-    if value <= 0:
-        raise ConfigError(f"{name} must be positive, got {value}")
+    try:
+        value = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"{name} must be positive and finite, got {value}")
     return value
 
 

@@ -65,6 +65,8 @@ class TransportCosts:
         object.__setattr__(self, "K", K)
         if len(K) < 2:
             raise ConfigError("need at least two cost levels (p >= 1)")
+        if not all(math.isfinite(k) for k in K):
+            raise ConfigError(f"cost coefficients must be finite, got {K}")
         if K[-1] <= 0.0:
             raise ConfigError("cost coefficients must be positive")
         for a, b in zip(K, K[1:]):
@@ -118,6 +120,9 @@ class AssemblyConfig:
         object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
         object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
         object.__setattr__(self, "kappa", tuple(float(k) for k in self.kappa))
+        scalars = (self.gamma, self.A1, self.r_lo, self.r_hi, self.n_hi)
+        if not all(math.isfinite(v) for v in scalars + self.alpha + self.beta + self.kappa):
+            raise ConfigError("assembly parameters and box bounds must be finite")
         if self.gamma <= 0.0:
             raise ConfigError("gamma must be positive")
         if self.A1 <= 0.0:
@@ -385,16 +390,20 @@ def resistance_lyapunov_vec(
 def grad_jacobian(
     costs: TransportCosts, cfg: AssemblyConfig, x: np.ndarray, mode: str = "decoupled"
 ) -> np.ndarray:
-    """Jacobian of the selected gradient field at a single state.
+    """Jacobian of the selected gradient field, batched over leading axes.
 
-    Symmetric (the true Hessian of R) in coupled mode; in decoupled mode the
-    r-rows keep their area coupling to n while the n-rows are diag(kappa),
-    so the matrix is generally nonsymmetric.
+    A state of shape (d,) gives a (d, d) matrix, a stack (..., d) gives
+    (..., d, d).  Symmetric (the true Hessian of R) in coupled mode; in
+    decoupled mode the r-rows keep their area coupling to n while the
+    n-rows are diag(kappa), so the matrix is generally nonsymmetric.
     """
     if mode not in ("decoupled", "coupled"):
         raise DomainError(f"unknown gradient mode {mode!r}")
+    X = np.asarray(x, dtype=float)
+    if X.ndim > 1:
+        return _grad_jacobian_stack(costs, cfg, X, mode)
     p, A1, aK, bK, kappa, _, _, _ = _model_consts(costs, cfg)
-    x = np.asarray(x, dtype=float).ravel().tolist()
+    x = X.ravel().tolist()
     r, n = x[:p], x[p:]
     A32 = [0.0] * p
     c1 = [0.0] * p
@@ -432,6 +441,41 @@ def grad_jacobian(
                     J[p + i, p + k] += 0.75 * S[top] / (ni * ni)
                 else:
                     J[p + i, p + k] = 2.25 * S[top] / (ni * nk)
+    return J
+
+
+def _grad_jacobian_stack(costs: TransportCosts, cfg: AssemblyConfig, X: np.ndarray, mode: str):
+    """The entries of :func:`grad_jacobian`, vectorized over X[..., :]."""
+    p, _, aK, bK, kappa, _, _, _ = _model_consts(costs, cfg)
+    r, n = split_state(X, p)
+    A = areas_from_n(cfg, n)
+    A32 = A * np.sqrt(A)
+    aK = np.asarray(aK)
+    bK = np.asarray(bK)
+    c1 = aK - bK / (r * r)
+    d = 2 * p - 1
+    J = np.zeros(X.shape[:-1] + (d, d))
+    for i in range(p):
+        J[..., i, i] = A32[..., i] * 2.0 * bK[i] / r[..., i] ** 3
+        for j in range(1, i + 1):
+            J[..., i, p + j - 1] = 1.5 * (A32[..., i] / n[..., j - 1]) * c1[..., i]
+    if p == 1:
+        return J
+    for i in range(p - 1):
+        J[..., p + i, p + i] = kappa[i]
+    if mode == "coupled":
+        T = A32 * (aK * r + bK / r)
+        S = np.flip(np.cumsum(np.flip(T, axis=-1), axis=-1), axis=-1)  # S_i = sum_{j>=i} T_j
+        for i in range(p - 1):
+            ni = n[..., i]
+            for j in range(i + 1, p):
+                J[..., p + i, j] = 1.5 * (A32[..., j] / ni) * c1[..., j]
+            for k in range(p - 1):
+                top = max(i, k) + 1
+                if k == i:
+                    J[..., p + i, p + k] += 0.75 * S[..., top] / (ni * ni)
+                else:
+                    J[..., p + i, p + k] = 2.25 * S[..., top] / (ni * n[..., k])
     return J
 
 

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -284,3 +287,54 @@ class TestDeterminism:
         assert main(["simulate", "--config", str(cfgp), "--out", str(out2), "--seed", "7"]) == 0
         assert (out1 / "trajectory.csv").read_bytes() == (out2 / "trajectory.csv").read_bytes()
         assert (out1 / "summary.txt").read_bytes() == (out2 / "summary.txt").read_bytes()
+
+
+NAN = float("nan")
+INF = float("inf")
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            pytest.param({"run.t_end": INF}, id="t_end=inf"),
+            pytest.param({"run.h": INF}, id="h=inf"),
+            pytest.param({"run.h": NAN}, id="h=nan"),
+            pytest.param({"run.h": "fast"}, id="h=word"),
+            pytest.param({"assembly.A1": NAN}, id="A1=nan"),
+            pytest.param({"assembly.kappa": [NAN, 1.0]}, id="kappa=nan"),
+            pytest.param({"costs.K": [INF, 0.5, 0.25, 0.125]}, id="K=inf"),
+            pytest.param({"mode.mobility": NAN}, id="mobility=nan"),
+            pytest.param({"mode.mobility": [1.0, 1.0, NAN, 1.0, 1.0]}, id="mobility_list=nan"),
+            pytest.param({"tol.converge": INF}, id="tol=inf"),
+            pytest.param(
+                {"mode.kind": "sign_descent", "mode.eta": [1.0, INF, 1.0]}, id="eta=inf"
+            ),
+        ],
+    )
+    def test_simulate_exits_2_before_any_output(self, tmp_path, capsys, overrides):
+        cfgp = tmp_path / "run.cfg"
+        write_config(canonical_data(**overrides), cfgp)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfgp), "--out", str(out)]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestImportCost:
+    def test_cli_import_loads_no_scipy(self):
+        # scipy.stats alone takes most of a second to import; only the
+        # contraction certificate needs it, and it imports it on call
+        code = (
+            "import sys, constructal.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert done.stdout.strip() == "[]"

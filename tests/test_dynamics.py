@@ -254,3 +254,132 @@ class TestModeValidation:
             ProjectedGradient(mobility=(1.0, 0.0))
         with pytest.raises(DomainError):
             ProjectedGradient(gradient_mode="sideways")
+
+
+
+def radau_reference(mode, costs, cfg, x0, times, frozen=()):
+    """Oracle rows from scipy's Radau at rtol 1e-12 with the analytic
+    Jacobian; coordinates in ``frozen`` are held on their face."""
+    from scipy.integrate import solve_ivp
+
+    gmode, fz = mode.gradient_mode, list(frozen)
+
+    def f(t, y):
+        v = -hm.gradient_vec(costs, cfg, y, gmode)
+        v[fz] = 0.0
+        return v
+
+    def jac(t, y):
+        J = -hm.grad_jacobian(costs, cfg, y, gmode)
+        J[fz, :] = 0.0
+        J[:, fz] = 0.0
+        return J
+
+    sol = solve_ivp(f, (times[0], times[-1]), x0, method="Radau", jac=jac,
+                    rtol=1e-12, atol=1e-14, t_eval=times)
+    assert sol.success
+    return sol.y.T
+
+
+class TestStiffCore:
+    def test_canonical_evaluation_ceiling(self, costs, cfg, box, pg_mode, monkeypatch):
+        counts = {"grad_rows": 0, "jacobians": 0}
+        gradient, jacobian = hm.gradient_vec, hm.grad_jacobian
+
+        def counted_gradient(c, f, X, mode="decoupled"):
+            counts["grad_rows"] += np.asarray(X).reshape(-1, np.shape(X)[-1]).shape[0]
+            return gradient(c, f, X, mode)
+
+        def counted_jacobian(c, f, X, mode="decoupled"):
+            counts["jacobians"] += 1
+            return jacobian(c, f, X, mode)
+
+        monkeypatch.setattr(hm, "gradient_vec", counted_gradient)
+        monkeypatch.setattr(hm, "grad_jacobian", counted_jacobian)
+        traj = integrate(pg_mode, costs, cfg, box, GENERIC_X0, 30.0, 1e-3)
+        assert traj.converged and traj.times.size == 21540
+        # RK4 with step doubling on the grid took 302,531 gradient rows
+        assert counts["grad_rows"] <= 30_000
+        assert counts["jacobians"] <= 3_000
+
+    def test_canonical_run_matches_radau(self, costs, cfg, box, pg_mode):
+        traj = integrate(pg_mode, costs, cfg, box, GENERIC_X0, 30.0, 1e-3)
+        ref = radau_reference(pg_mode, costs, cfg, GENERIC_X0, traj.times)
+        assert np.max(np.abs(traj.states - ref)) <= 1e-8
+
+    def test_branching_floor_run_matches_radau(self, costs, cfg, box):
+        from scipy.integrate import solve_ivp
+
+        mode = ProjectedGradient(mobility=1.0, gradient_mode="coupled")
+        x0 = np.array([1.0, 0.5, 0.5, 3.0, 3.0])
+        traj = integrate(mode, costs, cfg, box, x0, 6.0, 1e-3)
+        (contact,) = traj.events
+        assert (contact.kind, contact.index) == ("BoundaryContact", 3)
+
+        def floor(t, y):
+            return y[3] - 1.0
+
+        floor.terminal, floor.direction = True, -1
+        field = lambda t, y: -hm.gradient_vec(costs, cfg, y, "coupled")  # noqa: E731
+        jac = lambda t, y: -hm.grad_jacobian(costs, cfg, y, "coupled")  # noqa: E731
+        free = solve_ivp(field, (0.0, 6.0), x0, method="Radau", jac=jac,
+                         rtol=1e-12, atol=1e-14, events=floor)
+        t_hit = free.t_events[0][0]
+        assert contact.time == pytest.approx(t_hit, abs=1e-8)
+        x_hit = free.y_events[0][0].copy()
+        x_hit[3] = 1.0
+        before = traj.times <= t_hit
+        ref = np.empty_like(traj.states)
+        ref[before] = radau_reference(mode, costs, cfg, x0, np.append(traj.times[before], t_hit))[:-1]
+        ref[~before] = radau_reference(
+            mode, costs, cfg, x_hit, np.insert(traj.times[~before], 0, t_hit), frozen=[3]
+        )[1:]
+        assert np.max(np.abs(traj.states - ref)) <= 1e-8
+
+    def test_projected_gradient_never_reaches_rk4_stepping(self, costs, cfg, box, pg_mode, monkeypatch):
+        from constructal import dynamics
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("projected gradient reached the sign-descent stepper")
+
+        for name in ("_rk4", "_StepController", "_locate_zero", "_advance_nominal"):
+            monkeypatch.setattr(dynamics, name, unreachable)
+        coupled = ProjectedGradient(mobility=1.0, gradient_mode="coupled")
+        step(pg_mode, costs, cfg, box, GENERIC_X0, 0.01)
+        traj = integrate(coupled, costs, cfg, box, np.array([1.0, 0.5, 0.5, 3.0, 3.0]), 2.0, 1e-3)
+        assert [e.kind for e in traj.events] == ["BoundaryContact"]
+        two_trajectory_run(pg_mode, costs, cfg, box, GENERIC_X0, 1.1 * GENERIC_X0, 0.5, 1e-3)
+        integrate_ensemble(pg_mode, costs, cfg, box, GENERIC_X0[None, :], 0.5, 1e-3)
+
+    def test_ensemble_rows_do_not_depend_on_neighbours(self, costs, cfg, box, pg_mode):
+        rng = np.random.default_rng(5)
+        X0 = np.hstack([rng.uniform(0.3, 2.0, (4, 3)), rng.uniform(2.0, 30.0, (4, 2))])
+        batch = integrate_ensemble(pg_mode, costs, cfg, box, X0, 3.0, 1e-3)
+        alone = integrate_ensemble(pg_mode, costs, cfg, box, X0[2:3], 3.0, 1e-3)
+        assert np.array_equal(batch.final_states[2], alone.final_states[0])
+        assert np.array_equal(batch.R_values[2], alone.R_values[0])
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_nonfinite_horizon_rejected(self, costs, cfg, box, pg_mode, bad):
+        with pytest.raises(DomainError):
+            integrate(pg_mode, costs, cfg, box, GENERIC_X0, bad, 1e-3)
+        with pytest.raises(DomainError):
+            integrate(pg_mode, costs, cfg, box, GENERIC_X0, 1.0, bad)
+        with pytest.raises(DomainError):
+            step(pg_mode, costs, cfg, box, GENERIC_X0, bad)
+        with pytest.raises(DomainError):
+            integrate_ensemble(pg_mode, costs, cfg, box, GENERIC_X0[None, :], bad, 1e-3)
+        with pytest.raises(DomainError):
+            integrate_ensemble(pg_mode, costs, cfg, box, GENERIC_X0[None, :], 1.0, bad)
+
+    def test_nonfinite_field_ends_in_step_failure(self, costs, cfg, box, pg_mode, monkeypatch):
+        gradient = hm.gradient_vec
+
+        def walled(c, f, X, mode="decoupled"):
+            # a field that is not finite below r_1 = 1.25, inside the box
+            return np.where(np.asarray(X)[..., :1] < 1.25, np.nan, gradient(c, f, X, mode))
+
+        monkeypatch.setattr(hm, "gradient_vec", walled)
+        with pytest.raises(StepFailureError) as err:
+            integrate(pg_mode, costs, cfg, box, GENERIC_X0, 30.0, 1e-3)
+        assert 0.0 < err.value.time < 30.0

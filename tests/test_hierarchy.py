@@ -235,6 +235,19 @@ class TestGradient:
         off = J - np.diag(np.diag(J))
         assert np.max(np.abs(off)) <= 1e-10
 
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    @pytest.mark.parametrize("mode", ["decoupled", "coupled"])
+    def test_stacked_jacobian_matches_per_state_loop(self, p, mode):
+        rng = np.random.default_rng(100 + p)
+        costs = random_ladder(rng, p)
+        cfg = AssemblyConfig.bejan(costs)
+        X = interior_states(rng, 12, p=p).reshape(3, 4, 2 * p - 1)
+        stacked = hm.grad_jacobian(costs, cfg, X, mode)
+        assert stacked.shape == (3, 4, 2 * p - 1, 2 * p - 1)
+        loop = np.array([[hm.grad_jacobian(costs, cfg, x, mode) for x in row] for row in X])
+        # the loop takes A^(3/2) and sums in another order: last-digit differences only
+        assert np.max(np.abs(stacked - loop) / (1.0 + np.abs(loop))) <= 1e-14
+
     def test_coupled_branching_gradient_positive_at_classical_optimum(self, costs, cfg, x_star):
         g = hm.grad_resistance(costs, cfg, x_star, "coupled")
         assert g[3] > 0.0 and g[4] > 0.0
