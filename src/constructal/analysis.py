@@ -165,14 +165,10 @@ def certify_contraction(
         unit = sampler.random(count)
     X = lo + unit * (hi - lo)
 
-    mus = np.empty(count)
-    lams = np.empty(count)
-    mob = mode.mobility_vector(d)
-    for i in range(count):
-        Dg = hm.grad_jacobian(costs, cfg, X[i], mode.gradient_mode)
-        J = -mob[:, None] * Dg
-        mus[i] = np.linalg.eigvalsh(0.5 * (J + J.T))[-1]
-        lams[i] = np.linalg.eigvalsh(0.5 * (Dg + Dg.T))[0]
+    Dg = hm.grad_jacobian(costs, cfg, X, mode.gradient_mode)
+    J = -mode.mobility_vector(d)[:, None] * Dg
+    mus = np.linalg.eigvalsh(0.5 * (J + J.swapaxes(1, 2)))[:, -1]
+    lams = np.linalg.eigvalsh(0.5 * (Dg + Dg.swapaxes(1, 2)))[:, 0]
 
     worst_mu = float(np.max(mus))
     lam_min = float(np.min(lams))

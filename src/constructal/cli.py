@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, hierarchy as hm
-from .config import RunConfig, load_config
+from .config import RunConfig, format_value, load_config
 from .dynamics import (
     SignDescent,
     Trajectory,
@@ -28,18 +28,8 @@ SCHEMA_VERSION = 1
 TABLE_TOL = 1e-6
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    if isinstance(v, (list, tuple, np.ndarray)):
-        return "[" + ", ".join(_fmt(x) for x in v) + "]"
-    return str(v)
-
-
 def _write_report(path: Path, fields: list[tuple[str, object]]) -> None:
-    lines = [f"{k} = {_fmt(v)}" for k, v in fields]
+    lines = [f"{k} = {format_value(v)}" for k, v in fields]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -81,23 +71,23 @@ def cmd_table(args) -> int:
         dev_c = abs(c_ana[i] - oracle.min_costs[i])
         row = [
             str(i + 1),
-            _fmt(r_ana[i]),
-            _fmt(oracle.r_opt[i]),
-            _fmt(dev_r),
-            _fmt(c_ana[i]),
-            _fmt(oracle.min_costs[i]),
-            _fmt(dev_c),
+            format_value(r_ana[i]),
+            format_value(oracle.r_opt[i]),
+            format_value(dev_r),
+            format_value(c_ana[i]),
+            format_value(oracle.min_costs[i]),
+            format_value(dev_c),
         ]
         worst = max(worst, dev_r, dev_c)
         if p > 1:
             if i >= 1:
                 dev_n = abs(n_ana[i - 1] - oracle.n_opt[i - 1])
-                row += [_fmt(n_ana[i - 1]), _fmt(oracle.n_opt[i - 1]), _fmt(dev_n)]
+                row += [format_value(n_ana[i - 1]), format_value(oracle.n_opt[i - 1]), format_value(dev_n)]
                 worst = max(worst, dev_n)
             else:
                 row += ["-", "-", "-"]
         print("\t".join(row))
-    print(f"max_deviation = {_fmt(worst)}")
+    print(f"max_deviation = {format_value(worst)}")
     return 0 if worst <= TABLE_TOL else 1
 
 

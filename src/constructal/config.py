@@ -107,12 +107,14 @@ def parse_config_text(text: str) -> dict:
 
 
 def format_value(v) -> str:
-    if isinstance(v, bool):
+    """Byte-stable text of a config or report value: booleans as
+    true/false, floats (and list entries) in shortest round-trip form."""
+    if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, (list, tuple, np.ndarray)):
         return "[" + ", ".join(repr(float(x)) for x in v) + "]"
-    if isinstance(v, float):
-        return repr(v)
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
     return str(v)
 
 
@@ -161,18 +163,32 @@ def _positive(name: str, value: float) -> float:
     return value
 
 
+def _numbers(name: str, value, scalar_ok: bool = False):
+    """A list value as a tuple of floats; with ``scalar_ok`` a single
+    number passes through as a float."""
+    if scalar_ok and isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    if not isinstance(value, list):
+        kind = "a number or a list of numbers" if scalar_ok else "a list of numbers"
+        raise ConfigError(f"{name} must be {kind}, got {value!r}")
+    try:
+        return tuple(float(v) for v in value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a list of numbers, got {value!r}") from None
+
+
 def build_run_config(data: dict) -> RunConfig:
-    K = _require(data, "costs.K")
-    if not isinstance(K, list) or len(K) < 2:
+    K = _numbers("costs.K", _require(data, "costs.K"))
+    if len(K) < 2:
         raise ConfigError("costs.K must be a list with at least two entries")
-    costs = hm.TransportCosts(K=tuple(K))
+    costs = hm.TransportCosts(K=K)
     p = costs.p
 
     gamma = _positive("assembly.gamma", data.get("assembly.gamma", 1.0))
     A1 = _positive("assembly.A1", data.get("assembly.A1", 1.0))
     kappa = data.get("assembly.kappa")
     if kappa is not None:
-        kappa = tuple(float(v) for v in kappa)
+        kappa = _numbers("assembly.kappa", kappa)
     r_lo = _positive("box.r_lo", data.get("box.r_lo", 0.05))
     r_hi = _positive("box.r_hi", data.get("box.r_hi", 4.0))
     n_hi = _positive("box.n_hi", data.get("box.n_hi", 64.0))
@@ -189,8 +205,8 @@ def build_run_config(data: dict) -> RunConfig:
         cfg = hm.AssemblyConfig(
             gamma=gamma,
             A1=A1,
-            alpha=tuple(float(v) for v in alpha),
-            beta=tuple(float(v) for v in beta),
+            alpha=_numbers("assembly.alpha", alpha),
+            beta=_numbers("assembly.beta", beta),
             kappa=kappa if kappa is not None else (1.0,) * (p - 1),
             r_lo=r_lo,
             r_hi=r_hi,
@@ -205,7 +221,7 @@ def build_run_config(data: dict) -> RunConfig:
     if kind == "projected_gradient":
         mobility = data.get("mode.mobility", 1.0)
         if isinstance(mobility, list):
-            mobility = tuple(float(v) for v in mobility)
+            mobility = _numbers("mode.mobility", mobility)
         else:
             mobility = _positive("mode.mobility", mobility)
         try:
@@ -216,12 +232,8 @@ def build_run_config(data: dict) -> RunConfig:
         sliding = str(data.get("mode.sliding", BOUNDARY_LAYER))
         if sliding not in (BOUNDARY_LAYER, EQUIVALENT_CONTROL):
             raise ConfigError(f"mode.sliding must be boundary_layer|equivalent_control, got {sliding!r}")
-        eta = data.get("mode.eta", 1.0)
-        zeta = data.get("mode.zeta", 1.0)
-        if isinstance(eta, list):
-            eta = tuple(float(v) for v in eta)
-        if isinstance(zeta, list):
-            zeta = tuple(float(v) for v in zeta)
+        eta = _numbers("mode.eta", data.get("mode.eta", 1.0), scalar_ok=True)
+        zeta = _numbers("mode.zeta", data.get("mode.zeta", 1.0), scalar_ok=True)
         epsilon = _positive("mode.epsilon", data.get("mode.epsilon", 1e-4))
         try:
             mode = SignDescent(
@@ -257,7 +269,7 @@ def build_run_config(data: dict) -> RunConfig:
             return None
         if not isinstance(vec, list) or len(vec) != d:
             raise ConfigError(f"{key} must be a list of {d} coordinates")
-        arr = np.asarray(vec, dtype=float)
+        arr = np.asarray(_numbers(key, vec))
         if not box.contains(arr):
             raise ConfigError(f"{key} = {vec} lies outside the admissible box")
         return arr

@@ -1,27 +1,37 @@
 """Autonomous Filippov dynamics on the admissible box.
 
-Two adjustment laws are realized: discontinuous sign descent (with either
-equivalent-control or boundary-layer sliding) and projected gradient flow.
-Both report states on a fixed nominal output grid 0, h, 2h, ..., but they
-are stepped differently.
+Three adjustment laws are realized: projected gradient flow and
+discontinuous sign descent, the latter with either equivalent-control or
+boundary-layer sliding.  All three report states on a fixed nominal
+output grid 0, h, 2h, ... and are stepped by one core.
 
-Projected gradient is stiff near the optimum (Jacobian eigenvalues from
-0.5 to 1024 on the canonical ladder).  It is integrated by a linearly
-implicit Rosenbrock pair, RODAS4 (Hairer & Wanner, *Solving ODEs II*,
-Sec. IV.7), fed with the analytic Jacobian.  Its embedded error estimate
-and a bound on the change of velocity per step set the step size, which
-does not depend on h; a continuous dense output fills the grid rows a
-step covers, and box-face contact and release are located as roots of
-it.  The same (N, d) stepper drives single runs, paired runs and
-ensembles; every row has its own step size and error norm.
+Between regime changes each law is a smooth frozen-regime field
+M y' = f(y) with a diagonal mass matrix M:
 
-Sign descent stays on classical RK4 steps within each nominal step, with
-a deterministic step-doubling error control.  It locates regime changes
-(switching-manifold crossings, sliding entry/exit, box-face contact and
-release) by bisection along the frozen-regime flow and re-takes the
-remainder in the new regime.
+- projected gradient: f = -M_mob grad R, M = I;
+- boundary layer: f_j = -(gain_j/eps) d_j R inside the layer
+  |d_j R| <= eps and -gain_j sgn(d_j R) outside it, M = I;
+- equivalent control: the index-1 DAE x_ext' = -gain sgn(d R) on the
+  coordinates off their switching manifolds and 0 = d_S R on the sliding
+  set S (M_jj = 0 there), so the state slides exactly on the manifolds.
 
-Both paths are float-pure, so identical inputs give bit-identical
+Coordinates held on a box face have zero velocity.  Projected gradient
+is stiff near the optimum (Jacobian eigenvalues from 0.5 to 1024 on the
+canonical ladder), and so is the boundary layer (rates gain/eps times the
+curvature).  Every field is integrated by a linearly implicit Rosenbrock
+pair, RODAS4 (Hairer & Wanner, *Solving ODEs II*, Sec. IV.7 and VI.4),
+fed with the analytic Jacobian.  Its embedded error estimate and a bound
+on the change of velocity per step set the step size, which does not
+depend on h; a continuous dense output fills the grid rows a step covers.
+Regime changes (box-face contact and release, boundary-layer entry and
+exit, switching-manifold crossings and sliding exit) are located by
+bisection on the dense output, in the event-driven style of Piiroinen &
+Kuznetsov (ACM TOMS 34(3), 2008), and the run restarts in the regime
+found at the event.  The same (N, d) stepper drives single runs, paired
+runs and projected-gradient ensembles; every row has its own step size
+and error norm.
+
+The core is float-pure, so identical inputs give bit-identical
 trajectories.  Coordinate indices in events and masks are flat: 0..p-1
 are the aspect ratios r_1..r_p, p..2p-2 are the branching numbers
 n_2..n_p.
@@ -30,12 +40,13 @@ n_2..n_p.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import hierarchy as hm
-from .cones import Box, kkt_residual, tangent_project_batch
+from .cones import Box, tangent_project_batch
 from .errors import DomainError, SingularSlidingError, StepFailureError
 
 __all__ = [
@@ -198,7 +209,6 @@ class Trajectory:
     step_events: list[str]
     status: str
     max_clip: float
-    notes: list[str] = field(default_factory=list)
 
     @property
     def final_state(self) -> np.ndarray:
@@ -242,7 +252,7 @@ def _as_vector(x, p: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# regime evaluation and frozen-regime fields
+# regime evaluation
 # ---------------------------------------------------------------------------
 
 def _face_freeze(box: Box, x: np.ndarray, v: np.ndarray, tol: float):
@@ -323,8 +333,11 @@ def _slide_iterate(
     return v, S, dropped
 
 
-def _regime_at(mode: DynamicsMode, costs, cfg, box: Box, x: np.ndarray, opts: IntegrationOptions) -> Regime:
-    g = hm.gradient_vec(costs, cfg, x, mode.gradient_mode)
+def _regime_at(mode: DynamicsMode, costs, cfg, box: Box, x: np.ndarray, opts: IntegrationOptions,
+               g: np.ndarray | None = None) -> Regime:
+    """Regime at x; ``g`` is the mode gradient at x when already known."""
+    if g is None:
+        g = hm.gradient_vec(costs, cfg, x, mode.gradient_mode)
     d = x.size
     if isinstance(mode, ProjectedGradient):
         raw = -mode.mobility_vector(d) * g
@@ -357,38 +370,6 @@ def _regime_at(mode: DynamicsMode, costs, cfg, box: Box, x: np.ndarray, opts: In
         signs=tuple(int(s) for s in signs_arr),
         velocity=v,
     )
-
-
-def _frozen_field(mode: SignDescent, costs, cfg, box: Box, regime: Regime, opts: IntegrationOptions):
-    """Smooth sign-descent field valid while the regime stays frozen."""
-    frozen = list(regime.lower) + list(regime.upper)
-    gradient = hm.gradient_vec
-    gmode = mode.gradient_mode
-    gains = mode.gains(costs.p)
-    if mode.sliding == BOUNDARY_LAYER:
-        neg_gains_over_eps = -gains / mode.epsilon
-        lim = gains
-
-        def f(y: np.ndarray) -> np.ndarray:
-            v = np.clip(neg_gains_over_eps * gradient(costs, cfg, y, gmode), -lim, lim)
-            if frozen:
-                v[frozen] = 0.0
-            return v
-
-        return f
-
-    S = list(regime.sliding)
-    signs = np.asarray(regime.signs, dtype=float)
-
-    def f(y: np.ndarray) -> np.ndarray:
-        v = -gains * signs
-        if S:
-            vS = _slide_solve(mode, costs, cfg, y, S, v, opts)
-            v[S] = vS
-        v[frozen] = 0.0
-        return v
-
-    return f
 
 
 # ---------------------------------------------------------------------------
@@ -425,22 +406,282 @@ def slide_velocity(mode: SignDescent, costs, cfg, x, active_set, options: Integr
 
 
 # ---------------------------------------------------------------------------
-# projected gradient: stiff dense-output stepping core on (N, d) stacks
+# frozen-regime fields, one per law, on (N, d) stacks
+# ---------------------------------------------------------------------------
+
+@dataclass
+class _Frozen:
+    """Frozen-regime field of one step: M y' = f(y) with
+
+        f(y) = coef * grad R(y)  on ``active`` coordinates,
+        f(y) = const             elsewhere,
+
+    and M = diag(mass), mass 0 marking algebraic rows (None: M = I).
+    Coordinates in ``frozen`` are held on a box face (const 0).
+    """
+
+    frozen: np.ndarray              # (N, d) bool
+    active: np.ndarray              # (N, d) bool
+    coef: np.ndarray                # (1, d), shared by all rows
+    const: np.ndarray               # (N, d)
+    mass: np.ndarray | None = None  # (N, d)
+    regime: Regime | None = None    # sign descent: the single-row regime
+
+    def take(self, rows) -> _Frozen:
+        mass = None if self.mass is None else self.mass[rows]
+        return _Frozen(self.frozen[rows], self.active[rows], self.coef, self.const[rows],
+                       mass, self.regime)
+
+    def bits(self) -> int:
+        """Regime mask of the first row: sliding and face-held coordinates."""
+        if self.regime is not None:
+            return self.regime.mask()
+        return sum(1 << int(j) for j in np.flatnonzero(self.frozen[0]))
+
+
+class _Monitor(NamedTuple):
+    """A regime change: ``phi(x, g)`` (g the mode gradient at x) starts
+    above ``band`` and the transition is phi <= band.  ``face`` is the
+    value coordinate j snaps to at the event, or None."""
+
+    label: str
+    j: int
+    face: float | None
+    band: float
+    phi: Callable[[np.ndarray, np.ndarray], float]
+
+
+class _Field:
+    """Model access and the frozen-regime field shared by the three laws.
+
+    ``scale`` is the positive per-coordinate speed factor of the law
+    (mobility or gains): the raw velocity of coordinate j has the sign of
+    -d_j R, so a face-held coordinate is released when d_j R turns.
+    ``slaved_fast`` exempts fast components from the velocity-change bound
+    (see the notes on the core); ``fallback`` is the field that takes a
+    step whose own regime cannot be formed.
+    """
+
+    fallback: _Field | None = None
+    slaved_fast = False
+
+    def __init__(self, mode: DynamicsMode, costs, cfg, box: Box, opts: IntegrationOptions, scale):
+        self.mode, self.costs, self.cfg, self.box, self.opts = mode, costs, cfg, box, opts
+        self.gmode = mode.gradient_mode
+        self.scale = scale
+
+    def grad(self, Y: np.ndarray) -> np.ndarray:
+        return hm.gradient_vec(self.costs, self.cfg, Y, self.gmode)
+
+    def rhs(self, G: np.ndarray, fz: _Frozen) -> np.ndarray:
+        return np.where(fz.active, fz.coef * G, fz.const)
+
+    def velocity(self, Y: np.ndarray, G: np.ndarray, fz: _Frozen) -> np.ndarray:
+        """State velocity y'; differs from rhs only on algebraic rows."""
+        return self.rhs(G, fz)
+
+    def jacobian(self, Y: np.ndarray, fz: _Frozen) -> np.ndarray:
+        J = fz.coef[..., None] * hm.grad_jacobian(self.costs, self.cfg, Y, self.gmode)
+        return np.where(fz.active[:, :, None] & ~fz.frozen[:, None, :], J, 0.0)
+
+    def project(self, Y: np.ndarray, fz: _Frozen, tol: float) -> np.ndarray:
+        """States put back on the sliding manifolds (none here)."""
+        return Y
+
+    def monitors(self, y0: np.ndarray, y1: np.ndarray, fz: _Frozen) -> list[_Monitor]:
+        """Regime-change monitors of a frozen single-row regime for a step
+        from y0 to y1: box-face release of held coordinates (the gradient
+        turns) and contact of free ones that end the step past a face."""
+        box = self.box
+        at_lo = y0 <= box.lo + self.opts.boundary_tol
+        free = ~fz.frozen[0]
+        out = []
+        for j in np.flatnonzero(fz.frozen[0]):
+            c = self.scale[j] if at_lo[j] else -self.scale[j]
+            out.append(_Monitor(BOUNDARY_RELEASE, j, None, 0.0, lambda x, g, j=j, c=c: c * g[j]))
+        for j in np.flatnonzero(free & (y1 <= box.lo)):
+            out.append(_Monitor(BOUNDARY_CONTACT, j, box.lo[j], 0.0, lambda x, g, j=j: x[j] - box.lo[j]))
+        for j in np.flatnonzero(free & (y1 >= box.hi)):
+            out.append(_Monitor(BOUNDARY_CONTACT, j, box.hi[j], 0.0, lambda x, g, j=j: box.hi[j] - x[j]))
+        return out
+
+    def classify(self, label: str, j: int, x_e: np.ndarray, fz: _Frozen) -> tuple[str, int]:
+        """Event (kind, index) of a monitor that fired at x_e."""
+        return label, int(j)
+
+
+class _PGField(_Field):
+    """Projected gradient: f = -mobility * grad R on free coordinates.
+
+    A coordinate is frozen for a whole step when it starts the step on a
+    box face with an outward raw velocity.  Its velocity and its Jacobian
+    row and column are zero, so it stays exactly on the face.
+    """
+
+    slaved_fast = True
+
+    def __init__(self, mode: ProjectedGradient, costs, cfg, box: Box, opts: IntegrationOptions):
+        super().__init__(mode, costs, cfg, box, opts, mode.mobility_vector(box.dim))
+        self.neg_mob = -self.scale
+
+    def regime(self, Y: np.ndarray, G: np.ndarray) -> _Frozen:
+        raw = self.neg_mob * G
+        tol = self.opts.boundary_tol
+        frozen = ((Y <= self.box.lo + tol) & (raw < 0.0)) | ((Y >= self.box.hi - tol) & (raw > 0.0))
+        return _Frozen(frozen, ~frozen, self.neg_mob[None], np.zeros_like(Y))
+
+
+class _SignField(_Field):
+    """Sign descent on a single row; the regime comes from :func:`_regime_at`."""
+
+    def __init__(self, mode: SignDescent, costs, cfg, box: Box, opts: IntegrationOptions):
+        super().__init__(mode, costs, cfg, box, opts, mode.gains(costs.p))
+
+    def _frozen(self, Y: np.ndarray, G: np.ndarray, coef, algebraic: bool) -> _Frozen:
+        reg = _regime_at(self.mode, self.costs, self.cfg, self.box, Y[0], self.opts, G[0])
+        d = Y.shape[1]
+        frozen = np.zeros(d, dtype=bool)
+        frozen[list(reg.lower + reg.upper)] = True
+        active = np.zeros(d, dtype=bool)
+        active[list(reg.sliding)] = True
+        active &= ~frozen
+        const = np.where(frozen, 0.0, -self.scale * np.asarray(reg.signs, dtype=float))
+        mass = np.where(active, 0.0, 1.0)[None] if algebraic else None
+        return _Frozen(frozen[None], active[None], np.zeros((1, d)) + coef, const[None], mass, reg)
+
+
+class _LayerField(_SignField):
+    """Boundary-layer sign descent: f_j = -(gain_j/eps) d_j R inside the
+    layer |d_j R| <= eps, -gain_j sgn(d_j R) on saturated coordinates."""
+
+    def regime(self, Y: np.ndarray, G: np.ndarray) -> _Frozen:
+        return self._frozen(Y, G, -self.scale / self.mode.epsilon, algebraic=False)
+
+    def monitors(self, y0: np.ndarray, y1: np.ndarray, fz: _Frozen) -> list[_Monitor]:
+        """Face monitors plus layer exit (inside) and entry (saturated)."""
+        out = super().monitors(y0, y1, fz)
+        eps, reg = self.mode.epsilon, fz.regime
+        for j in range(y0.size):
+            if j in reg.sliding:
+                out.append(_Monitor(SLIDE_EXIT, j, None, 0.0, lambda x, g, j=j: eps - abs(g[j])))
+            else:
+                s = reg.signs[j]
+                out.append(_Monitor(SLIDE_ENTER, j, None, 0.0, lambda x, g, j=j, s=s: s * g[j] - eps))
+        return out
+
+
+class _SlideField(_SignField):
+    """Equivalent-control sign descent as the index-1 DAE
+
+        x_ext' = -gain sgn(d R)  (0 on face-held coordinates),
+        0      = d_S R           on the sliding set S,
+
+    with Jacobian rows [0; H_S,:].  Its velocity on S is the equivalent
+    control -H_SS^-1 H_S,ext x_ext'.  A sliding block too ill-conditioned
+    to solve hands the step to the boundary-layer field (``fallback``).
+    """
+
+    def __init__(self, mode: SignDescent, costs, cfg, box: Box, opts: IntegrationOptions):
+        super().__init__(mode, costs, cfg, box, opts)
+        self.fallback = _LayerField(replace(mode, sliding=BOUNDARY_LAYER), costs, cfg, box, opts)
+
+    def regime(self, Y: np.ndarray, G: np.ndarray) -> _Frozen:
+        return self._frozen(Y, G, 1.0, algebraic=True)
+
+    def _sliding(self, fz: _Frozen) -> list[int]:
+        return [int(j) for j in np.flatnonzero(fz.active[0])]
+
+    def velocity(self, Y: np.ndarray, G, fz: _Frozen) -> np.ndarray:
+        v = fz.const[0].copy()
+        S = self._sliding(fz)
+        if S:
+            v[S] = _slide_solve(self.mode, self.costs, self.cfg, Y[0], S, v, self.opts)
+        return v[None]
+
+    def project(self, Y: np.ndarray, fz: _Frozen, tol: float) -> np.ndarray:
+        """One Newton correction delta_S = -H_SS^-1 d_S R on the rows of Y
+        whose sliding coordinates are off their manifolds by more than tol."""
+        S = self._sliding(fz)
+        if not S or not Y.size:
+            return Y
+        gS = self.grad(Y)[:, S]
+        off = np.flatnonzero(np.any(np.abs(gS) > tol, axis=1))
+        if off.size:
+            H = hm.grad_jacobian(self.costs, self.cfg, Y[off], self.gmode)
+            try:
+                delta = np.linalg.solve(H[:, S][:, :, S], gS[off][..., None])[..., 0]
+            except np.linalg.LinAlgError as exc:
+                raise SingularSlidingError(f"sliding block on coordinates {S} is singular") from exc
+            Y = Y.copy()
+            Y[np.ix_(off, S)] -= delta
+        return Y
+
+    def monitors(self, y0: np.ndarray, y1: np.ndarray, fz: _Frozen) -> list[_Monitor]:
+        """Face monitors plus switching-manifold crossings of the external
+        coordinates and the saturation of the equivalent control."""
+        out = super().monitors(y0, y1, fz)
+        reg = fz.regime
+        for j in np.flatnonzero(~fz.active[0] & ~fz.frozen[0]):
+            s = reg.signs[j]
+            out.append(_Monitor("switch", j, None, self.opts.switch_tol, lambda x, g, j=j, s=s: s * g[j]))
+        S = self._sliding(fz)
+        if S:
+            gains = self.scale[S]
+
+            def margin(x, g):
+                return float(np.min(gains - np.abs(self.velocity(x[None], None, fz)[0, S])))
+
+            out.append(_Monitor("slide_exit", -1, None, 0.0, margin))
+        return out
+
+    def classify(self, label: str, j: int, x_e: np.ndarray, fz: _Frozen) -> tuple[str, int]:
+        if label == "slide_exit":
+            # the coordinate whose equivalent control saturates
+            S = self._sliding(fz)
+            v = self.velocity(x_e[None], None, fz)[0]
+            return SLIDE_EXIT, S[int(np.argmin(self.scale[S] - np.abs(v[S])))]
+        if label == "switch":
+            # sliding entry iff the Filippov condition accepts the coordinate;
+            # an unsolvable block counts as entry and the next step falls back
+            try:
+                reg = _regime_at(self.mode, self.costs, self.cfg, self.box, x_e, self.opts)
+            except SingularSlidingError:
+                return SLIDE_ENTER, int(j)
+            return (SLIDE_ENTER if j in reg.sliding else SWITCH_CROSS), int(j)
+        return label, int(j)
+
+
+def _field(mode: DynamicsMode, costs, cfg, box: Box, opts: IntegrationOptions) -> _Field:
+    if isinstance(mode, ProjectedGradient):
+        return _PGField(mode, costs, cfg, box, opts)
+    if mode.sliding == BOUNDARY_LAYER:
+        return _LayerField(mode, costs, cfg, box, opts)
+    return _SlideField(mode, costs, cfg, box, opts)
+
+
+# ---------------------------------------------------------------------------
+# the stiff dense-output stepping core on (N, d) stacks
 # ---------------------------------------------------------------------------
 
 # RODAS4 (Hairer & Wanner, Solving ODEs II, Sec. IV.7) in the transformed
-# variables of its reference code.  With W = I/(dt*gamma) - J the stage
+# variables of its reference code.  With W = M/(dt*gamma) - J the stage
 # increments solve
-#     W u_i = f(y + sum_j a_ij u_j) + sum_j (c_ij/dt) u_j,   i = 1..6.
+#     W u_i = f(y + sum_j a_ij u_j) + M sum_j (c_ij/dt) u_j,   i = 1..6.
 # The sixth stage point is the embedded third-order solution and the
 # fourth-order solution is that point plus u_6, so u_6 is the error
-# estimate.
+# estimate.  The method is stiffly accurate, so with M singular it solves
+# index-1 DAEs (Sec. VI.4): algebraic rows are Newton-corrected by every
+# stage.
 #
-# Dense output: the quartic in s in [0, 1] that matches y0, dt f(y0) and
-# dt^2 J f(y0) (the second derivative of the autonomous flow) at s = 0 and
-# y1, dt f(y1) at s = 1.  This Hermite-Birkhoff interpolant has local error
+# Dense output: the quartic in s in [0, 1] that matches y0, dt y'(0) and
+# dt^2 J y'(0) (the second derivative of the autonomous flow) at s = 0 and
+# y1, dt y'(1) at s = 1.  This Hermite-Birkhoff interpolant has local error
 # O(dt^5), one order better than the method's own dense formula; it needs
-# no extra model evaluation, since f(y1) starts the next step anyway.
+# no extra model evaluation, since f(y1) starts the next step anyway.  It
+# falls back to the cubic Hermite interpolant (no second derivative) on
+# algebraic rows, where J y' is not the second derivative, and wherever the
+# two differ by more than the step moves: for a stiff component J y'(0)
+# magnifies any velocity not yet on its slow manifold.
 #
 # Velocity-change bound: on slow components (diagonal Jacobian rate within
 # a factor 1/_VELOCITY_CHANGE of the slowest), a step may change the
@@ -449,9 +690,12 @@ def slide_velocity(mode: SignDescent, costs, cfg, x, active_set, options: Integr
 # control relative to |y| lets the steps grow without limit as the state
 # nears its equilibrium, until grid rows stop resolving the exponential
 # tail that the dissipation audit and the rate fits read; the bound keeps
-# a fixed number of steps per e-folding of the slow motion.  Faster
-# components relax onto the slow manifold and are left to error control,
-# so stiff transients cost no more than error control asks.
+# a fixed number of steps per e-folding of the slow motion.  Under a
+# gradient flow (``slaved_fast``) faster components relax onto the slow
+# manifold and are left to error control, so stiff transients cost no more
+# than error control asks.  Under sign descent a coordinate enters its
+# boundary layer at full speed, so every component is bounded; a velocity
+# change within the rounding of rate * |y| counts as none.
 _ROS_GAMMA = 0.25
 _ROS_A = (
     (1.544,),
@@ -468,40 +712,11 @@ _ROS_C = (
     (8.083246795921522, -7.981132988064893, -31.52159432874371, 16.3193054312314,
      -6.058818238834054),
 )
+_ROUNDING = 8.0 * np.finfo(float).eps
 _SAFETY = 0.9
 _VELOCITY_CHANGE = 0.04
 _FAC_MIN = 0.2
 _FAC_MAX = 6.0
-
-
-class _PGField:
-    """Projected-gradient field on (N, d) stacks with per-row frozen faces.
-
-    A coordinate is frozen for a whole step when it starts the step on a
-    box face with an outward raw velocity.  Its velocity and its Jacobian
-    row and column are zero, so it stays exactly on the face.
-    """
-
-    def __init__(self, mode: ProjectedGradient, costs, cfg, box: Box, opts: IntegrationOptions):
-        self.costs, self.cfg, self.box, self.opts = costs, cfg, box, opts
-        self.gmode = mode.gradient_mode
-        self.neg_mob = -mode.mobility_vector(box.dim)
-
-    def grad(self, Y: np.ndarray) -> np.ndarray:
-        return hm.gradient_vec(self.costs, self.cfg, Y, self.gmode)
-
-    def frozen(self, Y: np.ndarray, G: np.ndarray) -> np.ndarray:
-        raw = self.neg_mob * G
-        tol = self.opts.boundary_tol
-        return ((Y <= self.box.lo + tol) & (raw < 0.0)) | ((Y >= self.box.hi - tol) & (raw > 0.0))
-
-    def velocity(self, G: np.ndarray, frozen: np.ndarray) -> np.ndarray:
-        return np.where(frozen, 0.0, self.neg_mob * G)
-
-    def jacobian(self, Y: np.ndarray, frozen: np.ndarray) -> np.ndarray:
-        J = self.neg_mob[:, None] * hm.grad_jacobian(self.costs, self.cfg, Y, self.gmode)
-        free = ~frozen
-        return np.where(free[:, :, None] & free[:, None, :], J, 0.0)
 
 
 @dataclass
@@ -549,55 +764,70 @@ def _inverse(W: np.ndarray) -> np.ndarray:
         return out
 
 
-def _ros_attempt(fld: _PGField, Y, F0, J, frozen, dt, opts: IntegrationOptions):
+def _ros_attempt(fld: _Field, Y, F0, V0, J, fz: _Frozen, dt, opts: IntegrationOptions):
     """One RODAS4 step per row; returns (y1, g1, dense, err).
 
-    err is the larger of the error estimate over the error scale and the
-    fourth power of the velocity-change ratio, so that both are accepted
-    at err <= 1 and steer the step size with the same exponent.  It is
-    inf wherever a stage or the result is not finite.
+    F0 is f(Y) and V0 the velocity y' at Y.  err is the larger of the
+    error estimate over the error scale and the fourth power of the
+    velocity-change ratio, so that both are accepted at err <= 1 and steer
+    the step size with the same exponent.  It is inf wherever a stage or
+    the result is not finite.
     """
-    W_inv = _inverse(np.eye(Y.shape[1]) / (dt * _ROS_GAMMA)[:, None, None] - J)
+    eye = np.eye(Y.shape[1]) if fz.mass is None else np.eye(Y.shape[1]) * fz.mass[:, None, :]
+    W_inv = _inverse(eye / (dt * _ROS_GAMMA)[:, None, None] - J)
     inv_dt = (1.0 / dt)[:, None]
     U = [(W_inv @ F0[..., None])[..., 0]]
     for a_row, c_row in zip(_ROS_A, _ROS_C):
         Yi = Y + sum(a * u for a, u in zip(a_row, U))
-        Fi = fld.velocity(fld.grad(Yi), frozen)
-        rhs = Fi + inv_dt * sum(c * u for c, u in zip(c_row, U))
+        Fi = fld.rhs(fld.grad(Yi), fz)
+        corr = inv_dt * sum(c * u for c, u in zip(c_row, U))
+        rhs = Fi + (corr if fz.mass is None else fz.mass * corr)
         U.append((W_inv @ rhs[..., None])[..., 0])
-    y1 = Yi + U[5]
+    y1 = fld.project(Yi + U[5], fz, 0.1 * opts.switch_tol)
     g1 = fld.grad(y1)
-    F1 = fld.velocity(g1, frozen)
+    V1 = fld.velocity(y1, g1, fz)
     dt_col = dt[:, None]
-    a = dt_col * F0
-    b = (0.5 * dt_col * dt_col) * (J @ F0[..., None])[..., 0]
-    r1 = (y1 - Y) - a - b
-    r2 = dt_col * F1 - a - 2.0 * b
+    step = y1 - Y
+    size = np.maximum(1.0, np.maximum(np.abs(Y), np.abs(y1)))
+    scale = opts.substep_atol + opts.substep_rtol * size
+    a = dt_col * V0
+    b = (0.5 * dt_col * dt_col) * (J @ V0[..., None])[..., 0]
+    b_cubic = 3.0 * step - 2.0 * a - dt_col * V1
+    cubic = np.abs(b - b_cubic) > np.abs(step) + scale
+    if fz.mass is not None:
+        cubic |= fz.mass == 0.0
+    b = np.where(cubic, b_cubic, b)
+    r1 = step - a - b
+    r2 = dt_col * V1 - a - 2.0 * b
     e = r2 - 3.0 * r1
     dense = np.stack([a, b, r1 - e, e])
-    scale = opts.substep_atol + opts.substep_rtol * np.maximum(1.0, np.maximum(np.abs(Y), np.abs(y1)))
     err = np.max(np.abs(U[5]) / scale, axis=1)
-    bend = np.abs(F1 - F0) / (_VELOCITY_CHANGE * np.maximum(np.abs(F0), np.abs(F1)) + opts.substep_atol * inv_dt)
     rate = np.abs(np.diagonal(J, axis1=1, axis2=2))
-    slowest = np.min(np.where(rate > 0.0, rate, np.inf), axis=1, keepdims=True)
-    bend[rate * _VELOCITY_CHANGE > slowest] = 0.0
+    noise = (_ROUNDING * rate) * size
+    resolved = _VELOCITY_CHANGE * np.maximum(np.abs(V0), np.abs(V1)) + opts.substep_atol * inv_dt
+    bend = np.abs(V1 - V0) / np.maximum(resolved, noise)
+    if fld.slaved_fast:
+        slowest = np.min(np.where(rate > 0.0, rate, np.inf), axis=1, keepdims=True)
+        bend[rate * _VELOCITY_CHANGE > slowest] = 0.0
     err = np.maximum(err, np.max(bend, axis=1) ** 4)
     err[~(np.isfinite(err) & np.isfinite(y1).all(axis=1))] = np.inf
     return y1, g1, dense, err
 
 
-def _ros_advance(fld: _PGField, Y, G, frozen, H, limit, t, opts: IntegrationOptions) -> _Step:
+def _ros_advance(fld: _Field, Y, G, fz: _Frozen, H, limit, t, opts: IntegrationOptions) -> _Step:
     """Advance every row of Y by one accepted RODAS4 step.
 
-    G is the raw gradient at Y, H the preferred step sizes, ``limit`` the
-    remaining time of each row and t its current time.  Each row has its
-    own step size and error norm: a rejected row retries with a smaller
-    step while the accepted rows wait, so no row's steps depend on another
-    row.  A row whose step underflows raises StepFailureError.
+    G is the raw gradient at Y, fz the frozen-regime field, H the
+    preferred step sizes, ``limit`` the remaining time of each row and t
+    its current time.  Each row has its own step size and error norm: a
+    rejected row retries with a smaller step while the accepted rows wait,
+    so no row's steps depend on another row.  A row whose step underflows
+    raises StepFailureError.
     """
     with np.errstate(all="ignore"):
-        F0 = fld.velocity(G, frozen)
-        J = fld.jacobian(Y, frozen)
+        F0 = fld.rhs(G, fz)
+        V0 = fld.velocity(Y, G, fz)
+        J = fld.jacobian(Y, fz)
         dt = np.minimum(H, limit)
         capped = dt < H
         fac_max = np.full(dt.size, _FAC_MAX)
@@ -607,7 +837,8 @@ def _ros_advance(fld: _PGField, Y, G, frozen, H, limit, t, opts: IntegrationOpti
         h_next = np.empty_like(dt)
         todo = np.arange(dt.size)
         while todo.size:
-            yt, gt, dn, err = _ros_attempt(fld, Y[todo], F0[todo], J[todo], frozen[todo], dt[todo], opts)
+            part = fz if todo.size == dt.size else fz.take(todo)
+            yt, gt, dn, err = _ros_attempt(fld, Y[todo], F0[todo], V0[todo], J[todo], part, dt[todo], opts)
             fac = np.clip(_SAFETY * err ** -0.25, _FAC_MIN, fac_max[todo])
             ok = err <= 1.0
             acc, rej = todo[ok], todo[~ok]
@@ -629,18 +860,19 @@ def _ros_advance(fld: _PGField, Y, G, frozen, H, limit, t, opts: IntegrationOpti
     return _Step(y1=y1, g1=g1, dt=dt, h_next=h_next, dense=dense)
 
 
-def _initial_step(fld: _PGField, Y, G, frozen, span, opts: IntegrationOptions) -> np.ndarray:
+def _initial_step(fld: _Field, Y, G, fz: _Frozen, span, opts: IntegrationOptions) -> np.ndarray:
     """Starting step size per row for an order-4 pair (Hairer, Norsett &
     Wanner, Solving ODEs I, Sec. II.4); one extra field evaluation."""
     with np.errstate(all="ignore"):
-        F0 = fld.velocity(G, frozen)
+        F0 = fld.velocity(Y, G, fz)
         y_max = np.abs(Y).max(axis=1)
         scale = opts.substep_atol + opts.substep_rtol * np.maximum(1.0, y_max)
         d0 = y_max / scale
         d1 = np.abs(F0).max(axis=1) / scale
         h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
         h0 = np.minimum(h0, span)
-        F1 = fld.velocity(fld.grad(Y + h0[:, None] * F0), frozen)
+        Y1 = Y + h0[:, None] * F0
+        F1 = fld.velocity(Y1, fld.grad(Y1), fz)
         d2 = np.abs(F1 - F0).max(axis=1) / scale / h0
         dm = np.maximum(d1, d2)
         h1 = np.where(dm <= 1e-15, np.maximum(1e-6, 1e-3 * h0), (0.01 / dm) ** 0.2)
@@ -649,7 +881,7 @@ def _initial_step(fld: _PGField, Y, G, frozen, span, opts: IntegrationOptions) -
     return np.where(np.isfinite(h) & (h > 0.0), h, np.minimum(1e-6, span))
 
 
-def _settle(fld: _PGField, st: _Step):
+def _settle(fld: _Field, st: _Step):
     """Clip accepted end states to the box; returns (Y, G, clip per row)."""
     Y = fld.box.clip(st.y1)
     clip = np.abs(Y - st.y1).max(axis=1)
@@ -659,10 +891,6 @@ def _settle(fld: _PGField, st: _Step):
         G = G.copy()
         G[moved] = fld.grad(Y[moved])
     return Y, G, clip
-
-
-def _mask_bits(frozen_row: np.ndarray) -> int:
-    return sum(1 << int(j) for j in np.flatnonzero(frozen_row))
 
 
 def _bisect_fraction(phi, event_tol: float) -> float:
@@ -687,51 +915,57 @@ def _bisect_fraction(phi, event_tol: float) -> float:
     return b
 
 
-def _face_events(fld: _PGField, y0, frozen, st: _Step, opts: IntegrationOptions):
-    """Box-face contact and release within one accepted single-row step.
+def _locate_events(fld: _Field, y0, g0, fz: _Frozen, st: _Step, opts: IntegrationOptions):
+    """Regime changes within one accepted single-row step.
 
     Returns None, or (s, x_e, events) with s the step fraction of the
     earliest transition, x_e the state there (contact coordinates snapped
     to their face) and events the (kind, index) pairs that occur at s.
+    Box-face contact is located first: the frozen-regime flow beyond a
+    face is not the model's, so the other monitors are read only up to
+    the earliest contact.  A monitor that ends inside its band without a
+    sign change fires at that end.
     """
-    box = fld.box
     y1, g1 = st.y1[0], st.g1[0]
-    fz = frozen[0]
-    tol = opts.boundary_tol
-    at_lo = y0 <= box.lo + tol
-    mob = -fld.neg_mob
-    # monitors (kind, j, face, phi): phi(x) starts > 0 and signals the
-    # transition at <= 0; release monitors read the raw velocity, contact
-    # monitors the distance to the face (snapped to at the event)
-    monitors = []
-    for j in np.flatnonzero(fz & (np.where(at_lo, mob * g1, -mob * g1) <= 0.0)):
-        c = mob[j] if at_lo[j] else -mob[j]
-        monitors.append((BOUNDARY_RELEASE, j, None, lambda x, j=j, c=c: c * fld.grad(x[None])[0, j]))
-    for j in np.flatnonzero(~fz & (y0 > box.lo) & (y1 <= box.lo)):
-        monitors.append((BOUNDARY_CONTACT, j, box.lo[j], lambda x, j=j: x[j] - box.lo[j]))
-    for j in np.flatnonzero(~fz & (y0 < box.hi) & (y1 >= box.hi)):
-        monitors.append((BOUNDARY_CONTACT, j, box.hi[j], lambda x, j=j: box.hi[j] - x[j]))
-    if not monitors:
+    live = [m for m in fld.monitors(y0, y1, fz) if m.phi(y0, g0) > m.band]
+    if not live:
         return None
 
     def state_at(s: float) -> np.ndarray:
+        if s == 1.0:
+            return y1.copy()
         return _dense_eval(y0, st.dense[:, 0], np.array([[s]]))[0]
 
-    located = [(_bisect_fraction(lambda s, phi=m[3]: phi(state_at(s)), opts.event_tol), i)
-               for i, m in enumerate(monitors)]
+    def fraction(phi, s_end: float) -> float:
+        def at(u: float) -> float:
+            x = state_at(u * s_end)
+            return phi(x, fld.grad(x[None])[0])
+
+        return s_end * _bisect_fraction(at, opts.event_tol)
+
+    located = [(fraction(m.phi, 1.0), i) for i, m in enumerate(live)
+               if m.face is not None and m.phi(y1, g1) <= 0.0]
+    s_end, x_end, g_end = 1.0, y1, g1
+    if located:
+        s_end = min(located)[0]
+        x_end = state_at(s_end)
+        g_end = fld.grad(x_end[None])[0]
+    for i, m in enumerate(live):
+        if m.face is None and m.phi(x_end, g_end) <= m.band:
+            located.append((s_end if m.phi(x_end, g_end) > 0.0 else fraction(m.phi, s_end), i))
+    if not located:
+        return None
     s, first = min(located)
     x_e = state_at(s)
-    events = []
-    for i in [first] + [i for i in range(len(monitors)) if i != first]:
-        kind, j, face, phi = monitors[i]
-        if i == first or phi(x_e) <= 0.0:
-            if face is not None:
-                x_e[j] = face
-            events.append((kind, int(j)))
-    return s, x_e, events
+    g_e = fld.grad(x_e[None])[0]
+    fired = [first] + [i for _, i in located if i != first and live[i].phi(x_e, g_e) <= live[i].band]
+    for i in fired:
+        if live[i].face is not None:
+            x_e[live[i].j] = live[i].face
+    return s, x_e, [fld.classify(live[i].label, live[i].j, x_e, fz) for i in fired]
 
 
-def _first_converged(fld: _PGField, X: np.ndarray, psi: np.ndarray, opts: IntegrationOptions):
+def _first_converged(fld: _Field, X: np.ndarray, psi: np.ndarray, opts: IntegrationOptions):
     """Index of the first row with imbalance and decoupled KKT residual
     both within the convergence tolerance, or None."""
     tol = opts.converge_tol
@@ -744,34 +978,50 @@ def _first_converged(fld: _PGField, X: np.ndarray, psi: np.ndarray, opts: Integr
     return int(cand[ok[0]]) if ok.size else None
 
 
-def _integrate_pg(mode: ProjectedGradient, costs, cfg, box: Box, x: np.ndarray,
-                  t_end: float, h: float, opts: IntegrationOptions, stop: bool) -> Trajectory:
-    """Single projected-gradient run on the RODAS4 core with face events."""
-    fld = _PGField(mode, costs, cfg, box, opts)
+def _run(fld: _Field, x: np.ndarray, t_end: float, h: float, opts: IntegrationOptions,
+         stop: bool) -> Trajectory:
+    """Single run of any law on the RODAS4 core with located events.
+
+    Each step integrates the frozen-regime field found at its start and
+    ends at the first regime change.  While the sliding block cannot be
+    solved there, steps of at most h go through the boundary-layer field;
+    each such episode is recorded once, as SlideExit at index -1, in
+    place of the layer's own events.
+    """
+    box, costs, cfg = fld.box, fld.costs, fld.cfg
     t0 = np.arange(max(1, int(math.ceil(t_end / h - 1e-12)))) * h
     times = np.concatenate([[0.0], t0 + np.minimum(h, t_end - t0)])
     n_rows = times.size
     states = np.empty((n_rows, x.size))
     psis = np.empty(n_rows)
     masks = np.zeros(n_rows, dtype=np.int64)
+
+    def frozen_regime(y, G):
+        try:
+            return fld, fld.regime(y, G)
+        except SingularSlidingError:
+            return fld.fallback, fld.fallback.regime(y, G)
+
     y = x[None, :].copy()
     G = fld.grad(y)
-    frozen = fld.frozen(y, G)
-    H = _initial_step(fld, y, G, frozen, np.array([t_end]), opts)
+    stepper, fz = frozen_regime(y, G)
+    H = _initial_step(stepper, y, G, fz, np.array([t_end]), opts)
     states[0] = x
     psis[0] = hm.imbalance_vec(costs, cfg, x)
-    masks[0] = _mask_bits(frozen[0])
+    masks[0] = fz.bits()
     t = 0.0
     filled = 1
     events: list[EventRecord] = []
     since_row = 0
     max_clip = 0.0
     status = "finished"
+    fell_back_before = False
     while filled < n_rows:
-        frozen = fld.frozen(y, G)
-        st = _ros_advance(fld, y, G, frozen, H, np.array([t_end - t]), np.array([t]), opts)
+        fell_back = stepper is not fld
+        limit = min(t_end - t, h) if fell_back else t_end - t
+        st = _ros_advance(stepper, y, G, fz, H, np.array([limit]), np.array([t]), opts)
         dt = float(st.dt[0])
-        hit = _face_events(fld, y[0], frozen, st, opts)
+        hit = _locate_events(stepper, y[0], G[0], fz, st, opts)
         if hit is not None:
             s_end, t_next = hit[0], t + hit[0] * dt
             stop_row = int(np.searchsorted(times, t_next, side="right"))
@@ -783,12 +1033,13 @@ def _integrate_pg(mode: ProjectedGradient, costs, cfg, box: Box, x: np.ndarray,
         if stop_row > filled:
             _, _, X, clip = _grid_rows(box, times, np.array([t]), y, st, np.array([filled]),
                                        np.array([stop_row]), np.array([s_end]))
+            X = stepper.project(X, fz, 10.0 * opts.switch_tol)
             max_clip = max(max_clip, clip)
             states[filled:stop_row] = X
             psis[filled:stop_row] = hm.imbalance_vec(costs, cfg, X)
-            masks[filled:stop_row] = _mask_bits(frozen[0])
+            masks[filled:stop_row] = fz.bits()
             since_row = 0
-            if stop:
+            if stop and hit is None:  # a step ending in an event records it first
                 k = _first_converged(fld, X, psis[filled:stop_row], opts)
                 if k is not None:
                     filled += k + 1
@@ -796,22 +1047,27 @@ def _integrate_pg(mode: ProjectedGradient, costs, cfg, box: Box, x: np.ndarray,
                     break
             filled = stop_row
         if hit is None:
-            y, G, clip = _settle(fld, st)
+            y, G, clip = _settle(stepper, st)
             max_clip = max(max_clip, float(clip[0]))
+            new = []
         else:
-            _, x_e, evs = hit
-            events += [EventRecord(time=t_next, kind=kind, index=j) for kind, j in evs]
-            since_row += len(evs)
-            if since_row > opts.max_events_per_step:
-                raise StepFailureError(
-                    f"more than {opts.max_events_per_step} events within one nominal step "
-                    f"at t={t_next:.6g}: likely chattering at a box face",
-                    t_next,
-                )
+            _, x_e, new = hit
             y = x_e[None, :]
             G = fld.grad(y)
+        if fell_back:
+            new = [] if fell_back_before else [(SLIDE_EXIT, -1)]
+        fell_back_before = fell_back
+        events += [EventRecord(time=t_next, kind=kind, index=j) for kind, j in new]
+        since_row += len(new)
+        if since_row > opts.max_events_per_step:
+            raise StepFailureError(
+                f"more than {opts.max_events_per_step} events within one nominal step "
+                f"at t={t_next:.6g}: likely chattering",
+                t_next,
+            )
         H = st.h_next
         t = t_next
+        stepper, fz = frozen_regime(y, G)
 
     times = times[:filled]
     states = states[:filled]
@@ -824,7 +1080,7 @@ def _integrate_pg(mode: ProjectedGradient, costs, cfg, box: Box, x: np.ndarray,
     return Trajectory(
         times=times,
         states=states,
-        R_values=np.asarray(hm.resistance_lyapunov_vec(costs, cfg, states, mode.gradient_mode)),
+        R_values=np.asarray(hm.resistance_lyapunov_vec(costs, cfg, states, fld.gmode)),
         Psi_values=psis[:filled],
         regime_masks=masks[:filled],
         events=events,
@@ -835,268 +1091,8 @@ def _integrate_pg(mode: ProjectedGradient, costs, cfg, box: Box, x: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# sign descent: RK4 stepping with bisected events
+# public integration entry points
 # ---------------------------------------------------------------------------
-
-def _rk4(f, x: np.ndarray, dt: float) -> np.ndarray:
-    k1 = f(x)
-    k2 = f(x + 0.5 * dt * k1)
-    k3 = f(x + 0.5 * dt * k2)
-    k4 = f(x + dt * k3)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-class _StepController:
-    """Deterministic step-doubling control within nominal steps.
-
-    ``dt`` is the preferred substep: it shrinks only on genuine error
-    failures and doubles after comfortably accurate substeps; the
-    remaining-time limit is applied per use so end-of-step slivers do not
-    collapse the preferred size.
-    """
-
-    def __init__(self, dt: float):
-        self.dt = dt
-
-    def advance(self, f, x: np.ndarray, limit: float, opts: IntegrationOptions, t_abs: float):
-        dt = min(self.dt, limit)
-        capped = dt < self.dt
-        while True:
-            y_full = _rk4(f, x, dt)
-            y_half = _rk4(f, _rk4(f, x, 0.5 * dt), 0.5 * dt)
-            err = float(np.max(np.abs(y_full - y_half)))
-            scale = opts.substep_atol + opts.substep_rtol * max(
-                1.0, float(np.max(np.abs(x))), float(np.max(np.abs(y_half)))
-            )
-            if np.all(np.isfinite(y_half)) and err <= scale:
-                break
-            dt *= 0.5
-            capped = False
-            self.dt = dt
-            if dt < 1e-15 * max(1.0, limit):
-                raise StepFailureError(
-                    "substep size underflow (field too stiff or non-finite)", t_abs
-                )
-        if not capped and err <= scale / 64.0:
-            self.dt = 2.0 * dt
-        return y_half, dt
-
-
-def _crossing_tests(mode: SignDescent, costs, cfg, box, regime: Regime, opts: IntegrationOptions):
-    """Crossing monitors for the frozen sign-descent regime.
-
-    Each test is (kind, index, band, needs_grad, phi) with phi(y, g) a
-    scalar that starts above ``band`` and signals a regime change when it
-    falls to ``band`` or below.  ``g`` is the mode gradient at y, computed
-    once per scan point and shared across tests.
-    """
-    tests = []
-    d = box.dim
-    frozen = set(regime.lower) | set(regime.upper)
-    gains = mode.gains(costs.p)
-
-    if mode.sliding == EQUIVALENT_CONTROL:
-        S = list(regime.sliding)
-        for j in range(d):
-            if j in regime.sliding or j in frozen:
-                continue
-            s = regime.signs[j]
-            if s == 0:
-                continue
-            tests.append(
-                ("switch", j, opts.switch_tol, True, lambda y, g, j=j, s=s: s * g[j])
-            )
-        if S:
-            signs = np.asarray(regime.signs, dtype=float)
-
-            def slide_feasibility(y, g):
-                v = -gains * signs
-                vS = _slide_solve(mode, costs, cfg, y, S, v, opts)
-                return float(np.min(gains[S] - np.abs(vS)))
-
-            tests.append(("slide_exit", -1, 0.0, True, slide_feasibility))
-    else:
-        eps = mode.epsilon
-        for j in range(d):
-            if j in regime.sliding:
-                tests.append(
-                    ("layer_exit", j, 0.0, True, lambda y, g, j=j: eps - abs(g[j]))
-                )
-            else:
-                tests.append(
-                    ("layer_enter", j, 0.0, True, lambda y, g, j=j: abs(g[j]) - eps)
-                )
-
-    # box faces: contact for inactive coordinates, release for active ones
-    def raw_velocity(y, g):
-        gains = mode.gains(costs.p)
-        if mode.sliding == BOUNDARY_LAYER:
-            return -gains * np.clip(g / mode.epsilon, -1.0, 1.0)
-        signs = np.asarray(regime.signs, dtype=float)
-        v = -gains * signs
-        S = list(regime.sliding)
-        if S:
-            v[S] = _slide_solve(mode, costs, cfg, y, S, v, opts)
-        return v
-
-    for j in range(d):
-        if j in regime.lower:
-            tests.append(("release_lo", j, 0.0, True, lambda y, g, j=j: -raw_velocity(y, g)[j]))
-        elif j in regime.upper:
-            tests.append(("release_hi", j, 0.0, True, lambda y, g, j=j: raw_velocity(y, g)[j]))
-        else:
-            tests.append(("face_lo", j, 0.0, False, lambda y, g, j=j: y[j] - box.lo[j]))
-            tests.append(("face_hi", j, 0.0, False, lambda y, g, j=j: box.hi[j] - y[j]))
-    return tests
-
-
-def _locate_zero(f, grad, x0, dt, phi, phi0, opts: IntegrationOptions):
-    """Bisect the first zero of phi along the frozen-regime flow from x0.
-
-    Returns a point strictly on the crossed side (phi <= 0), as close to
-    the zero as the value tolerance allows, so the regime re-evaluation
-    at the returned state actually sees the transition.
-    """
-    a, b = 0.0, dt
-    xb = None
-    for _ in range(200):
-        m = 0.5 * (a + b)
-        xm = _rk4(f, x0, m)
-        fm = phi(xm, grad(xm))
-        if fm > 0.0:
-            a = m
-        else:
-            b, xb = m, xm
-            if -fm <= opts.event_tol:
-                return m, xm
-        if b - a <= 64.0 * np.finfo(float).eps * max(dt, 1e-30):
-            break
-    if xb is None:
-        xb = _rk4(f, x0, b)
-    return b, xb
-
-
-def _classify_transition(kind, j, mode, costs, cfg, box, x_e, regime, opts):
-    """Map a raw crossing to (event kind, index, snapped state)."""
-    if kind in ("face_lo", "face_hi"):
-        x_e = x_e.copy()
-        x_e[j] = box.lo[j] if kind == "face_lo" else box.hi[j]
-        return BOUNDARY_CONTACT, j, x_e
-    if kind in ("release_lo", "release_hi"):
-        return BOUNDARY_RELEASE, j, x_e
-    if kind == "layer_enter":
-        return SLIDE_ENTER, j, x_e
-    if kind == "layer_exit":
-        return SLIDE_EXIT, j, x_e
-    if kind == "slide_exit":
-        # identify the coordinate whose equivalent control saturates
-        gains = mode.gains(costs.p)
-        signs = np.asarray(regime.signs, dtype=float)
-        S = list(regime.sliding)
-        v = -gains * signs
-        vS = _slide_solve(mode, costs, cfg, x_e, S, v, opts)
-        worst = int(np.argmin(gains[S] - np.abs(vS)))
-        return SLIDE_EXIT, S[worst], x_e
-    # switching-manifold crossing: sliding entry iff the Filippov condition
-    # accepts the coordinate at the located point
-    new_regime = _regime_at(mode, costs, cfg, box, x_e, opts)
-    return (SLIDE_ENTER if j in new_regime.sliding else SWITCH_CROSS), j, x_e
-
-
-def _advance_nominal(mode, costs, cfg, box, x, t0, h, opts, ctrl: _StepController):
-    """Advance one nominal step; returns (x, events, regime, clip_mag)."""
-    events: list[EventRecord] = []
-    t_rel = 0.0
-    regime = _regime_at(mode, costs, cfg, box, x, opts)
-    f = _frozen_field(mode, costs, cfg, box, regime, opts)
-    tests = _crossing_tests(mode, costs, cfg, box, regime, opts)
-    gmode = mode.gradient_mode
-
-    def grad(y):
-        return hm.gradient_vec(costs, cfg, y, gmode)
-
-    tiny = 1e-12 * max(1.0, h)
-    while t_rel < h - tiny:
-        need_grad = any(t[3] for t in tests)
-        g_x = grad(x) if need_grad else None
-        keep = []
-        for test in tests:
-            v0 = test[4](x, g_x)
-            if v0 > test[2]:
-                keep.append((test, v0))
-            # values at or below the band at segment start were already
-            # absorbed into the regime evaluation; skip monitoring them
-        try:
-            y, dt = ctrl.advance(f, x, h - t_rel, opts, t0 + t_rel)
-        except SingularSlidingError:
-            # fall back to a boundary-layer step for this nominal step
-            fallback = replace(mode, sliding=BOUNDARY_LAYER)
-            fb_regime = _regime_at(fallback, costs, cfg, box, x, opts)
-            fb_field = _frozen_field(fallback, costs, cfg, box, fb_regime, opts)
-            y, dt = ctrl.advance(fb_field, x, h - t_rel, opts, t0 + t_rel)
-            x, t_rel = y, t_rel + dt
-            events.append(EventRecord(time=t0 + t_rel, kind=SLIDE_EXIT, index=-1))
-            regime = _regime_at(mode, costs, cfg, box, x, opts)
-            f = _frozen_field(mode, costs, cfg, box, regime, opts)
-            tests = _crossing_tests(mode, costs, cfg, box, regime, opts)
-            continue
-
-        g_y = grad(y) if need_grad else None
-        crossed = []
-        for test, v0 in keep:
-            if test[4](y, g_y) <= test[2]:
-                crossed.append((test, v0))
-        if not crossed:
-            x, t_rel = y, t_rel + dt
-            continue
-
-        # locate the earliest transition among the candidates; a monitor
-        # that ends inside its band without a sign change transitions at
-        # the substep end
-        best = None
-        for test, v0 in crossed:
-            kind, j, band, _, phi = test
-            phi_end = phi(y, g_y)
-            if phi_end <= 0.0 and v0 > 0.0:
-                tau, x_e = _locate_zero(f, grad, x, dt, phi, v0, opts)
-            else:
-                tau, x_e = dt, y
-            if best is None or tau < best[0]:
-                best = (tau, x_e, kind, j)
-        tau, x_e, kind, j = best
-        ev_kind, ev_index, x_e = _classify_transition(
-            kind, j, mode, costs, cfg, box, x_e, regime, opts
-        )
-        x, t_rel = x_e, t_rel + tau
-        events.append(EventRecord(time=t0 + t_rel, kind=ev_kind, index=ev_index))
-        # simultaneous transitions: other monitors already past their band
-        # at the located point share the event time
-        g_e = grad(x) if need_grad else None
-        for test, v0 in crossed:
-            t_kind, t_j, t_band, _, t_phi = test
-            if t_kind == kind and t_j == j:
-                continue
-            if t_phi(x, g_e) <= t_band:
-                co_kind, co_index, x = _classify_transition(
-                    t_kind, t_j, mode, costs, cfg, box, x, regime, opts
-                )
-                events.append(EventRecord(time=t0 + t_rel, kind=co_kind, index=co_index))
-        if len(events) > opts.max_events_per_step:
-            raise StepFailureError(
-                f"more than {opts.max_events_per_step} events within one nominal step "
-                f"at t={t0 + t_rel:.6g}: likely chattering; enable the boundary-layer "
-                "sliding realization or reduce the step h",
-                t0 + t_rel,
-            )
-        regime = _regime_at(mode, costs, cfg, box, x, opts)
-        f = _frozen_field(mode, costs, cfg, box, regime, opts)
-        tests = _crossing_tests(mode, costs, cfg, box, regime, opts)
-
-    clipped = box.clip(x)
-    clip_mag = float(np.max(np.abs(clipped - x))) if x.size else 0.0
-    return clipped, events, regime, clip_mag
-
-
 
 def _check_horizon(t_end: float, h: float) -> None:
     if not (_positive_finite(t_end) and _positive_finite(h)):
@@ -1111,12 +1107,8 @@ def step(mode: DynamicsMode, costs, cfg, box: Box, x, h: float, options: Integra
     xv = _as_vector(x, costs.p)
     if not box.contains(xv, opts.boundary_tol):
         raise DomainError(f"state {xv.tolist()} outside the box")
-    if isinstance(mode, ProjectedGradient):
-        traj = _integrate_pg(mode, costs, cfg, box, box.clip(xv), h, h, opts, stop=False)
-        return traj.final_state, traj.events
-    ctrl = _StepController(h)
-    x_next, events, _, _ = _advance_nominal(mode, costs, cfg, box, xv, 0.0, h, opts, ctrl)
-    return x_next, events
+    traj = _run(_field(mode, costs, cfg, box, opts), box.clip(xv), h, h, opts, stop=False)
+    return traj.final_state, traj.events
 
 
 def integrate(
@@ -1143,68 +1135,11 @@ def integrate(
     x = _as_vector(x0, costs.p)
     if not box.contains(x, opts.boundary_tol):
         raise DomainError(f"initial state {x.tolist()} outside the box")
-    x = box.clip(x)
-
-    if isinstance(mode, ProjectedGradient):
-        try:
-            return _integrate_pg(mode, costs, cfg, box, x, t_end, h, opts, opts.stop_on_convergence)
-        except StepFailureError as exc:
-            raise StepFailureError(f"integration failed at t={exc.time:.6g}: {exc}", exc.time) from exc
-
-    n_steps = max(1, int(math.ceil(t_end / h - 1e-12)))
-    times = [0.0]
-    states = [x.copy()]
-    rvals = [float(hm.resistance_lyapunov_vec(costs, cfg, x, mode.gradient_mode))]
-    psis = [float(hm.imbalance_vec(costs, cfg, x))]
-    masks = [_regime_at(mode, costs, cfg, box, x, opts).mask()]
-    step_events: list[str] = [""]
-    events: list[EventRecord] = []
-    notes: list[str] = []
-    status = "finished"
-    max_clip = 0.0
-    ctrl = _StepController(h)
-
-    for k in range(n_steps):
-        t0 = k * h
-        h_k = min(h, t_end - t0)
-        try:
-            x, evs, regime, clip_mag = _advance_nominal(
-                mode, costs, cfg, box, x, t0, h_k, opts, ctrl
-            )
-        except StepFailureError as exc:
-            raise StepFailureError(
-                f"integration failed at t={exc.time if exc.time is not None else t0:.6g}: {exc}",
-                exc.time if exc.time is not None else t0,
-            ) from exc
-        max_clip = max(max_clip, clip_mag)
-        events.extend(evs)
-        step_events.append(";".join(f"{e.kind}:{e.index}" for e in evs))
-        times.append(t0 + h_k)
-        states.append(x.copy())
-        rvals.append(float(hm.resistance_lyapunov_vec(costs, cfg, x, mode.gradient_mode)))
-        psis.append(float(hm.imbalance_vec(costs, cfg, x)))
-        masks.append(regime.mask())
-        if opts.stop_on_convergence:
-            g_dec = hm.gradient_vec(costs, cfg, x, "decoupled")
-            if (
-                kkt_residual(box, x, g_dec, opts.boundary_tol) <= opts.converge_tol
-                and psis[-1] <= opts.converge_tol
-            ):
-                status = "converged"
-                break
-
-    return Trajectory(
-        times=np.asarray(times),
-        states=np.asarray(states),
-        R_values=np.asarray(rvals),
-        Psi_values=np.asarray(psis),
-        regime_masks=np.asarray(masks, dtype=np.int64),
-        events=events,
-        step_events=step_events,
-        status=status,
-        max_clip=max_clip,
-        notes=notes,
-    )
+    fld = _field(mode, costs, cfg, box, opts)
+    try:
+        return _run(fld, box.clip(x), t_end, h, opts, opts.stop_on_convergence)
+    except StepFailureError as exc:
+        raise StepFailureError(f"integration failed at t={exc.time:.6g}: {exc}", exc.time) from exc
 
 
 def two_trajectory_run(
@@ -1270,15 +1205,14 @@ def integrate_ensemble(
     Ps[:, 0] = hm.imbalance_vec(costs, cfg, X)
     G = fld.grad(X)
     t = np.zeros(N)
-    H = _initial_step(fld, X, G, fld.frozen(X, G), np.full(N, t_end), opts)
+    H = _initial_step(fld, X, G, fld.regime(X, G), np.full(N, t_end), opts)
     next_row = np.ones(N, dtype=np.int64)
     max_clip = 0.0
 
     active = np.arange(N)
     while active.size:
         Y, t_a = X[active], t[active]
-        frozen = fld.frozen(Y, G[active])
-        st = _ros_advance(fld, Y, G[active], frozen, H[active], t_end - t_a, t_a, opts)
+        st = _ros_advance(fld, Y, G[active], fld.regime(Y, G[active]), H[active], t_end - t_a, t_a, opts)
         at_end = st.dt >= t_end - t_a
         t_new = np.where(at_end, t_end, t_a + st.dt)
         stop = np.where(at_end, n_steps + 1, np.searchsorted(times, t_new, side="right"))

@@ -310,6 +310,13 @@ class TestNonFiniteInputs:
             pytest.param(
                 {"mode.kind": "sign_descent", "mode.eta": [1.0, INF, 1.0]}, id="eta=inf"
             ),
+            pytest.param({"assembly.kappa": 1.0}, id="kappa=scalar"),
+            pytest.param({"assembly.alpha": 0.5, "assembly.beta": 0.5}, id="alpha_beta=scalar"),
+            pytest.param({"costs.K": 1.0}, id="K=scalar"),
+            pytest.param({"run.x0": 1.3}, id="x0=scalar"),
+            pytest.param({"run.x1": "far"}, id="x1=word"),
+            pytest.param({"mode.kind": "sign_descent", "mode.eta": "fast"}, id="eta=word"),
+            pytest.param({"mode.kind": "sign_descent", "mode.zeta": "slow"}, id="zeta=word"),
         ],
     )
     def test_simulate_exits_2_before_any_output(self, tmp_path, capsys, overrides):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from constructal import (
     AssemblyConfig,
@@ -17,7 +19,9 @@ from constructal import (
 )
 from constructal import hierarchy as hm
 from constructal.dynamics import slide_velocity
-from constructal.errors import DomainError, StepFailureError
+from constructal.errors import DomainError, SingularSlidingError, StepFailureError
+
+from conftest import random_ladder
 
 GENERIC_X0 = np.array([1.3, 0.8, 0.3, 12.0, 20.0])
 
@@ -281,21 +285,27 @@ def radau_reference(mode, costs, cfg, x0, times, frozen=()):
     return sol.y.T
 
 
+def count_model_calls(monkeypatch) -> dict:
+    """Count gradient rows and Jacobian calls made through the model."""
+    counts = {"grad_rows": 0, "jacobians": 0}
+    gradient, jacobian = hm.gradient_vec, hm.grad_jacobian
+
+    def counted_gradient(c, f, X, mode="decoupled"):
+        counts["grad_rows"] += np.asarray(X).reshape(-1, np.shape(X)[-1]).shape[0]
+        return gradient(c, f, X, mode)
+
+    def counted_jacobian(c, f, X, mode="decoupled"):
+        counts["jacobians"] += 1
+        return jacobian(c, f, X, mode)
+
+    monkeypatch.setattr(hm, "gradient_vec", counted_gradient)
+    monkeypatch.setattr(hm, "grad_jacobian", counted_jacobian)
+    return counts
+
+
 class TestStiffCore:
     def test_canonical_evaluation_ceiling(self, costs, cfg, box, pg_mode, monkeypatch):
-        counts = {"grad_rows": 0, "jacobians": 0}
-        gradient, jacobian = hm.gradient_vec, hm.grad_jacobian
-
-        def counted_gradient(c, f, X, mode="decoupled"):
-            counts["grad_rows"] += np.asarray(X).reshape(-1, np.shape(X)[-1]).shape[0]
-            return gradient(c, f, X, mode)
-
-        def counted_jacobian(c, f, X, mode="decoupled"):
-            counts["jacobians"] += 1
-            return jacobian(c, f, X, mode)
-
-        monkeypatch.setattr(hm, "gradient_vec", counted_gradient)
-        monkeypatch.setattr(hm, "grad_jacobian", counted_jacobian)
+        counts = count_model_calls(monkeypatch)
         traj = integrate(pg_mode, costs, cfg, box, GENERIC_X0, 30.0, 1e-3)
         assert traj.converged and traj.times.size == 21540
         # RK4 with step doubling on the grid took 302,531 gradient rows
@@ -336,21 +346,6 @@ class TestStiffCore:
         )[1:]
         assert np.max(np.abs(traj.states - ref)) <= 1e-8
 
-    def test_projected_gradient_never_reaches_rk4_stepping(self, costs, cfg, box, pg_mode, monkeypatch):
-        from constructal import dynamics
-
-        def unreachable(*args, **kwargs):
-            raise AssertionError("projected gradient reached the sign-descent stepper")
-
-        for name in ("_rk4", "_StepController", "_locate_zero", "_advance_nominal"):
-            monkeypatch.setattr(dynamics, name, unreachable)
-        coupled = ProjectedGradient(mobility=1.0, gradient_mode="coupled")
-        step(pg_mode, costs, cfg, box, GENERIC_X0, 0.01)
-        traj = integrate(coupled, costs, cfg, box, np.array([1.0, 0.5, 0.5, 3.0, 3.0]), 2.0, 1e-3)
-        assert [e.kind for e in traj.events] == ["BoundaryContact"]
-        two_trajectory_run(pg_mode, costs, cfg, box, GENERIC_X0, 1.1 * GENERIC_X0, 0.5, 1e-3)
-        integrate_ensemble(pg_mode, costs, cfg, box, GENERIC_X0[None, :], 0.5, 1e-3)
-
     def test_ensemble_rows_do_not_depend_on_neighbours(self, costs, cfg, box, pg_mode):
         rng = np.random.default_rng(5)
         X0 = np.hstack([rng.uniform(0.3, 2.0, (4, 3)), rng.uniform(2.0, 30.0, (4, 2))])
@@ -383,3 +378,102 @@ class TestStiffCore:
         with pytest.raises(StepFailureError) as err:
             integrate(pg_mode, costs, cfg, box, GENERIC_X0, 30.0, 1e-3)
         assert 0.0 < err.value.time < 30.0
+
+
+# curvature-scaled gains of configs/signdescent.cfg: the layer relaxes at
+# a uniform rate of about 0.2/epsilon = 2000
+LAYER_MODE = SignDescent(
+    eta=(0.4, 0.2 / 32.0, 0.2 / 1024.0), zeta=(0.2, 0.2), sliding="boundary_layer", epsilon=1e-4
+)
+LAYER_OFFSET = np.array([0.12, 0.01, 0.001, 1.5, 1.5])
+
+
+class TestSlidingCore:
+    def test_equivalent_control_matches_closed_form(self, costs, cfg, box, x_star):
+        # decoupled switching manifolds are the planes x_j = x*_j and the
+        # sliding velocity on them is zero: every coordinate runs at its
+        # gain to x*_j and stops there
+        mode = SignDescent(sliding="equivalent_control")
+        opts = IntegrationOptions(stop_on_convergence=False)
+        traj = integrate(mode, costs, cfg, box, GENERIC_X0, 6.0, 1e-3, opts)
+        opt, gains = x_star.vector(), mode.gains(costs.p)
+        reach = np.abs(GENERIC_X0 - opt) / gains
+        ref = opt + np.sign(GENERIC_X0 - opt) * gains * np.maximum(reach - traj.times[:, None], 0.0)
+        assert np.max(np.abs(traj.states - ref)) <= 1e-9
+        assert [e.kind for e in traj.events] == ["SlideEnter"] * 5
+        for e in traj.events:
+            assert e.time == pytest.approx(reach[e.index], abs=1e-9)
+
+    def test_boundary_layer_run_matches_radau(self, costs, cfg, box, x_star):
+        from scipy.integrate import solve_ivp
+
+        mode, eps = LAYER_MODE, LAYER_MODE.epsilon
+        gains = mode.gains(costs.p)
+        x0 = x_star.vector() + LAYER_OFFSET
+        traj = integrate(mode, costs, cfg, box, x0, 14.0, 1e-3)
+        assert [e.kind for e in traj.events] == ["SlideEnter"] * 5
+
+        def field(t, y):
+            return -gains * np.clip(hm.gradient_vec(costs, cfg, y) / eps, -1.0, 1.0)
+
+        def jac(t, y):
+            in_layer = np.abs(hm.gradient_vec(costs, cfg, y)) <= eps
+            J = -(gains / eps)[:, None] * hm.grad_jacobian(costs, cfg, y)
+            return np.where(in_layer[:, None], J, 0.0)
+
+        sol = solve_ivp(field, (0.0, traj.times[-1]), x0, method="Radau", jac=jac,
+                        rtol=1e-12, atol=1e-14, t_eval=traj.times)
+        assert sol.success
+        assert np.max(np.abs(traj.states - sol.y.T)) <= 1e-8
+
+    def test_unsolvable_sliding_block_falls_back_to_the_layer(self, costs, cfg, box, x_star):
+        # a condition threshold below 1 rejects every sliding block, so once
+        # r_3 reaches its manifold the run continues on the boundary layer
+        mode = SignDescent(sliding="equivalent_control")
+        opts = IntegrationOptions(cond_threshold=0.5, stop_on_convergence=False)
+        traj = integrate(mode, costs, cfg, box, GENERIC_X0, 1.0, 1e-3, opts)
+        assert [(e.kind, e.index) for e in traj.events] == [("SlideEnter", 2), ("SlideExit", -1)]
+        assert traj.final_state[:3] == pytest.approx(x_star.vector()[:3], abs=1e-9)
+        assert traj.final_state[3:] == pytest.approx([11.0, 19.0], abs=1e-9)
+        assert dissipation_violations(traj) == 0
+
+    def test_equivalent_control_evaluation_ceiling(self, costs, cfg, box, monkeypatch):
+        counts = count_model_calls(monkeypatch)
+        mode = SignDescent(sliding="equivalent_control")
+        traj = integrate(mode, costs, cfg, box, GENERIC_X0, 6.0, 1e-3)
+        assert traj.converged and traj.event_counts() == {"SlideEnter": 5}
+        # RK4 with step doubling on the index-reduced ODE made 57,134
+        assert counts["jacobians"] <= 5_000
+
+    def test_boundary_layer_evaluation_ceiling(self, costs, cfg, box, x_star, monkeypatch):
+        counts = count_model_calls(monkeypatch)
+        opts = IntegrationOptions(stop_on_convergence=False)
+        traj = integrate(LAYER_MODE, costs, cfg, box, x_star.vector() + LAYER_OFFSET, 14.0, 1e-3, opts)
+        assert traj.times[-1] == 14.0 and traj.event_counts() == {"SlideEnter": 5}
+        # RK4 with step doubling made about 225k gradient rows
+        assert counts["grad_rows"] <= 30_000
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(
+        p=st.integers(1, 5),
+        sliding=st.sampled_from(["equivalent_control", "boundary_layer"]),
+        gradient_mode=st.sampled_from(["decoupled", "coupled"]),
+        epsilon=st.floats(1e-4, 1e-1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_ladders_and_states(self, p, sliding, gradient_mode, epsilon, seed):
+        rng = np.random.default_rng(seed)
+        costs = random_ladder(rng, p)
+        cfg = AssemblyConfig.bejan(costs)
+        box = state_box(costs, cfg)
+        x0 = box.lo + rng.random(box.dim) * (box.hi - box.lo)
+        face = rng.random(box.dim)
+        x0 = np.where(face < 0.2, box.lo, np.where(face < 0.4, box.hi, x0))
+        mode = SignDescent(sliding=sliding, epsilon=epsilon, gradient_mode=gradient_mode)
+        try:
+            traj = integrate(mode, costs, cfg, box, x0, 1.0, 1e-2)
+        except (StepFailureError, SingularSlidingError):
+            return  # documented: chattering guard, step underflow, singular sliding block
+        assert traj.max_clip <= 1e-12
+        assert np.all(traj.states >= box.lo) and np.all(traj.states <= box.hi)
+        assert dissipation_violations(traj) == 0
