@@ -53,7 +53,7 @@ def jacobian(mode: ProjectedGradient, costs, cfg, x) -> np.ndarray:
     """Jacobian of the projected-gradient velocity at an interior state."""
     if not isinstance(mode, ProjectedGradient):
         raise DomainError("jacobian is defined for the projected-gradient mode")
-    xv = np.asarray(x, dtype=float).ravel() if not isinstance(x, hm.ArchState) else x.vector()
+    xv = hm._as_vector(x, costs.p)
     box = hm.state_box(costs, cfg)
     if not box.interior_point(xv):
         raise DomainError("jacobian requires a box-interior state (smooth regime)")
@@ -64,7 +64,7 @@ def jacobian(mode: ProjectedGradient, costs, cfg, x) -> np.ndarray:
 def mode_hessian(mode: ProjectedGradient, costs, cfg, x) -> np.ndarray:
     """Symmetrized Jacobian of the mode's gradient field (the true Hessian
     in coupled mode)."""
-    xv = np.asarray(x, dtype=float).ravel() if not isinstance(x, hm.ArchState) else x.vector()
+    xv = hm._as_vector(x, costs.p)
     Dg = hm.grad_jacobian(costs, cfg, xv, mode.gradient_mode)
     return 0.5 * (Dg + Dg.T)
 
@@ -194,7 +194,7 @@ def certify_contraction(
 def structural_bound(mode: ProjectedGradient, costs, cfg, x, L_M: float) -> float:
     """-m lambda_min(H(x)) + (L_M/2) ||grad R(x)||; for constant mobility
     (L_M = 0) this upper-bounds the matrix measure of the Jacobian exactly."""
-    xv = np.asarray(x, dtype=float).ravel() if not isinstance(x, hm.ArchState) else x.vector()
+    xv = hm._as_vector(x, costs.p)
     m = _mobility_scalar(mode)
     H = mode_hessian(mode, costs, cfg, xv)
     lam_min = float(np.linalg.eigvalsh(H)[0])

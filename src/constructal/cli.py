@@ -106,12 +106,30 @@ def _trajectory_csv(path: Path, traj: Trajectory, p: int) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
+def _r_star(rc: RunConfig) -> float:
+    """Total resistance at the analytic optimum."""
+    return float(hm.resistance_vec(rc.costs, rc.cfg, hm.optimum_state(rc.costs, rc.cfg).vector()))
+
+
+def _certificate(rc: RunConfig) -> analysis.ContractionCertificate:
+    """The sampled contraction certificate the config asks for."""
+    return analysis.certify_contraction(
+        rc.mode,
+        rc.costs,
+        rc.cfg,
+        rc.box,
+        subbox=rc.sampling_subbox,
+        count=rc.sampling_count,
+        seed=rc.seed,
+        rel_halfwidth=rc.sampling_rel_halfwidth,
+    )
+
+
 def _summary_fields(rc: RunConfig, traj: Trajectory) -> list[tuple[str, object]]:
-    costs, cfg = rc.costs, rc.cfg
-    r_star = hm.resistance_vec(costs, cfg, hm.optimum_state(costs, cfg).vector())
-    report = analysis.dissipation_report(traj, r_star=float(r_star))
+    r_star = _r_star(rc)
+    report = analysis.dissipation_report(traj, r_star=r_star)
     counts = traj.event_counts()
-    labels = _state_labels(costs.p)
+    labels = _state_labels(rc.costs.p)
     fields: list[tuple[str, object]] = [
         ("schema_version", SCHEMA_VERSION),
         ("converged", traj.converged),
@@ -128,7 +146,7 @@ def _summary_fields(rc: RunConfig, traj: Trajectory) -> list[tuple[str, object]]
     fields += [
         ("final.R", float(traj.R_values[-1])),
         ("final.Psi", float(traj.Psi_values[-1])),
-        ("R_star", float(r_star)),
+        ("R_star", r_star),
         ("R_gap", float(report.r_gap)),
         ("alpha_hat", report.alpha_hat),
         ("dissipation_violations", report.violations),
@@ -169,20 +187,10 @@ def cmd_certify(args) -> int:
     mode = rc.mode
     if isinstance(mode, SignDescent):
         raise ConfigError("certify requires mode.kind = projected_gradient")
-    cert = analysis.certify_contraction(
-        mode,
-        rc.costs,
-        rc.cfg,
-        rc.box,
-        subbox=rc.sampling_subbox,
-        count=rc.sampling_count,
-        seed=rc.seed,
-        rel_halfwidth=rc.sampling_rel_halfwidth,
-    )
+    cert = _certificate(rc)
     x0 = _initial_state(rc)
     traj = integrate(mode, rc.costs, rc.cfg, rc.box, x0, rc.t_end, rc.h, rc.options)
-    r_star = float(hm.resistance_vec(rc.costs, rc.cfg, hm.optimum_state(rc.costs, rc.cfg).vector()))
-    report = analysis.dissipation_report(traj, r_star=r_star)
+    report = analysis.dissipation_report(traj, r_star=_r_star(rc))
     dissipation_pass = report.violations == 0 and report.alpha_hat > 0.0
     fields: list[tuple[str, object]] = [
         ("schema_version", SCHEMA_VERSION),
@@ -242,16 +250,7 @@ def cmd_converge(args) -> int:
             ("fit_samples", fit.samples),
         ]
         if not isinstance(rc.mode, SignDescent):
-            cert = analysis.certify_contraction(
-                rc.mode,
-                rc.costs,
-                rc.cfg,
-                rc.box,
-                subbox=rc.sampling_subbox,
-                count=rc.sampling_count,
-                seed=rc.seed,
-                rel_halfwidth=rc.sampling_rel_halfwidth,
-            )
+            cert = _certificate(rc)
             fields += [
                 ("nu_estimate", cert.nu_estimate),
                 ("rate_over_nu", fit.rate / cert.nu_estimate if cert.nu_estimate > 0 else ""),

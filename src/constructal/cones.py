@@ -16,6 +16,7 @@ __all__ = [
     "Box",
     "ConeDecomposition",
     "SignInterval",
+    "outward",
     "tangent_project",
     "moreau_decompose",
     "kkt_residual",
@@ -83,28 +84,26 @@ def _check_membership(box: Box, x, tol: float = BOUNDARY_TOL) -> np.ndarray:
     return x
 
 
+def outward(box: Box, X, V, tol: float = BOUNDARY_TOL) -> np.ndarray:
+    """Mask of the coordinates that sit on a box face with a velocity
+    pointing out of the box, for states and velocities of shape (..., d)."""
+    X = np.asarray(X, dtype=float)
+    V = np.asarray(V, dtype=float)
+    return ((X <= box.lo + tol) & (V < 0.0)) | ((X >= box.hi - tol) & (V > 0.0))
+
+
 def tangent_project(box: Box, x, v, tol: float = BOUNDARY_TOL) -> np.ndarray:
     """Euclidean projection of v onto the tangent cone of the box at x.
 
     Componentwise: outward components at active bounds are zeroed, all
     others pass through.  Idempotent by construction.
     """
-    x = _check_membership(box, x, tol)
-    v = np.asarray(v, dtype=float)
-    out = v.copy()
-    out[box.active_lower(x, tol) & (v < 0.0)] = 0.0
-    out[box.active_upper(x, tol) & (v > 0.0)] = 0.0
-    return out
+    return tangent_project_batch(box, _check_membership(box, x, tol), v, tol)
 
 
 def tangent_project_batch(box: Box, X: np.ndarray, V: np.ndarray, tol: float = BOUNDARY_TOL) -> np.ndarray:
     """Vectorized tangent projection for (..., d) stacks (no membership check)."""
-    X = np.asarray(X, dtype=float)
-    V = np.asarray(V, dtype=float)
-    out = V.copy()
-    out[(X <= box.lo + tol) & (V < 0.0)] = 0.0
-    out[(X >= box.hi - tol) & (V > 0.0)] = 0.0
-    return out
+    return np.where(outward(box, X, V, tol), 0.0, np.asarray(V, dtype=float))
 
 
 def moreau_decompose(box: Box, x, v, tol: float = BOUNDARY_TOL) -> ConeDecomposition:

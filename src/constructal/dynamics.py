@@ -15,6 +15,14 @@ M y' = f(y) with a diagonal mass matrix M:
   coordinates off their switching manifolds and 0 = d_S R on the sliding
   set S (M_jj = 0 there), so the state slides exactly on the manifolds.
 
+Each law is one small class that owns ``regime`` (the frozen-regime
+field found at a state), ``monitors`` (the regime changes to watch over a
+step) and ``classify`` (the event a fired monitor stands for); the core
+sees nothing else of the law.  Projected gradient and the boundary layer
+form their regimes on whole (N, d) stacks; equivalent control forms its
+regime on one row, by the clamp-and-drop iteration of the Filippov
+condition.
+
 Coordinates held on a box face have zero velocity.  Projected gradient
 is stiff near the optimum (Jacobian eigenvalues from 0.5 to 1024 on the
 canonical ladder), and so is the boundary layer (rates gain/eps times the
@@ -46,7 +54,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import hierarchy as hm
-from .cones import Box, tangent_project_batch
+from .cones import Box, outward, tangent_project_batch
 from .errors import DomainError, SingularSlidingError, StepFailureError
 
 __all__ = [
@@ -180,16 +188,6 @@ class Regime:
     signs: tuple[int, ...]
     velocity: np.ndarray
 
-    def mask(self) -> int:
-        bits = 0
-        for j in self.sliding:
-            bits |= 1 << j
-        for j in self.lower:
-            bits |= 1 << j
-        for j in self.upper:
-            bits |= 1 << j
-        return bits
-
 
 @dataclass(frozen=True)
 class EventRecord:
@@ -242,35 +240,9 @@ class EnsembleResult:
     max_clip: float
 
 
-def _as_vector(x, p: int) -> np.ndarray:
-    if isinstance(x, hm.ArchState):
-        return x.vector()
-    v = np.asarray(x, dtype=float).ravel()
-    if v.size != 2 * p - 1:
-        raise DomainError(f"state has dimension {v.size}, expected {2 * p - 1}")
-    return v
-
-
 # ---------------------------------------------------------------------------
-# regime evaluation
+# equivalent-control sliding solves
 # ---------------------------------------------------------------------------
-
-def _face_freeze(box: Box, x: np.ndarray, v: np.ndarray, tol: float):
-    """Zero outward components at active faces; return (v, lower, upper)."""
-    lower = []
-    upper = []
-    out = v.copy()
-    at_lo = box.active_lower(x, tol)
-    at_hi = box.active_upper(x, tol)
-    for j in range(x.size):
-        if at_lo[j] and out[j] < 0.0:
-            out[j] = 0.0
-            lower.append(j)
-        elif at_hi[j] and out[j] > 0.0:
-            out[j] = 0.0
-            upper.append(j)
-    return out, tuple(lower), tuple(upper)
-
 
 def _slide_solve(
     mode: SignDescent,
@@ -333,78 +305,6 @@ def _slide_iterate(
     return v, S, dropped
 
 
-def _regime_at(mode: DynamicsMode, costs, cfg, box: Box, x: np.ndarray, opts: IntegrationOptions,
-               g: np.ndarray | None = None) -> Regime:
-    """Regime at x; ``g`` is the mode gradient at x when already known."""
-    if g is None:
-        g = hm.gradient_vec(costs, cfg, x, mode.gradient_mode)
-    d = x.size
-    if isinstance(mode, ProjectedGradient):
-        raw = -mode.mobility_vector(d) * g
-        v, lower, upper = _face_freeze(box, x, raw, opts.boundary_tol)
-        return Regime(sliding=(), lower=lower, upper=upper, signs=(0,) * d, velocity=v)
-
-    gains = mode.gains(costs.p)
-    if mode.sliding == BOUNDARY_LAYER:
-        raw = -gains * np.clip(g / mode.epsilon, -1.0, 1.0)
-        in_layer = tuple(int(j) for j in np.flatnonzero(np.abs(g) <= mode.epsilon))
-        signs = tuple(int(s) for s in np.sign(np.where(np.abs(g) <= mode.epsilon, 0.0, g)))
-        v, lower, upper = _face_freeze(box, x, raw, opts.boundary_tol)
-        return Regime(sliding=in_layer, lower=lower, upper=upper, signs=signs, velocity=v)
-
-    # equivalent control
-    on_manifold = np.abs(g) <= opts.switch_tol
-    signs_arr = np.where(on_manifold, 0, np.sign(g)).astype(int)
-    S0 = [int(j) for j in np.flatnonzero(on_manifold)]
-    if S0:
-        v, S, dropped = _slide_iterate(mode, costs, cfg, x, S0, signs_arr, gains, opts)
-        for j, direction in dropped.items():
-            signs_arr[j] = -direction  # so that -gain*sign reproduces the escape velocity
-    else:
-        v, S = -gains * signs_arr, []
-    v, lower, upper = _face_freeze(box, x, v, opts.boundary_tol)
-    return Regime(
-        sliding=tuple(S),
-        lower=lower,
-        upper=upper,
-        signs=tuple(int(s) for s in signs_arr),
-        velocity=v,
-    )
-
-
-# ---------------------------------------------------------------------------
-# public velocity operations
-# ---------------------------------------------------------------------------
-
-def velocity(mode: DynamicsMode, costs, cfg, box: Box, x, options: IntegrationOptions | None = None):
-    """Filippov velocity selection and regime descriptor at a state."""
-    opts = options or IntegrationOptions()
-    xv = _as_vector(x, costs.p)
-    if not box.contains(xv, opts.boundary_tol):
-        raise DomainError(f"state {xv.tolist()} outside the box")
-    regime = _regime_at(mode, costs, cfg, box, xv, opts)
-    return regime.velocity, regime
-
-
-def slide_velocity(mode: SignDescent, costs, cfg, x, active_set, options: IntegrationOptions | None = None) -> np.ndarray:
-    """Equivalent-control sliding velocity on the given active set.
-
-    External coordinates keep their sign-descent values; solved components
-    are clamped to the gain bounds and the set shrinks when the Filippov
-    condition fails.
-    """
-    if not isinstance(mode, SignDescent) or mode.sliding != EQUIVALENT_CONTROL:
-        raise DomainError("slide_velocity requires SignDescent with equivalent control")
-    opts = options or IntegrationOptions()
-    xv = _as_vector(x, costs.p)
-    g = hm.gradient_vec(costs, cfg, xv, mode.gradient_mode)
-    S0 = sorted(int(j) for j in active_set)
-    gains = mode.gains(costs.p)
-    signs = np.where(np.abs(g) <= opts.switch_tol, 0, np.sign(g)).astype(int)
-    v, _, _ = _slide_iterate(mode, costs, cfg, xv, S0, signs, gains, opts)
-    return v
-
-
 # ---------------------------------------------------------------------------
 # frozen-regime fields, one per law, on (N, d) stacks
 # ---------------------------------------------------------------------------
@@ -418,25 +318,27 @@ class _Frozen:
 
     and M = diag(mass), mass 0 marking algebraic rows (None: M = I).
     Coordinates in ``frozen`` are held on a box face (const 0).
+    ``sliding`` marks the coordinates in their boundary layer or on their
+    switching manifold, face-held ones included, and ``signs`` the signs
+    of d_j R that set the saturated velocities (0 where none does).
     """
 
     frozen: np.ndarray              # (N, d) bool
     active: np.ndarray              # (N, d) bool
+    sliding: np.ndarray             # (N, d) bool
+    signs: np.ndarray               # (N, d)
     coef: np.ndarray                # (1, d), shared by all rows
     const: np.ndarray               # (N, d)
     mass: np.ndarray | None = None  # (N, d)
-    regime: Regime | None = None    # sign descent: the single-row regime
 
     def take(self, rows) -> _Frozen:
         mass = None if self.mass is None else self.mass[rows]
-        return _Frozen(self.frozen[rows], self.active[rows], self.coef, self.const[rows],
-                       mass, self.regime)
+        return _Frozen(self.frozen[rows], self.active[rows], self.sliding[rows], self.signs[rows],
+                       self.coef, self.const[rows], mass)
 
     def bits(self) -> int:
         """Regime mask of the first row: sliding and face-held coordinates."""
-        if self.regime is not None:
-            return self.regime.mask()
-        return sum(1 << int(j) for j in np.flatnonzero(self.frozen[0]))
+        return sum(1 << int(j) for j in np.flatnonzero(self.frozen[0] | self.sliding[0]))
 
 
 class _Monitor(NamedTuple):
@@ -452,8 +354,11 @@ class _Monitor(NamedTuple):
 
 
 class _Field:
-    """Model access and the frozen-regime field shared by the three laws.
+    """Model access and the frozen-regime field shared by the three laws;
+    each law adds its ``regime`` and may extend ``monitors`` and ``classify``.
 
+    A coordinate is held on a box face for a whole step when it starts the
+    step on the face with an outward velocity (:func:`cones.outward`).
     ``scale`` is the positive per-coordinate speed factor of the law
     (mobility or gains): the raw velocity of coordinate j has the sign of
     -d_j R, so a face-held coordinate is released when d_j R turns.
@@ -513,9 +418,8 @@ class _Field:
 class _PGField(_Field):
     """Projected gradient: f = -mobility * grad R on free coordinates.
 
-    A coordinate is frozen for a whole step when it starts the step on a
-    box face with an outward raw velocity.  Its velocity and its Jacobian
-    row and column are zero, so it stays exactly on the face.
+    A face-held coordinate has zero velocity and a zero Jacobian row and
+    column, so it stays exactly on the face.
     """
 
     slaved_fast = True
@@ -525,75 +429,83 @@ class _PGField(_Field):
         self.neg_mob = -self.scale
 
     def regime(self, Y: np.ndarray, G: np.ndarray) -> _Frozen:
-        raw = self.neg_mob * G
-        tol = self.opts.boundary_tol
-        frozen = ((Y <= self.box.lo + tol) & (raw < 0.0)) | ((Y >= self.box.hi - tol) & (raw > 0.0))
-        return _Frozen(frozen, ~frozen, self.neg_mob[None], np.zeros_like(Y))
+        frozen = outward(self.box, Y, self.neg_mob * G, self.opts.boundary_tol)
+        zeros = np.zeros_like(Y)
+        return _Frozen(frozen, ~frozen, np.zeros_like(frozen), zeros, self.neg_mob[None], zeros)
 
 
-class _SignField(_Field):
-    """Sign descent on a single row; the regime comes from :func:`_regime_at`."""
-
-    def __init__(self, mode: SignDescent, costs, cfg, box: Box, opts: IntegrationOptions):
-        super().__init__(mode, costs, cfg, box, opts, mode.gains(costs.p))
-
-    def _frozen(self, Y: np.ndarray, G: np.ndarray, coef, algebraic: bool) -> _Frozen:
-        reg = _regime_at(self.mode, self.costs, self.cfg, self.box, Y[0], self.opts, G[0])
-        d = Y.shape[1]
-        frozen = np.zeros(d, dtype=bool)
-        frozen[list(reg.lower + reg.upper)] = True
-        active = np.zeros(d, dtype=bool)
-        active[list(reg.sliding)] = True
-        active &= ~frozen
-        const = np.where(frozen, 0.0, -self.scale * np.asarray(reg.signs, dtype=float))
-        mass = np.where(active, 0.0, 1.0)[None] if algebraic else None
-        return _Frozen(frozen[None], active[None], np.zeros((1, d)) + coef, const[None], mass, reg)
-
-
-class _LayerField(_SignField):
+class _LayerField(_Field):
     """Boundary-layer sign descent: f_j = -(gain_j/eps) d_j R inside the
     layer |d_j R| <= eps, -gain_j sgn(d_j R) on saturated coordinates."""
 
+    def __init__(self, mode: SignDescent, costs, cfg, box: Box, opts: IntegrationOptions):
+        super().__init__(mode, costs, cfg, box, opts, mode.gains(costs.p))
+        self.coef = (-self.scale / mode.epsilon)[None]
+
     def regime(self, Y: np.ndarray, G: np.ndarray) -> _Frozen:
-        return self._frozen(Y, G, -self.scale / self.mode.epsilon, algebraic=False)
+        eps = self.mode.epsilon
+        sliding = np.abs(G) <= eps
+        signs = np.sign(np.where(sliding, 0.0, G))
+        frozen = outward(self.box, Y, -self.scale * np.clip(G / eps, -1.0, 1.0), self.opts.boundary_tol)
+        const = np.where(frozen, 0.0, -self.scale * signs)
+        return _Frozen(frozen, sliding & ~frozen, sliding, signs, self.coef, const)
 
     def monitors(self, y0: np.ndarray, y1: np.ndarray, fz: _Frozen) -> list[_Monitor]:
         """Face monitors plus layer exit (inside) and entry (saturated)."""
         out = super().monitors(y0, y1, fz)
-        eps, reg = self.mode.epsilon, fz.regime
+        eps, sliding, signs = self.mode.epsilon, fz.sliding[0], fz.signs[0]
         for j in range(y0.size):
-            if j in reg.sliding:
+            if sliding[j]:
                 out.append(_Monitor(SLIDE_EXIT, j, None, 0.0, lambda x, g, j=j: eps - abs(g[j])))
             else:
-                s = reg.signs[j]
+                s = signs[j]
                 out.append(_Monitor(SLIDE_ENTER, j, None, 0.0, lambda x, g, j=j, s=s: s * g[j] - eps))
         return out
 
 
-class _SlideField(_SignField):
+class _SlideField(_Field):
     """Equivalent-control sign descent as the index-1 DAE
 
         x_ext' = -gain sgn(d R)  (0 on face-held coordinates),
         0      = d_S R           on the sliding set S,
 
     with Jacobian rows [0; H_S,:].  Its velocity on S is the equivalent
-    control -H_SS^-1 H_S,ext x_ext'.  A sliding block too ill-conditioned
-    to solve hands the step to the boundary-layer field (``fallback``).
+    control -H_SS^-1 H_S,ext x_ext'.  The regime is formed on a single row
+    by the clamp-and-drop iteration of the Filippov condition.  A sliding
+    block too ill-conditioned to solve hands the step to the
+    boundary-layer field (``fallback``).
     """
 
     def __init__(self, mode: SignDescent, costs, cfg, box: Box, opts: IntegrationOptions):
-        super().__init__(mode, costs, cfg, box, opts)
+        super().__init__(mode, costs, cfg, box, opts, mode.gains(costs.p))
         self.fallback = _LayerField(replace(mode, sliding=BOUNDARY_LAYER), costs, cfg, box, opts)
+        self.coef = np.ones((1, box.dim))
 
     def regime(self, Y: np.ndarray, G: np.ndarray) -> _Frozen:
-        return self._frozen(Y, G, 1.0, algebraic=True)
+        x, g = Y[0], G[0]
+        sliding = np.abs(g) <= self.opts.switch_tol
+        signs = np.where(sliding, 0.0, np.sign(g))
+        v = -self.scale * signs
+        if sliding.any():
+            S0 = [int(j) for j in np.flatnonzero(sliding)]
+            v, S, dropped = _slide_iterate(self.mode, self.costs, self.cfg, x, S0, signs, self.scale, self.opts)
+            sliding[:] = False
+            sliding[S] = True
+            for j, direction in dropped.items():
+                signs[j] = -direction  # so that -gain*sign reproduces the escape velocity
+        frozen = outward(self.box, x, v, self.opts.boundary_tol)
+        active = sliding & ~frozen
+        const = np.where(frozen, 0.0, -self.scale * signs)
+        return _Frozen(frozen[None], active[None], sliding[None], signs[None], self.coef, const[None],
+                       np.where(active, 0.0, 1.0)[None])
 
-    def _sliding(self, fz: _Frozen) -> list[int]:
+    def _solved(self, fz: _Frozen) -> list[int]:
+        """The coordinates whose velocity is the equivalent control."""
         return [int(j) for j in np.flatnonzero(fz.active[0])]
 
     def velocity(self, Y: np.ndarray, G, fz: _Frozen) -> np.ndarray:
         v = fz.const[0].copy()
-        S = self._sliding(fz)
+        S = self._solved(fz)
         if S:
             v[S] = _slide_solve(self.mode, self.costs, self.cfg, Y[0], S, v, self.opts)
         return v[None]
@@ -601,7 +513,7 @@ class _SlideField(_SignField):
     def project(self, Y: np.ndarray, fz: _Frozen, tol: float) -> np.ndarray:
         """One Newton correction delta_S = -H_SS^-1 d_S R on the rows of Y
         whose sliding coordinates are off their manifolds by more than tol."""
-        S = self._sliding(fz)
+        S = self._solved(fz)
         if not S or not Y.size:
             return Y
         gS = self.grad(Y)[:, S]
@@ -620,11 +532,11 @@ class _SlideField(_SignField):
         """Face monitors plus switching-manifold crossings of the external
         coordinates and the saturation of the equivalent control."""
         out = super().monitors(y0, y1, fz)
-        reg = fz.regime
+        signs = fz.signs[0]
         for j in np.flatnonzero(~fz.active[0] & ~fz.frozen[0]):
-            s = reg.signs[j]
+            s = signs[j]
             out.append(_Monitor("switch", j, None, self.opts.switch_tol, lambda x, g, j=j, s=s: s * g[j]))
-        S = self._sliding(fz)
+        S = self._solved(fz)
         if S:
             gains = self.scale[S]
 
@@ -637,17 +549,18 @@ class _SlideField(_SignField):
     def classify(self, label: str, j: int, x_e: np.ndarray, fz: _Frozen) -> tuple[str, int]:
         if label == "slide_exit":
             # the coordinate whose equivalent control saturates
-            S = self._sliding(fz)
+            S = self._solved(fz)
             v = self.velocity(x_e[None], None, fz)[0]
             return SLIDE_EXIT, S[int(np.argmin(self.scale[S] - np.abs(v[S])))]
         if label == "switch":
             # sliding entry iff the Filippov condition accepts the coordinate;
             # an unsolvable block counts as entry and the next step falls back
+            y = x_e[None]
             try:
-                reg = _regime_at(self.mode, self.costs, self.cfg, self.box, x_e, self.opts)
+                sliding = self.regime(y, self.grad(y)).sliding[0]
             except SingularSlidingError:
                 return SLIDE_ENTER, int(j)
-            return (SLIDE_ENTER if j in reg.sliding else SWITCH_CROSS), int(j)
+            return (SLIDE_ENTER if sliding[j] else SWITCH_CROSS), int(j)
         return label, int(j)
 
 
@@ -657,6 +570,52 @@ def _field(mode: DynamicsMode, costs, cfg, box: Box, opts: IntegrationOptions) -
     if mode.sliding == BOUNDARY_LAYER:
         return _LayerField(mode, costs, cfg, box, opts)
     return _SlideField(mode, costs, cfg, box, opts)
+
+
+# ---------------------------------------------------------------------------
+# public velocity operations
+# ---------------------------------------------------------------------------
+
+def _indices(mask: np.ndarray) -> tuple[int, ...]:
+    return tuple(int(j) for j in np.flatnonzero(mask))
+
+
+def velocity(mode: DynamicsMode, costs, cfg, box: Box, x, options: IntegrationOptions | None = None):
+    """Filippov velocity selection at a state, the field the core
+    integrates from there, and the regime descriptor it freezes."""
+    opts = options or IntegrationOptions()
+    xv = hm._as_vector(x, costs.p)
+    if not box.contains(xv, opts.boundary_tol):
+        raise DomainError(f"state {xv.tolist()} outside the box")
+    fld = _field(mode, costs, cfg, box, opts)
+    Y = xv[None]
+    G = fld.grad(Y)
+    fz = fld.regime(Y, G)
+    v = fld.velocity(Y, G, fz)[0]
+    held = fz.frozen[0]
+    lower = held & (xv <= box.lo + opts.boundary_tol)
+    regime = Regime(sliding=_indices(fz.sliding[0]), lower=_indices(lower), upper=_indices(held & ~lower),
+                    signs=tuple(int(s) for s in fz.signs[0]), velocity=v)
+    return v, regime
+
+
+def slide_velocity(mode: SignDescent, costs, cfg, x, active_set, options: IntegrationOptions | None = None) -> np.ndarray:
+    """Equivalent-control sliding velocity on the given active set.
+
+    External coordinates keep their sign-descent values; solved components
+    are clamped to the gain bounds and the set shrinks when the Filippov
+    condition fails.
+    """
+    if not isinstance(mode, SignDescent) or mode.sliding != EQUIVALENT_CONTROL:
+        raise DomainError("slide_velocity requires SignDescent with equivalent control")
+    opts = options or IntegrationOptions()
+    xv = hm._as_vector(x, costs.p)
+    g = hm.gradient_vec(costs, cfg, xv, mode.gradient_mode)
+    S0 = sorted(int(j) for j in active_set)
+    gains = mode.gains(costs.p)
+    signs = np.where(np.abs(g) <= opts.switch_tol, 0, np.sign(g)).astype(int)
+    v, _, _ = _slide_iterate(mode, costs, cfg, xv, S0, signs, gains, opts)
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -1104,7 +1063,7 @@ def step(mode: DynamicsMode, costs, cfg, box: Box, x, h: float, options: Integra
     if not _positive_finite(h):
         raise DomainError(f"step size must be positive and finite, got {h}")
     opts = options or IntegrationOptions()
-    xv = _as_vector(x, costs.p)
+    xv = hm._as_vector(x, costs.p)
     if not box.contains(xv, opts.boundary_tol):
         raise DomainError(f"state {xv.tolist()} outside the box")
     traj = _run(_field(mode, costs, cfg, box, opts), box.clip(xv), h, h, opts, stop=False)
@@ -1132,7 +1091,7 @@ def integrate(
     """
     _check_horizon(t_end, h)
     opts = options or IntegrationOptions()
-    x = _as_vector(x0, costs.p)
+    x = hm._as_vector(x0, costs.p)
     if not box.contains(x, opts.boundary_tol):
         raise DomainError(f"initial state {x.tolist()} outside the box")
     fld = _field(mode, costs, cfg, box, opts)

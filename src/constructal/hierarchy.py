@@ -21,6 +21,12 @@ penalties centered on the optimal branching numbers:
 
     R(x) = sum_i A_i^{3/2} (alpha_i K_{i-1} r_i + beta_i K_i / r_i)
          + sum_{i>=2} (kappa_i / 2) (n_i - n_i_opt)^2.
+
+Every model formula (``resistance_vec``, ``resistance_lyapunov_vec``,
+``gradient_vec``, ``grad_jacobian``, ``imbalance_vec``) takes a state of
+shape (d,) or a stack of shape (..., d), d = 2p-1, through one body, so a
+single state gives bit for bit its row of a stack.  A state whose last
+axis is not 2p-1 raises DomainError.
 """
 
 from __future__ import annotations
@@ -240,30 +246,44 @@ def check_optimum_in_box(costs: TransportCosts, cfg: AssemblyConfig) -> None:
 
 
 # ---------------------------------------------------------------------------
-# vectorized internals; state arrays have shape (..., 2p-1)
+# model formulas; every one takes a state (d,) or a stack (..., d), d = 2p-1,
+# through one body
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=128)
 def _model_consts(costs: TransportCosts, cfg: AssemblyConfig):
-    """Precomputed per-model constants for the hot evaluation paths."""
+    """Per-model constants of the formulas, bound once per (costs, cfg)."""
     K = costs.as_array()
-    alpha = np.asarray(cfg.alpha)
-    beta = np.asarray(cfg.beta)
-    p = costs.p
-    aK = tuple(float(v) for v in alpha * K[:-1])
-    bK = tuple(float(v) for v in beta * K[1:])
-    n_opt = tuple(float(v) for v in optimal_branching(costs))
-    kappa = cfg.kappa
-    r_opt = np.sqrt(beta / alpha) * np.sqrt(K[1:] / K[:-1])
-    x_opt = tuple(float(v) for v in r_opt) + n_opt
-    A_ref = areas_from_n(cfg, np.asarray(n_opt))
-    wA = tuple(float(v) for v in A_ref ** 1.5)
-    return p, cfg.A1, aK, bK, kappa, n_opt, x_opt, wA
+    aK = np.asarray(cfg.alpha) * K[:-1]
+    bK = np.asarray(cfg.beta) * K[1:]
+    n_opt = optimal_branching(costs)
+    x_opt = np.concatenate([optimal_ratios(costs, cfg), n_opt])
+    wA = areas_from_n(cfg, n_opt) ** 1.5
+    consts = (aK, bK, np.asarray(cfg.kappa, dtype=float), n_opt, x_opt, wA)
+    for a in consts:
+        a.flags.writeable = False
+    return (costs.p,) + consts
 
 
-def split_state(X: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+def _checked_state(X, p: int) -> np.ndarray:
     X = np.asarray(X, dtype=float)
+    if X.shape[-1:] != (2 * p - 1,):
+        raise DomainError(f"state has shape {X.shape}, expected (..., {2 * p - 1})")
+    return X
+
+
+def split_state(X, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(r, n) blocks of a state or stack whose last axis is 2p-1."""
+    X = _checked_state(X, p)
     return X[..., :p], X[..., p:]
+
+
+def _as_vector(x, p: int) -> np.ndarray:
+    """Flat state vector of an ArchState or array-like of 2p-1 entries."""
+    v = x.vector() if isinstance(x, ArchState) else np.asarray(x, dtype=float).ravel()
+    if v.size != 2 * p - 1:
+        raise DomainError(f"state has dimension {v.size}, expected {2 * p - 1}")
+    return v
 
 
 def areas_from_n(cfg: AssemblyConfig, n: np.ndarray) -> np.ndarray:
@@ -276,35 +296,17 @@ def areas_from_n(cfg: AssemblyConfig, n: np.ndarray) -> np.ndarray:
 
 
 def resistance_vec(costs: TransportCosts, cfg: AssemblyConfig, X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    p, A1, aK, bK, kappa, n_opt, _, _ = _model_consts(costs, cfg)
-    if X.ndim == 1:
-        x = X.tolist()
-        A = A1
-        total = 0.0
-        for i in range(p):
-            if i:
-                A *= x[p + i - 1]
-            ri = x[i]
-            total += A * math.sqrt(A) * (aK[i] * ri + bK[i] / ri)
-        for i in range(p - 1):
-            dn = x[p + i] - n_opt[i]
-            total += 0.5 * kappa[i] * dn * dn
-        return np.float64(total)
+    p, aK, bK, kappa, n_opt, _, _ = _model_consts(costs, cfg)
     r, n = split_state(X, p)
     A = areas_from_n(cfg, n)
-    access = np.sum(A ** 1.5 * (np.asarray(aK) * r + np.asarray(bK) / r), axis=-1)
-    if p > 1:
-        penalty = 0.5 * np.sum(np.asarray(kappa) * (n - np.asarray(n_opt)) ** 2, axis=-1)
-    else:
-        penalty = 0.0
-    return access + penalty
+    access = np.sum(A ** 1.5 * (aK * r + bK / r), axis=-1)
+    return access + 0.5 * np.sum(kappa * (n - n_opt) ** 2, axis=-1)
 
 
 def gradient_vec(
     costs: TransportCosts, cfg: AssemblyConfig, X: np.ndarray, mode: str = "decoupled"
 ) -> np.ndarray:
-    """Gradient field of the selected mode, batched over leading axes.
+    """Gradient field of the selected mode.
 
     "decoupled": the n-components carry only the branching penalty, so the
     classical optimum is the exact zero.  "coupled": the n-components include
@@ -312,54 +314,20 @@ def gradient_vec(
     """
     if mode not in ("decoupled", "coupled"):
         raise DomainError(f"unknown gradient mode {mode!r}")
-    X = np.asarray(X, dtype=float)
-    p, A1, aK, bK, kappa, n_opt, _, _ = _model_consts(costs, cfg)
-    if X.ndim == 1:
-        x = X.tolist()
-        out = np.empty(2 * p - 1)
-        A = A1
-        if mode == "decoupled":
-            for i in range(p):
-                if i:
-                    A *= x[p + i - 1]
-                ri = x[i]
-                out[i] = A * math.sqrt(A) * (aK[i] - bK[i] / (ri * ri))
-            for i in range(p - 1):
-                out[p + i] = kappa[i] * (x[p + i] - n_opt[i])
-            return out
-        T = [0.0] * p
-        for i in range(p):
-            if i:
-                A *= x[p + i - 1]
-            ri = x[i]
-            A32 = A * math.sqrt(A)
-            out[i] = A32 * (aK[i] - bK[i] / (ri * ri))
-            T[i] = A32 * (aK[i] * ri + bK[i] / ri)
-        S = 0.0
-        tail = [0.0] * p
-        for i in range(p - 1, -1, -1):
-            S += T[i]
-            tail[i] = S
-        for i in range(p - 1):
-            out[p + i] = kappa[i] * (x[p + i] - n_opt[i]) + 1.5 * tail[i + 1] / x[p + i]
-        return out
+    p, aK, bK, kappa, n_opt, _, _ = _model_consts(costs, cfg)
     r, n = split_state(X, p)
-    A = areas_from_n(cfg, n)
-    A32 = A ** 1.5
-    gr = A32 * (np.asarray(aK) - np.asarray(bK) / r ** 2)
-    if p == 1:
-        return gr
-    gn = np.asarray(kappa) * (n - np.asarray(n_opt))
+    A32 = areas_from_n(cfg, n) ** 1.5
+    gn = kappa * (n - n_opt)
     if mode == "coupled":
-        T = A32 * (np.asarray(aK) * r + np.asarray(bK) / r)
+        T = A32 * (aK * r + bK / r)
         S = np.flip(np.cumsum(np.flip(T, axis=-1), axis=-1), axis=-1)
         gn = gn + 1.5 * S[..., 1:] / n
-    return np.concatenate([gr, gn], axis=-1)
+    return np.concatenate([A32 * (aK - bK / r ** 2), gn], axis=-1)
 
 
 def imbalance_vec(costs: TransportCosts, cfg: AssemblyConfig, X: np.ndarray) -> np.ndarray:
-    x_opt = np.asarray(_model_consts(costs, cfg)[6])
-    d = np.asarray(X, dtype=float) - x_opt
+    p, _, _, _, _, x_opt, _ = _model_consts(costs, cfg)
+    d = _checked_state(X, p) - x_opt
     return np.sum(d * d, axis=-1)
 
 
@@ -377,20 +345,16 @@ def resistance_lyapunov_vec(
     """
     if mode == "coupled":
         return resistance_vec(costs, cfg, X)
-    p, _, aK, bK, kappa, n_opt, _, wA = _model_consts(costs, cfg)
-    X = np.asarray(X, dtype=float)
+    p, aK, bK, kappa, n_opt, _, wA = _model_consts(costs, cfg)
     r, n = split_state(X, p)
-    access = np.sum(np.asarray(wA) * (np.asarray(aK) * r + np.asarray(bK) / r), axis=-1)
-    if p == 1:
-        return access
-    penalty = 0.5 * np.sum(np.asarray(kappa) * (n - np.asarray(n_opt)) ** 2, axis=-1)
-    return access + penalty
+    access = np.sum(wA * (aK * r + bK / r), axis=-1)
+    return access + 0.5 * np.sum(kappa * (n - n_opt) ** 2, axis=-1)
 
 
 def grad_jacobian(
     costs: TransportCosts, cfg: AssemblyConfig, x: np.ndarray, mode: str = "decoupled"
 ) -> np.ndarray:
-    """Jacobian of the selected gradient field, batched over leading axes.
+    """Jacobian of the selected gradient field.
 
     A state of shape (d,) gives a (d, d) matrix, a stack (..., d) gives
     (..., d, d).  Symmetric (the true Hessian of R) in coupled mode; in
@@ -399,78 +363,27 @@ def grad_jacobian(
     """
     if mode not in ("decoupled", "coupled"):
         raise DomainError(f"unknown gradient mode {mode!r}")
-    X = np.asarray(x, dtype=float)
-    if X.ndim > 1:
-        return _grad_jacobian_stack(costs, cfg, X, mode)
-    p, A1, aK, bK, kappa, _, _, _ = _model_consts(costs, cfg)
-    x = X.ravel().tolist()
-    r, n = x[:p], x[p:]
-    A32 = [0.0] * p
-    c1 = [0.0] * p
-    T = [0.0] * p
-    A = A1
-    for i in range(p):
-        if i:
-            A *= n[i - 1]
-        A32[i] = A * math.sqrt(A)
-        ri = r[i]
-        c1[i] = aK[i] - bK[i] / (ri * ri)
-        T[i] = A32[i] * (aK[i] * ri + bK[i] / ri)
-    d = 2 * p - 1
-    J = np.zeros((d, d))
-    for i in range(p):
-        J[i, i] = A32[i] * 2.0 * bK[i] / (r[i] ** 3)
-        for j in range(1, i + 1):                        # n_j with level j+1 <= i+1
-            J[i, p + j - 1] = 1.5 * (A32[i] / n[j - 1]) * c1[i]
-    if p == 1:
-        return J
-    for i in range(p - 1):
-        J[p + i, p + i] = kappa[i]
-    if mode == "coupled":
-        S = [0.0] * (p + 1)
-        for i in range(p - 1, -1, -1):                   # S_i = sum_{j>=i} T_j
-            S[i] = S[i + 1] + T[i]
-        for i in range(p - 1):                           # row n_{i+2}
-            ni = n[i]
-            for j in range(i + 1, p):                    # column r_{j+1}
-                J[p + i, j] = 1.5 * (A32[j] / ni) * c1[j]
-            for k in range(p - 1):                       # column n_{k+2}
-                nk = n[k]
-                top = max(i, k) + 1
-                if k == i:
-                    J[p + i, p + k] += 0.75 * S[top] / (ni * ni)
-                else:
-                    J[p + i, p + k] = 2.25 * S[top] / (ni * nk)
-    return J
-
-
-def _grad_jacobian_stack(costs: TransportCosts, cfg: AssemblyConfig, X: np.ndarray, mode: str):
-    """The entries of :func:`grad_jacobian`, vectorized over X[..., :]."""
-    p, _, aK, bK, kappa, _, _, _ = _model_consts(costs, cfg)
-    r, n = split_state(X, p)
+    p, aK, bK, kappa, _, _, _ = _model_consts(costs, cfg)
+    r, n = split_state(x, p)
     A = areas_from_n(cfg, n)
     A32 = A * np.sqrt(A)
-    aK = np.asarray(aK)
-    bK = np.asarray(bK)
     c1 = aK - bK / (r * r)
     d = 2 * p - 1
-    J = np.zeros(X.shape[:-1] + (d, d))
+    J = np.zeros(r.shape[:-1] + (d, d))
     for i in range(p):
         J[..., i, i] = A32[..., i] * 2.0 * bK[i] / r[..., i] ** 3
-        for j in range(1, i + 1):
+        for j in range(1, i + 1):                        # n_j with level j+1 <= i+1
             J[..., i, p + j - 1] = 1.5 * (A32[..., i] / n[..., j - 1]) * c1[..., i]
-    if p == 1:
-        return J
     for i in range(p - 1):
         J[..., p + i, p + i] = kappa[i]
     if mode == "coupled":
         T = A32 * (aK * r + bK / r)
         S = np.flip(np.cumsum(np.flip(T, axis=-1), axis=-1), axis=-1)  # S_i = sum_{j>=i} T_j
-        for i in range(p - 1):
+        for i in range(p - 1):                           # row n_{i+2}
             ni = n[..., i]
-            for j in range(i + 1, p):
+            for j in range(i + 1, p):                    # column r_{j+1}
                 J[..., p + i, j] = 1.5 * (A32[..., j] / ni) * c1[..., j]
-            for k in range(p - 1):
+            for k in range(p - 1):                       # column n_{k+2}
                 top = max(i, k) + 1
                 if k == i:
                     J[..., p + i, p + k] += 0.75 * S[..., top] / (ni * ni)

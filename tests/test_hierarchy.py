@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from constructal import ArchState, AssemblyConfig, TransportCosts
-from constructal import hierarchy as hm
+from constructal import analysis, hierarchy as hm
 from constructal.errors import ConfigError, DomainError
 
 from conftest import random_ladder, interior_states
@@ -235,18 +235,27 @@ class TestGradient:
         off = J - np.diag(np.diag(J))
         assert np.max(np.abs(off)) <= 1e-10
 
-    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("mode", ["decoupled", "coupled"])
     def test_stacked_jacobian_matches_per_state_loop(self, p, mode):
+        # each model formula has one body, so a single state gives exactly
+        # its row of a stack; p = 1 has no branching numbers and no kappa
         rng = np.random.default_rng(100 + p)
         costs = random_ladder(rng, p)
         cfg = AssemblyConfig.bejan(costs)
         X = interior_states(rng, 12, p=p).reshape(3, 4, 2 * p - 1)
-        stacked = hm.grad_jacobian(costs, cfg, X, mode)
-        assert stacked.shape == (3, 4, 2 * p - 1, 2 * p - 1)
-        loop = np.array([[hm.grad_jacobian(costs, cfg, x, mode) for x in row] for row in X])
-        # the loop takes A^(3/2) and sums in another order: last-digit differences only
-        assert np.max(np.abs(stacked - loop) / (1.0 + np.abs(loop))) <= 1e-14
+        d = 2 * p - 1
+        for fn, shape in (
+            (lambda Y: hm.resistance_vec(costs, cfg, Y), ()),
+            (lambda Y: hm.resistance_lyapunov_vec(costs, cfg, Y, mode), ()),
+            (lambda Y: hm.imbalance_vec(costs, cfg, Y), ()),
+            (lambda Y: hm.gradient_vec(costs, cfg, Y, mode), (d,)),
+            (lambda Y: hm.grad_jacobian(costs, cfg, Y, mode), (d, d)),
+        ):
+            stacked = fn(X)
+            assert stacked.shape == (3, 4) + shape
+            loop = np.array([[fn(x) for x in row] for row in X])
+            assert np.array_equal(stacked, loop)
 
     def test_coupled_branching_gradient_positive_at_classical_optimum(self, costs, cfg, x_star):
         g = hm.grad_resistance(costs, cfg, x_star, "coupled")
@@ -255,6 +264,26 @@ class TestGradient:
     def test_rejects_off_box(self, costs, cfg):
         with pytest.raises(DomainError):
             hm.grad_resistance(costs, cfg, ArchState(r=(5.0, 0.5, 0.5), n=(8.0, 16.0)))
+
+
+WRONG_DIMENSION_CALLS = {
+    "resistance_vec": lambda c, f, m, X: hm.resistance_vec(c, f, X),
+    "resistance_lyapunov_vec": lambda c, f, m, X: hm.resistance_lyapunov_vec(c, f, X),
+    "imbalance_vec": lambda c, f, m, X: hm.imbalance_vec(c, f, X),
+    "gradient_vec": lambda c, f, m, X: hm.gradient_vec(c, f, X, "coupled"),
+    "grad_jacobian": lambda c, f, m, X: hm.grad_jacobian(c, f, X),
+    "analysis.jacobian": lambda c, f, m, X: analysis.jacobian(m, c, f, X),
+    "analysis.mode_hessian": lambda c, f, m, X: analysis.mode_hessian(m, c, f, X),
+    "analysis.structural_bound": lambda c, f, m, X: analysis.structural_bound(m, c, f, X, 0.0),
+}
+
+
+@pytest.mark.parametrize("shape", [(4,), (6,), (2, 6)], ids=["4", "6", "2x6"])
+@pytest.mark.parametrize("name", sorted(WRONG_DIMENSION_CALLS))
+def test_wrong_state_dimension_raises(costs, cfg, pg_mode, name, shape):
+    # p = 3: states have 5 coordinates
+    with pytest.raises(DomainError, match="expected"):
+        WRONG_DIMENSION_CALLS[name](costs, cfg, pg_mode, np.full(shape, 2.0))
 
 
 class TestImbalance:
