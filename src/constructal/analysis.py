@@ -43,12 +43,6 @@ def matrix_measure(A) -> float:
     return float(np.linalg.eigvalsh(sym)[-1])
 
 
-def _mobility_scalar(mode: ProjectedGradient) -> float:
-    if np.ndim(mode.mobility) == 0:
-        return float(mode.mobility)
-    return float(min(mode.mobility))
-
-
 def jacobian(mode: ProjectedGradient, costs, cfg, x) -> np.ndarray:
     """Jacobian of the projected-gradient velocity at an interior state."""
     if not isinstance(mode, ProjectedGradient):
@@ -155,7 +149,7 @@ def certify_contraction(
         if lo.shape != (box.dim,) or hi.shape != (box.dim,) or np.any(lo > hi):
             raise DomainError("sampling sub-box needs lo <= hi of full dimension")
     d = box.dim
-    m = _mobility_scalar(mode)
+    m = float(np.min(mode.mobility))
     from scipy.stats import qmc  # slow to import, and only the certificate needs it
 
     sampler = qmc.Sobol(d=d, scramble=True, seed=seed)
@@ -195,7 +189,7 @@ def structural_bound(mode: ProjectedGradient, costs, cfg, x, L_M: float) -> floa
     """-m lambda_min(H(x)) + (L_M/2) ||grad R(x)||; for constant mobility
     (L_M = 0) this upper-bounds the matrix measure of the Jacobian exactly."""
     xv = hm._as_vector(x, costs.p)
-    m = _mobility_scalar(mode)
+    m = float(np.min(mode.mobility))
     H = mode_hessian(mode, costs, cfg, xv)
     lam_min = float(np.linalg.eigvalsh(H)[0])
     g = hm.gradient_vec(costs, cfg, xv, mode.gradient_mode)

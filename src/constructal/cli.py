@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, hierarchy as hm
-from .config import RunConfig, format_value, load_config
+from .config import RunConfig, format_value, load_config, write_config
 from .dynamics import (
     SignDescent,
     Trajectory,
@@ -28,22 +28,16 @@ SCHEMA_VERSION = 1
 TABLE_TOL = 1e-6
 
 
-def _write_report(path: Path, fields: list[tuple[str, object]]) -> None:
-    lines = [f"{k} = {format_value(v)}" for k, v in fields]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-
-
 def _out_dir(rc: RunConfig, args) -> Path:
-    out = args.out or rc.out_dir or "."
-    path = Path(out)
+    path = Path(args.out or rc.out_dir or ".")
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
 def _load(args) -> RunConfig:
-    rc = load_config(args.config)
-    if args.seed is not None:
-        rc.seed = args.seed
+    rc = load_config(args.config, args.seed)
+    if rc.t_end is None and args.command != "table":
+        raise ConfigError(f"run.t_end is required for {args.command}")
     return rc
 
 
@@ -169,27 +163,22 @@ def _initial_state(rc: RunConfig, which: str = "x0") -> np.ndarray:
 
 def cmd_simulate(args) -> int:
     rc = _load(args)
-    if rc.t_end is None:
-        raise ConfigError("run.t_end is required for simulate")
     out = _out_dir(rc, args)
     x0 = _initial_state(rc)
     traj = integrate(rc.mode, rc.costs, rc.cfg, rc.box, x0, rc.t_end, rc.h, rc.options)
     _trajectory_csv(out / "trajectory.csv", traj, rc.costs.p)
-    _write_report(out / "summary.txt", _summary_fields(rc, traj))
+    write_config(_summary_fields(rc, traj), out / "summary.txt")
     return 0
 
 
 def cmd_certify(args) -> int:
     rc = _load(args)
-    if rc.t_end is None:
-        raise ConfigError("run.t_end is required for certify (dissipation run)")
-    out = _out_dir(rc, args)
-    mode = rc.mode
-    if isinstance(mode, SignDescent):
+    if isinstance(rc.mode, SignDescent):
         raise ConfigError("certify requires mode.kind = projected_gradient")
+    out = _out_dir(rc, args)
     cert = _certificate(rc)
     x0 = _initial_state(rc)
-    traj = integrate(mode, rc.costs, rc.cfg, rc.box, x0, rc.t_end, rc.h, rc.options)
+    traj = integrate(rc.mode, rc.costs, rc.cfg, rc.box, x0, rc.t_end, rc.h, rc.options)
     report = analysis.dissipation_report(traj, r_star=_r_star(rc))
     dissipation_pass = report.violations == 0 and report.alpha_hat > 0.0
     fields: list[tuple[str, object]] = [
@@ -216,14 +205,12 @@ def cmd_certify(args) -> int:
     ]
     for i, w in enumerate(cert.witnesses):
         fields.append((f"witness_{i}", list(w)))
-    _write_report(out / "certificate.txt", fields)
+    write_config(fields, out / "certificate.txt")
     return 0 if cert.passed and dissipation_pass else 1
 
 
 def cmd_converge(args) -> int:
     rc = _load(args)
-    if rc.t_end is None:
-        raise ConfigError("run.t_end is required for converge")
     out = _out_dir(rc, args)
     x0 = _initial_state(rc, "x0")
     x1 = _initial_state(rc, "x1")
@@ -231,14 +218,13 @@ def cmd_converge(args) -> int:
     fields: list[tuple[str, object]] = [("schema_version", SCHEMA_VERSION)]
     degenerate = not np.any(pair.separation > 1e-14)
     fields.append(("degenerate", degenerate))
-    exit_code = 0
     if degenerate:
         fields += [("rate", 0.0), ("prefactor", 0.0), ("r_squared", 0.0)]
     else:
         try:
             fit = analysis.fit_rate(pair.times, pair.separation)
         except DegenerateFitError as exc:
-            _write_report(out / "convergence.txt", fields + [("error", str(exc))])
+            write_config(fields + [("error", str(exc))], out / "convergence.txt")
             print(f"converge: degenerate fit: {exc}", file=sys.stderr)
             return 1
         fields += [
@@ -257,8 +243,8 @@ def cmd_converge(args) -> int:
             ]
     fields.append(("separation_initial", float(pair.separation[0])))
     fields.append(("separation_final", float(pair.separation[-1])))
-    _write_report(out / "convergence.txt", fields)
-    return exit_code
+    write_config(fields, out / "convergence.txt")
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,13 +2,15 @@
 
 Format: one ``section.key = value`` per line, ``#`` comments, blank lines
 ignored.  Values are floats, integers, booleans, bare words, or
-``[v1, v2, ...]`` lists of floats.  Unknown keys are rejected and every
-tolerance must be positive; validation happens before any computation.
+``[v1, v2, ...]`` lists of floats.  Every key, its kind and its default
+are listed once, in ``KEYS``; unknown keys are rejected, no numeric key
+takes a boolean, and validation happens before any computation.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,7 +20,6 @@ from . import hierarchy as hm
 from .cones import Box
 from .dynamics import (
     BOUNDARY_LAYER,
-    EQUIVALENT_CONTROL,
     DynamicsMode,
     IntegrationOptions,
     ProjectedGradient,
@@ -26,39 +27,82 @@ from .dynamics import (
 )
 from .errors import ConfigError, DomainError
 
-__all__ = ["RunConfig", "parse_config_text", "load_config", "format_value"]
+__all__ = ["KEYS", "RunConfig", "parse_config_text", "load_config", "format_value", "write_config"]
 
-_KNOWN_KEYS = {
-    "costs.K",
-    "assembly.A1",
-    "assembly.gamma",
-    "assembly.alpha",
-    "assembly.beta",
-    "assembly.kappa",
-    "box.r_lo",
-    "box.r_hi",
-    "box.n_hi",
-    "mode.kind",
-    "mode.gradient",
-    "mode.mobility",
-    "mode.eta",
-    "mode.zeta",
-    "mode.sliding",
-    "mode.epsilon",
-    "run.h",
-    "run.t_end",
-    "run.x0",
-    "run.x1",
-    "run.seed",
-    "tol.switch",
-    "tol.boundary",
-    "tol.event",
-    "tol.converge",
-    "sampling.count",
-    "sampling.rel_halfwidth",
-    "sampling.subbox_lo",
-    "sampling.subbox_hi",
-    "out.dir",
+
+def _is_number(v) -> bool:
+    """A float, or an int (not a bool) within the float range."""
+    return isinstance(v, float) or (type(v) is int and abs(v) <= sys.float_info.max)
+
+
+def _positive(key: str, v) -> float:
+    if not (_is_number(v) and math.isfinite(v) and v > 0):
+        raise ConfigError(f"{key} must be a positive finite number, got {v!r}")
+    return float(v)
+
+
+def _integer(minimum: int):
+    def convert(key: str, v) -> int:
+        if not (type(v) is int and v >= minimum):
+            raise ConfigError(f"{key} must be an integer >= {minimum}, got {v!r}")
+        return v
+
+    return convert
+
+
+def _word(key: str, v) -> str:
+    if isinstance(v, (bool, list)):
+        raise ConfigError(f"{key} must be a word, got {v!r}")
+    return str(v)
+
+
+def _numbers(key: str, v) -> tuple[float, ...]:
+    if not (isinstance(v, list) and all(_is_number(x) for x in v)):
+        raise ConfigError(f"{key} must be a list of numbers, got {v!r}")
+    return tuple(float(x) for x in v)
+
+
+def _speed(key: str, v):
+    """A number, or a list of numbers; the law checks their values."""
+    if _is_number(v):
+        return float(v)
+    if not isinstance(v, list):
+        raise ConfigError(f"{key} must be a number or a list of numbers, got {v!r}")
+    return _numbers(key, v)
+
+
+# key -> (converter, default); None: no default (costs.K is required)
+KEYS = {
+    "costs.K": (_numbers, None),
+    "assembly.A1": (_positive, 1.0),
+    "assembly.gamma": (_positive, 1.0),
+    "assembly.kappa": (_numbers, None),
+    "assembly.alpha": (_numbers, None),
+    "assembly.beta": (_numbers, None),
+    "box.r_lo": (_positive, 0.05),
+    "box.r_hi": (_positive, 4.0),
+    "box.n_hi": (_positive, 64.0),
+    "mode.kind": (_word, "projected_gradient"),
+    "mode.gradient": (_word, "decoupled"),
+    "mode.mobility": (_speed, 1.0),
+    "mode.sliding": (_word, BOUNDARY_LAYER),
+    "mode.epsilon": (_positive, 1e-4),
+    "mode.eta": (_speed, 1.0),
+    "mode.zeta": (_speed, 1.0),
+    "run.h": (_positive, 1e-3),
+    "run.t_end": (_positive, None),
+    "run.x0": (_numbers, None),
+    "run.x1": (_numbers, None),
+    "run.seed": (_integer(0), 0),
+    "tol.switch": (_positive, 1e-9),
+    "tol.boundary": (_positive, 1e-9),
+    "tol.event": (_positive, 1e-10),
+    "tol.converge": (_positive, 1e-10),
+    "sampling.count": (_integer(1), 10_000),
+    "sampling.rel_halfwidth": (_positive, 0.1),
+    "sampling.subbox_lo": (_numbers, None),
+    "sampling.subbox_hi": (_numbers, None),
+    "out.dir": (_word, None),
 }
 
 
@@ -98,7 +142,7 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {stripped!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in out:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
@@ -118,8 +162,10 @@ def format_value(v) -> str:
     return str(v)
 
 
-def write_config(data: dict, path: str | Path) -> None:
-    lines = [f"{k} = {format_value(v)}" for k, v in data.items()]
+def write_config(data, path: str | Path) -> None:
+    """Write a config or a report: one ``key = value`` line per item of
+    data (a dict or a list of pairs), in order."""
+    lines = [f"{k} = {format_value(v)}" for k, v in dict(data).items()]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -131,200 +177,124 @@ class RunConfig:
     cfg: hm.AssemblyConfig
     mode: DynamicsMode
     options: IntegrationOptions
-    h: float = 1e-3
-    t_end: float | None = None
-    x0: np.ndarray | None = None
-    x1: np.ndarray | None = None
-    seed: int = 0
-    sampling_count: int = 10_000
-    sampling_rel_halfwidth: float = 0.1
-    sampling_subbox: tuple[np.ndarray, np.ndarray] | None = None
-    out_dir: str | None = None
-    gradient_mode: str = "decoupled"
+    h: float
+    t_end: float | None
+    x0: np.ndarray | None
+    x1: np.ndarray | None
+    seed: int
+    sampling_count: int
+    sampling_rel_halfwidth: float
+    sampling_subbox: tuple[np.ndarray, np.ndarray] | None
+    out_dir: str | None
 
     @property
     def box(self) -> Box:
         return hm.state_box(self.costs, self.cfg)
 
-
-def _require(data: dict, key: str):
-    if key not in data:
-        raise ConfigError(f"missing required key {key!r}")
-    return data[key]
+    @property
+    def gradient_mode(self) -> str:
+        return self.mode.gradient_mode
 
 
-def _positive(name: str, value: float) -> float:
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be a number, got {value!r}") from None
-    if not (math.isfinite(value) and value > 0):
-        raise ConfigError(f"{name} must be positive and finite, got {value}")
-    return value
+def _paired(v: dict, a: str, b: str) -> bool:
+    """Whether the keys a and b are given; they must be given together."""
+    if (v[a] is None) != (v[b] is None):
+        raise ConfigError(f"{a} and {b} must be given together")
+    return v[a] is not None
 
 
-def _numbers(name: str, value, scalar_ok: bool = False):
-    """A list value as a tuple of floats; with ``scalar_ok`` a single
-    number passes through as a float."""
-    if scalar_ok and isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    if not isinstance(value, list):
-        kind = "a number or a list of numbers" if scalar_ok else "a list of numbers"
-        raise ConfigError(f"{name} must be {kind}, got {value!r}")
-    try:
-        return tuple(float(v) for v in value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be a list of numbers, got {value!r}") from None
+def _in_box(v: dict, key: str, box: Box) -> np.ndarray | None:
+    """The state of key, if given: box.dim coordinates inside the box."""
+    if v[key] is None:
+        return None
+    if len(v[key]) != box.dim:
+        raise ConfigError(f"{key} must be a list of {box.dim} coordinates")
+    arr = np.asarray(v[key])
+    if not box.contains(arr):
+        raise ConfigError(f"{key} = {format_value(arr)} lies outside the admissible box")
+    return arr
+
+
+def _mode(v: dict, p: int) -> DynamicsMode:
+    kind, gradient_mode = v["mode.kind"], v["mode.gradient"]
+    if kind == "projected_gradient":
+        mode = ProjectedGradient(mobility=v["mode.mobility"], gradient_mode=gradient_mode)
+        mode.mobility_vector(2 * p - 1)  # check lengths now, not at run time
+    elif kind == "sign_descent":
+        mode = SignDescent(eta=v["mode.eta"], zeta=v["mode.zeta"], sliding=v["mode.sliding"],
+                           epsilon=v["mode.epsilon"], gradient_mode=gradient_mode)
+        mode.gains(p)
+    else:
+        raise ConfigError(f"mode.kind must be projected_gradient|sign_descent, got {kind!r}")
+    return mode
 
 
 def build_run_config(data: dict) -> RunConfig:
-    K = _numbers("costs.K", _require(data, "costs.K"))
-    if len(K) < 2:
-        raise ConfigError("costs.K must be a list with at least two entries")
-    costs = hm.TransportCosts(K=K)
-    p = costs.p
+    v = {}
+    for key, (convert, default) in KEYS.items():
+        value = data.get(key, default)
+        v[key] = None if value is None else convert(key, value)
+    if v["costs.K"] is None:
+        raise ConfigError("missing required key 'costs.K'")
 
-    gamma = _positive("assembly.gamma", data.get("assembly.gamma", 1.0))
-    A1 = _positive("assembly.A1", data.get("assembly.A1", 1.0))
-    kappa = data.get("assembly.kappa")
-    if kappa is not None:
-        kappa = _numbers("assembly.kappa", kappa)
-    r_lo = _positive("box.r_lo", data.get("box.r_lo", 0.05))
-    r_hi = _positive("box.r_hi", data.get("box.r_hi", 4.0))
-    n_hi = _positive("box.n_hi", data.get("box.n_hi", 64.0))
-
-    alpha = data.get("assembly.alpha")
-    beta = data.get("assembly.beta")
-    if (alpha is None) != (beta is None):
-        raise ConfigError("assembly.alpha and assembly.beta must be given together")
-    if alpha is None:
-        cfg = hm.AssemblyConfig.bejan(
-            costs, gamma=gamma, A1=A1, kappa=kappa, r_lo=r_lo, r_hi=r_hi, n_hi=n_hi
-        )
+    costs = hm.TransportCosts(K=v["costs.K"])
+    if _paired(v, "assembly.alpha", "assembly.beta"):
+        alpha, beta = v["assembly.alpha"], v["assembly.beta"]
     else:
-        cfg = hm.AssemblyConfig(
-            gamma=gamma,
-            A1=A1,
-            alpha=_numbers("assembly.alpha", alpha),
-            beta=_numbers("assembly.beta", beta),
-            kappa=kappa if kappa is not None else (1.0,) * (p - 1),
-            r_lo=r_lo,
-            r_hi=r_hi,
-            n_hi=n_hi,
-        )
-        hm.check_optimum_in_box(costs, cfg)
-
-    gradient_mode = str(data.get("mode.gradient", "decoupled"))
-    if gradient_mode not in ("decoupled", "coupled"):
-        raise ConfigError(f"mode.gradient must be decoupled|coupled, got {gradient_mode!r}")
-    kind = str(data.get("mode.kind", "projected_gradient"))
-    if kind == "projected_gradient":
-        mobility = data.get("mode.mobility", 1.0)
-        if isinstance(mobility, list):
-            mobility = _numbers("mode.mobility", mobility)
-        else:
-            mobility = _positive("mode.mobility", mobility)
-        try:
-            mode: DynamicsMode = ProjectedGradient(mobility=mobility, gradient_mode=gradient_mode)
-        except DomainError as exc:
-            raise ConfigError(str(exc)) from exc
-    elif kind == "sign_descent":
-        sliding = str(data.get("mode.sliding", BOUNDARY_LAYER))
-        if sliding not in (BOUNDARY_LAYER, EQUIVALENT_CONTROL):
-            raise ConfigError(f"mode.sliding must be boundary_layer|equivalent_control, got {sliding!r}")
-        eta = _numbers("mode.eta", data.get("mode.eta", 1.0), scalar_ok=True)
-        zeta = _numbers("mode.zeta", data.get("mode.zeta", 1.0), scalar_ok=True)
-        epsilon = _positive("mode.epsilon", data.get("mode.epsilon", 1e-4))
-        try:
-            mode = SignDescent(
-                eta=eta, zeta=zeta, sliding=sliding, epsilon=epsilon, gradient_mode=gradient_mode
-            )
-            mode.gains(p)  # validate lengths now, not at run time
-        except DomainError as exc:
-            raise ConfigError(str(exc)) from exc
-    else:
-        raise ConfigError(f"mode.kind must be projected_gradient|sign_descent, got {kind!r}")
-
-    options = IntegrationOptions(
-        switch_tol=_positive("tol.switch", data.get("tol.switch", 1e-9)),
-        boundary_tol=_positive("tol.boundary", data.get("tol.boundary", 1e-9)),
-        event_tol=_positive("tol.event", data.get("tol.event", 1e-10)),
-        converge_tol=_positive("tol.converge", data.get("tol.converge", 1e-10)),
+        alpha, beta = hm.bejan_prefactors(costs)
+    kappa = v["assembly.kappa"]
+    cfg = hm.AssemblyConfig(
+        gamma=v["assembly.gamma"],
+        A1=v["assembly.A1"],
+        alpha=alpha,
+        beta=beta,
+        kappa=(1.0,) * (costs.p - 1) if kappa is None else kappa,
+        r_lo=v["box.r_lo"],
+        r_hi=v["box.r_hi"],
+        n_hi=v["box.n_hi"],
     )
-
-    h = _positive("run.h", data.get("run.h", 1e-3))
-    t_end = data.get("run.t_end")
-    if t_end is not None:
-        t_end = _positive("run.t_end", t_end)
-    seed = data.get("run.seed", 0)
-    if not isinstance(seed, int) or seed < 0:
-        raise ConfigError(f"run.seed must be a nonnegative integer, got {seed!r}")
+    hm.check_optimum_in_box(costs, cfg)
+    try:
+        mode = _mode(v, costs.p)
+    except DomainError as exc:
+        raise ConfigError(f"mode: {exc}") from exc
 
     box = hm.state_box(costs, cfg)
-    d = 2 * p - 1
-
-    def _state(key: str):
-        vec = data.get(key)
-        if vec is None:
-            return None
-        if not isinstance(vec, list) or len(vec) != d:
-            raise ConfigError(f"{key} must be a list of {d} coordinates")
-        arr = np.asarray(_numbers(key, vec))
-        if not box.contains(arr):
-            raise ConfigError(f"{key} = {vec} lies outside the admissible box")
-        return arr
-
-    x0 = _state("run.x0")
-    x1 = _state("run.x1")
-
-    count = data.get("sampling.count", 10_000)
-    if not isinstance(count, int) or count < 1:
-        raise ConfigError(f"sampling.count must be a positive integer, got {count!r}")
-    rel_halfwidth = _positive(
-        "sampling.rel_halfwidth", data.get("sampling.rel_halfwidth", 0.1)
-    )
-    sub_lo = data.get("sampling.subbox_lo")
-    sub_hi = data.get("sampling.subbox_hi")
-    if (sub_lo is None) != (sub_hi is None):
-        raise ConfigError("sampling.subbox_lo and sampling.subbox_hi must be given together")
     subbox = None
-    if sub_lo is not None:
-        if not isinstance(sub_lo, list) or not isinstance(sub_hi, list) \
-                or len(sub_lo) != d or len(sub_hi) != d:
-            raise ConfigError(f"sampling sub-box bounds must be lists of {d} coordinates")
-        lo_arr = np.asarray(sub_lo, dtype=float)
-        hi_arr = np.asarray(sub_hi, dtype=float)
-        if np.any(lo_arr > hi_arr):
+    if _paired(v, "sampling.subbox_lo", "sampling.subbox_hi"):
+        subbox = (_in_box(v, "sampling.subbox_lo", box), _in_box(v, "sampling.subbox_hi", box))
+        if np.any(subbox[0] > subbox[1]):
             raise ConfigError("sampling sub-box needs lo <= hi componentwise")
-        if not (box.contains(lo_arr) and box.contains(hi_arr)):
-            raise ConfigError("sampling sub-box must lie inside the admissible box")
-        subbox = (lo_arr, hi_arr)
-
-    out_dir = data.get("out.dir")
-    if out_dir is not None:
-        out_dir = str(out_dir)
 
     return RunConfig(
         costs=costs,
         cfg=cfg,
         mode=mode,
-        options=options,
-        h=h,
-        t_end=t_end,
-        x0=x0,
-        x1=x1,
-        seed=seed,
-        sampling_count=count,
-        sampling_rel_halfwidth=rel_halfwidth,
+        options=IntegrationOptions(
+            switch_tol=v["tol.switch"],
+            boundary_tol=v["tol.boundary"],
+            event_tol=v["tol.event"],
+            converge_tol=v["tol.converge"],
+        ),
+        h=v["run.h"],
+        t_end=v["run.t_end"],
+        x0=_in_box(v, "run.x0", box),
+        x1=_in_box(v, "run.x1", box),
+        seed=v["run.seed"],
+        sampling_count=v["sampling.count"],
+        sampling_rel_halfwidth=v["sampling.rel_halfwidth"],
         sampling_subbox=subbox,
-        out_dir=out_dir,
-        gradient_mode=gradient_mode,
+        out_dir=v["out.dir"],
     )
 
 
-def load_config(path: str | Path) -> RunConfig:
+def load_config(path: str | Path, seed: int | None = None) -> RunConfig:
+    """The run config in the file at path; a seed, if given, replaces run.seed."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return build_run_config(parse_config_text(text))
+    data = parse_config_text(text)
+    if seed is not None:
+        data["run.seed"] = seed
+    return build_run_config(data)

@@ -88,6 +88,30 @@ def _positive_finite(v: float) -> bool:
     return math.isfinite(v) and v > 0.0
 
 
+def _speeds(name: str, value):
+    """A law's speed factor, checked positive and finite: a float, or a
+    tuple of per-coordinate floats."""
+    scalar = np.ndim(value) == 0
+    speeds = (float(value),) if scalar else tuple(float(v) for v in value)
+    if not all(_positive_finite(v) for v in speeds):
+        raise DomainError(f"{name} must be positive and finite, got {value!r}")
+    return speeds[0] if scalar else speeds
+
+
+def _expand(name: str, speeds, n: int) -> np.ndarray:
+    """Checked speeds (see :func:`_speeds`) as n per-coordinate entries."""
+    if np.ndim(speeds) == 0:
+        return np.full(n, speeds)
+    if len(speeds) != n:
+        raise DomainError(f"{name} has {len(speeds)} entries, need {n}")
+    return np.asarray(speeds, dtype=float)
+
+
+def _check_gradient_mode(gradient_mode: str) -> None:
+    if gradient_mode not in ("decoupled", "coupled"):
+        raise DomainError(f"gradient mode must be decoupled|coupled, got {gradient_mode!r}")
+
+
 @dataclass(frozen=True)
 class ProjectedGradient:
     """x' = P_T(-M grad R); mobility is a positive scalar or diagonal."""
@@ -96,25 +120,11 @@ class ProjectedGradient:
     gradient_mode: str = "decoupled"
 
     def __post_init__(self):
-        mob = self.mobility
-        if np.ndim(mob) == 0:
-            if not _positive_finite(float(mob)):
-                raise DomainError("mobility must be positive and finite")
-        else:
-            mob = tuple(float(v) for v in mob)
-            if not all(_positive_finite(v) for v in mob):
-                raise DomainError("mobility entries must be positive and finite")
-            object.__setattr__(self, "mobility", mob)
-        if self.gradient_mode not in ("decoupled", "coupled"):
-            raise DomainError(f"unknown gradient mode {self.gradient_mode!r}")
+        object.__setattr__(self, "mobility", _speeds("mobility", self.mobility))
+        _check_gradient_mode(self.gradient_mode)
 
     def mobility_vector(self, d: int) -> np.ndarray:
-        if np.ndim(self.mobility) == 0:
-            return np.full(d, float(self.mobility))
-        m = np.asarray(self.mobility, dtype=float)
-        if m.size != d:
-            raise DomainError(f"diagonal mobility has {m.size} entries, state has {d}")
-        return m
+        return _expand("mobility", self.mobility, d)
 
 
 @dataclass(frozen=True)
@@ -134,32 +144,15 @@ class SignDescent:
 
     def __post_init__(self):
         if self.sliding not in (EQUIVALENT_CONTROL, BOUNDARY_LAYER):
-            raise DomainError(f"unknown sliding realization {self.sliding!r}")
+            raise DomainError(f"sliding must be {BOUNDARY_LAYER}|{EQUIVALENT_CONTROL}, got {self.sliding!r}")
         if not _positive_finite(self.epsilon):
             raise DomainError("boundary layer width must be positive and finite")
-        for name in ("eta", "zeta"):
-            v = getattr(self, name)
-            if np.ndim(v) == 0:
-                if not _positive_finite(float(v)):
-                    raise DomainError(f"{name} gains must be positive and finite")
-            else:
-                v = tuple(float(x) for x in v)
-                if not all(_positive_finite(g) for g in v):
-                    raise DomainError(f"{name} gains must be positive and finite")
-                object.__setattr__(self, name, v)
-        if self.gradient_mode not in ("decoupled", "coupled"):
-            raise DomainError(f"unknown gradient mode {self.gradient_mode!r}")
+        object.__setattr__(self, "eta", _speeds("eta", self.eta))
+        object.__setattr__(self, "zeta", _speeds("zeta", self.zeta))
+        _check_gradient_mode(self.gradient_mode)
 
     def gains(self, p: int) -> np.ndarray:
-        eta = np.full(p, self.eta) if np.ndim(self.eta) == 0 else np.asarray(self.eta, dtype=float)
-        zeta = (
-            np.full(p - 1, self.zeta)
-            if np.ndim(self.zeta) == 0
-            else np.asarray(self.zeta, dtype=float)
-        )
-        if eta.size != p or zeta.size != p - 1:
-            raise DomainError(f"gains sized ({eta.size}, {zeta.size}), need ({p}, {p - 1})")
-        return np.concatenate([eta, zeta])
+        return np.concatenate([_expand("eta", self.eta, p), _expand("zeta", self.zeta, p - 1)])
 
 
 DynamicsMode = ProjectedGradient | SignDescent
@@ -173,8 +166,6 @@ class IntegrationOptions:
     converge_tol: float = 1e-10
     stop_on_convergence: bool = True
     max_events_per_step: int = 64
-    substep_rtol: float = 1e-9
-    substep_atol: float = 1e-12
     cond_threshold: float = 1e12
 
 
@@ -580,20 +571,26 @@ def _indices(mask: np.ndarray) -> tuple[int, ...]:
     return tuple(int(j) for j in np.flatnonzero(mask))
 
 
-def velocity(mode: DynamicsMode, costs, cfg, box: Box, x, options: IntegrationOptions | None = None):
-    """Filippov velocity selection at a state, the field the core
-    integrates from there, and the regime descriptor it freezes."""
+def _start(mode: DynamicsMode, costs, cfg, box: Box, x, options: IntegrationOptions | None):
+    """(field, state) of a run from x: the law's field under the options
+    (defaulted), and x as a flat state vector that must lie in the box."""
     opts = options or IntegrationOptions()
     xv = hm._as_vector(x, costs.p)
     if not box.contains(xv, opts.boundary_tol):
         raise DomainError(f"state {xv.tolist()} outside the box")
-    fld = _field(mode, costs, cfg, box, opts)
+    return _field(mode, costs, cfg, box, opts), xv
+
+
+def velocity(mode: DynamicsMode, costs, cfg, box: Box, x, options: IntegrationOptions | None = None):
+    """Filippov velocity selection at a state, the field the core
+    integrates from there, and the regime descriptor it freezes."""
+    fld, xv = _start(mode, costs, cfg, box, x, options)
     Y = xv[None]
     G = fld.grad(Y)
     fz = fld.regime(Y, G)
     v = fld.velocity(Y, G, fz)[0]
     held = fz.frozen[0]
-    lower = held & (xv <= box.lo + opts.boundary_tol)
+    lower = held & (xv <= box.lo + fld.opts.boundary_tol)
     regime = Regime(sliding=_indices(fz.sliding[0]), lower=_indices(lower), upper=_indices(held & ~lower),
                     signs=tuple(int(s) for s in fz.signs[0]), velocity=v)
     return v, regime
@@ -611,10 +608,9 @@ def slide_velocity(mode: SignDescent, costs, cfg, x, active_set, options: Integr
     opts = options or IntegrationOptions()
     xv = hm._as_vector(x, costs.p)
     g = hm.gradient_vec(costs, cfg, xv, mode.gradient_mode)
-    S0 = sorted(int(j) for j in active_set)
-    gains = mode.gains(costs.p)
+    S0 = [int(j) for j in active_set]
     signs = np.where(np.abs(g) <= opts.switch_tol, 0, np.sign(g)).astype(int)
-    v, _, _ = _slide_iterate(mode, costs, cfg, xv, S0, signs, gains, opts)
+    v, _, _ = _slide_iterate(mode, costs, cfg, xv, S0, signs, mode.gains(costs.p), opts)
     return v
 
 
@@ -644,7 +640,7 @@ def slide_velocity(mode: SignDescent, costs, cfg, x, active_set, options: Integr
 #
 # Velocity-change bound: on slow components (diagonal Jacobian rate within
 # a factor 1/_VELOCITY_CHANGE of the slowest), a step may change the
-# velocity by at most _VELOCITY_CHANGE of itself, plus substep_atol per
+# velocity by at most _VELOCITY_CHANGE of itself, plus _ATOL per
 # unit time so that a velocity at rounding level holds nothing back.  Error
 # control relative to |y| lets the steps grow without limit as the state
 # nears its equilibrium, until grid rows stop resolving the exponential
@@ -673,6 +669,9 @@ _ROS_C = (
 )
 _ROUNDING = 8.0 * np.finfo(float).eps
 _SAFETY = 0.9
+# substep error scale: _ATOL + _RTOL * max(1, |y|)
+_RTOL = 1e-9
+_ATOL = 1e-12
 _VELOCITY_CHANGE = 0.04
 _FAC_MIN = 0.2
 _FAC_MAX = 6.0
@@ -723,7 +722,7 @@ def _inverse(W: np.ndarray) -> np.ndarray:
         return out
 
 
-def _ros_attempt(fld: _Field, Y, F0, V0, J, fz: _Frozen, dt, opts: IntegrationOptions):
+def _ros_attempt(fld: _Field, Y, F0, V0, J, fz: _Frozen, dt):
     """One RODAS4 step per row; returns (y1, g1, dense, err).
 
     F0 is f(Y) and V0 the velocity y' at Y.  err is the larger of the
@@ -742,13 +741,13 @@ def _ros_attempt(fld: _Field, Y, F0, V0, J, fz: _Frozen, dt, opts: IntegrationOp
         corr = inv_dt * sum(c * u for c, u in zip(c_row, U))
         rhs = Fi + (corr if fz.mass is None else fz.mass * corr)
         U.append((W_inv @ rhs[..., None])[..., 0])
-    y1 = fld.project(Yi + U[5], fz, 0.1 * opts.switch_tol)
+    y1 = fld.project(Yi + U[5], fz, 0.1 * fld.opts.switch_tol)
     g1 = fld.grad(y1)
     V1 = fld.velocity(y1, g1, fz)
     dt_col = dt[:, None]
     step = y1 - Y
     size = np.maximum(1.0, np.maximum(np.abs(Y), np.abs(y1)))
-    scale = opts.substep_atol + opts.substep_rtol * size
+    scale = _ATOL + _RTOL * size
     a = dt_col * V0
     b = (0.5 * dt_col * dt_col) * (J @ V0[..., None])[..., 0]
     b_cubic = 3.0 * step - 2.0 * a - dt_col * V1
@@ -763,7 +762,7 @@ def _ros_attempt(fld: _Field, Y, F0, V0, J, fz: _Frozen, dt, opts: IntegrationOp
     err = np.max(np.abs(U[5]) / scale, axis=1)
     rate = np.abs(np.diagonal(J, axis1=1, axis2=2))
     noise = (_ROUNDING * rate) * size
-    resolved = _VELOCITY_CHANGE * np.maximum(np.abs(V0), np.abs(V1)) + opts.substep_atol * inv_dt
+    resolved = _VELOCITY_CHANGE * np.maximum(np.abs(V0), np.abs(V1)) + _ATOL * inv_dt
     bend = np.abs(V1 - V0) / np.maximum(resolved, noise)
     if fld.slaved_fast:
         slowest = np.min(np.where(rate > 0.0, rate, np.inf), axis=1, keepdims=True)
@@ -773,7 +772,7 @@ def _ros_attempt(fld: _Field, Y, F0, V0, J, fz: _Frozen, dt, opts: IntegrationOp
     return y1, g1, dense, err
 
 
-def _ros_advance(fld: _Field, Y, G, fz: _Frozen, H, limit, t, opts: IntegrationOptions) -> _Step:
+def _ros_advance(fld: _Field, Y, G, fz: _Frozen, H, limit, t) -> _Step:
     """Advance every row of Y by one accepted RODAS4 step.
 
     G is the raw gradient at Y, fz the frozen-regime field, H the
@@ -797,7 +796,7 @@ def _ros_advance(fld: _Field, Y, G, fz: _Frozen, H, limit, t, opts: IntegrationO
         todo = np.arange(dt.size)
         while todo.size:
             part = fz if todo.size == dt.size else fz.take(todo)
-            yt, gt, dn, err = _ros_attempt(fld, Y[todo], F0[todo], V0[todo], J[todo], part, dt[todo], opts)
+            yt, gt, dn, err = _ros_attempt(fld, Y[todo], F0[todo], V0[todo], J[todo], part, dt[todo])
             fac = np.clip(_SAFETY * err ** -0.25, _FAC_MIN, fac_max[todo])
             ok = err <= 1.0
             acc, rej = todo[ok], todo[~ok]
@@ -819,13 +818,13 @@ def _ros_advance(fld: _Field, Y, G, fz: _Frozen, H, limit, t, opts: IntegrationO
     return _Step(y1=y1, g1=g1, dt=dt, h_next=h_next, dense=dense)
 
 
-def _initial_step(fld: _Field, Y, G, fz: _Frozen, span, opts: IntegrationOptions) -> np.ndarray:
+def _initial_step(fld: _Field, Y, G, fz: _Frozen, span) -> np.ndarray:
     """Starting step size per row for an order-4 pair (Hairer, Norsett &
     Wanner, Solving ODEs I, Sec. II.4); one extra field evaluation."""
     with np.errstate(all="ignore"):
         F0 = fld.velocity(Y, G, fz)
         y_max = np.abs(Y).max(axis=1)
-        scale = opts.substep_atol + opts.substep_rtol * np.maximum(1.0, y_max)
+        scale = _ATOL + _RTOL * np.maximum(1.0, y_max)
         d0 = y_max / scale
         d1 = np.abs(F0).max(axis=1) / scale
         h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
@@ -874,7 +873,7 @@ def _bisect_fraction(phi, event_tol: float) -> float:
     return b
 
 
-def _locate_events(fld: _Field, y0, g0, fz: _Frozen, st: _Step, opts: IntegrationOptions):
+def _locate_events(fld: _Field, y0, g0, fz: _Frozen, st: _Step):
     """Regime changes within one accepted single-row step.
 
     Returns None, or (s, x_e, events) with s the step fraction of the
@@ -900,7 +899,7 @@ def _locate_events(fld: _Field, y0, g0, fz: _Frozen, st: _Step, opts: Integratio
             x = state_at(u * s_end)
             return phi(x, fld.grad(x[None])[0])
 
-        return s_end * _bisect_fraction(at, opts.event_tol)
+        return s_end * _bisect_fraction(at, fld.opts.event_tol)
 
     located = [(fraction(m.phi, 1.0), i) for i, m in enumerate(live)
                if m.face is not None and m.phi(y1, g1) <= 0.0]
@@ -924,21 +923,26 @@ def _locate_events(fld: _Field, y0, g0, fz: _Frozen, st: _Step, opts: Integratio
     return s, x_e, [fld.classify(live[i].label, live[i].j, x_e, fz) for i in fired]
 
 
-def _first_converged(fld: _Field, X: np.ndarray, psi: np.ndarray, opts: IntegrationOptions):
+def _nominal_grid(t_end: float, h: float) -> np.ndarray:
+    """Output times 0, h, 2h, ..., the last step cut to end at t_end."""
+    t0 = np.arange(max(1, int(math.ceil(t_end / h - 1e-12)))) * h
+    return np.concatenate([[0.0], t0 + np.minimum(h, t_end - t0)])
+
+
+def _first_converged(fld: _Field, X: np.ndarray, psi: np.ndarray):
     """Index of the first row with imbalance and decoupled KKT residual
     both within the convergence tolerance, or None."""
-    tol = opts.converge_tol
+    tol = fld.opts.converge_tol
     cand = np.flatnonzero(psi <= tol)
     if cand.size == 0:
         return None
     g = hm.gradient_vec(fld.costs, fld.cfg, X[cand], "decoupled")
-    t = tangent_project_batch(fld.box, X[cand], -g, opts.boundary_tol)
+    t = tangent_project_batch(fld.box, X[cand], -g, fld.opts.boundary_tol)
     ok = np.flatnonzero(np.sum(t * t, axis=1) <= tol)
     return int(cand[ok[0]]) if ok.size else None
 
 
-def _run(fld: _Field, x: np.ndarray, t_end: float, h: float, opts: IntegrationOptions,
-         stop: bool) -> Trajectory:
+def _run(fld: _Field, x: np.ndarray, t_end: float, h: float, stop: bool) -> Trajectory:
     """Single run of any law on the RODAS4 core with located events.
 
     Each step integrates the frozen-regime field found at its start and
@@ -947,9 +951,8 @@ def _run(fld: _Field, x: np.ndarray, t_end: float, h: float, opts: IntegrationOp
     each such episode is recorded once, as SlideExit at index -1, in
     place of the layer's own events.
     """
-    box, costs, cfg = fld.box, fld.costs, fld.cfg
-    t0 = np.arange(max(1, int(math.ceil(t_end / h - 1e-12)))) * h
-    times = np.concatenate([[0.0], t0 + np.minimum(h, t_end - t0)])
+    box, costs, cfg, opts = fld.box, fld.costs, fld.cfg, fld.opts
+    times = _nominal_grid(t_end, h)
     n_rows = times.size
     states = np.empty((n_rows, x.size))
     psis = np.empty(n_rows)
@@ -964,7 +967,7 @@ def _run(fld: _Field, x: np.ndarray, t_end: float, h: float, opts: IntegrationOp
     y = x[None, :].copy()
     G = fld.grad(y)
     stepper, fz = frozen_regime(y, G)
-    H = _initial_step(stepper, y, G, fz, np.array([t_end]), opts)
+    H = _initial_step(stepper, y, G, fz, np.array([t_end]))
     states[0] = x
     psis[0] = hm.imbalance_vec(costs, cfg, x)
     masks[0] = fz.bits()
@@ -978,9 +981,9 @@ def _run(fld: _Field, x: np.ndarray, t_end: float, h: float, opts: IntegrationOp
     while filled < n_rows:
         fell_back = stepper is not fld
         limit = min(t_end - t, h) if fell_back else t_end - t
-        st = _ros_advance(stepper, y, G, fz, H, np.array([limit]), np.array([t]), opts)
+        st = _ros_advance(stepper, y, G, fz, H, np.array([limit]), np.array([t]))
         dt = float(st.dt[0])
-        hit = _locate_events(stepper, y[0], G[0], fz, st, opts)
+        hit = _locate_events(stepper, y[0], G[0], fz, st)
         if hit is not None:
             s_end, t_next = hit[0], t + hit[0] * dt
             stop_row = int(np.searchsorted(times, t_next, side="right"))
@@ -999,7 +1002,7 @@ def _run(fld: _Field, x: np.ndarray, t_end: float, h: float, opts: IntegrationOp
             masks[filled:stop_row] = fz.bits()
             since_row = 0
             if stop and hit is None:  # a step ending in an event records it first
-                k = _first_converged(fld, X, psis[filled:stop_row], opts)
+                k = _first_converged(fld, X, psis[filled:stop_row])
                 if k is not None:
                     filled += k + 1
                     status = "converged"
@@ -1062,11 +1065,8 @@ def step(mode: DynamicsMode, costs, cfg, box: Box, x, h: float, options: Integra
     """One nominal step of size h; returns (x_next, events)."""
     if not _positive_finite(h):
         raise DomainError(f"step size must be positive and finite, got {h}")
-    opts = options or IntegrationOptions()
-    xv = hm._as_vector(x, costs.p)
-    if not box.contains(xv, opts.boundary_tol):
-        raise DomainError(f"state {xv.tolist()} outside the box")
-    traj = _run(_field(mode, costs, cfg, box, opts), box.clip(xv), h, h, opts, stop=False)
+    fld, xv = _start(mode, costs, cfg, box, x, options)
+    traj = _run(fld, box.clip(xv), h, h, stop=False)
     return traj.final_state, traj.events
 
 
@@ -1090,13 +1090,9 @@ def integrate(
     along every admissible run.
     """
     _check_horizon(t_end, h)
-    opts = options or IntegrationOptions()
-    x = hm._as_vector(x0, costs.p)
-    if not box.contains(x, opts.boundary_tol):
-        raise DomainError(f"initial state {x.tolist()} outside the box")
-    fld = _field(mode, costs, cfg, box, opts)
+    fld, x = _start(mode, costs, cfg, box, x0, options)
     try:
-        return _run(fld, box.clip(x), t_end, h, opts, opts.stop_on_convergence)
+        return _run(fld, box.clip(x), t_end, h, fld.opts.stop_on_convergence)
     except StepFailureError as exc:
         raise StepFailureError(f"integration failed at t={exc.time:.6g}: {exc}", exc.time) from exc
 
@@ -1113,10 +1109,9 @@ def two_trajectory_run(
     options: IntegrationOptions | None = None,
 ) -> PairedRun:
     """Integrate two initial states on a common grid with their separation."""
-    opts = options or IntegrationOptions()
-    opts_pair = replace(opts, stop_on_convergence=False)
-    ta = integrate(mode, costs, cfg, box, x0, t_end, h, opts_pair)
-    tb = integrate(mode, costs, cfg, box, y0, t_end, h, opts_pair)
+    opts = replace(options or IntegrationOptions(), stop_on_convergence=False)
+    ta = integrate(mode, costs, cfg, box, x0, t_end, h, opts)
+    tb = integrate(mode, costs, cfg, box, y0, t_end, h, opts)
     n = min(ta.times.size, tb.times.size)
     sep = np.linalg.norm(ta.states[:n] - tb.states[:n], axis=1)
     return PairedRun(first=ta, second=tb, times=ta.times[:n], separation=sep)
@@ -1144,37 +1139,32 @@ def integrate_ensemble(
         raise DomainError("ensemble integration supports projected gradient only")
     _check_horizon(t_end, h)
     opts = options or IntegrationOptions()
-    X = np.array(X0, dtype=float, ndmin=2)
-    d = 2 * costs.p - 1
-    if X.shape[1] != d:
-        raise DomainError(f"states have dimension {X.shape[1]}, expected {d}")
+    X = hm._checked_state(np.array(X0, dtype=float, ndmin=2), costs.p)
     for row in X:
         if not box.contains(row, opts.boundary_tol):
             raise DomainError(f"initial state {row.tolist()} outside the box")
     X = box.clip(X)
     fld = _PGField(mode, costs, cfg, box, opts)
 
-    n_steps = max(1, int(math.ceil(t_end / h - 1e-12)))
-    times = np.arange(n_steps + 1) * h
-    times[-1] = t_end
+    times = _nominal_grid(t_end, h)
     N = X.shape[0]
-    Rs = np.empty((N, n_steps + 1))
+    Rs = np.empty((N, times.size))
     Ps = np.empty_like(Rs)
     Rs[:, 0] = hm.resistance_lyapunov_vec(costs, cfg, X, mode.gradient_mode)
     Ps[:, 0] = hm.imbalance_vec(costs, cfg, X)
     G = fld.grad(X)
     t = np.zeros(N)
-    H = _initial_step(fld, X, G, fld.regime(X, G), np.full(N, t_end), opts)
+    H = _initial_step(fld, X, G, fld.regime(X, G), np.full(N, t_end))
     next_row = np.ones(N, dtype=np.int64)
     max_clip = 0.0
 
     active = np.arange(N)
     while active.size:
         Y, t_a = X[active], t[active]
-        st = _ros_advance(fld, Y, G[active], fld.regime(Y, G[active]), H[active], t_end - t_a, t_a, opts)
+        st = _ros_advance(fld, Y, G[active], fld.regime(Y, G[active]), H[active], t_end - t_a, t_a)
         at_end = st.dt >= t_end - t_a
         t_new = np.where(at_end, t_end, t_a + st.dt)
-        stop = np.where(at_end, n_steps + 1, np.searchsorted(times, t_new, side="right"))
+        stop = np.where(at_end, times.size, np.searchsorted(times, t_new, side="right"))
         which, k, Xr, clip = _grid_rows(box, times, t_a, Y, st, next_row[active], stop, np.ones(active.size))
         max_clip = max(max_clip, clip)
         Rs[active[which], k] = hm.resistance_lyapunov_vec(costs, cfg, Xr, mode.gradient_mode)

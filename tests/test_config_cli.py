@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from constructal.cli import main
-from constructal.config import build_run_config, load_config, parse_config_text, write_config
+from constructal.config import KEYS, build_run_config, load_config, parse_config_text, write_config
 from constructal.dynamics import ProjectedGradient, SignDescent
 from constructal.errors import ConfigError
 
@@ -58,6 +58,12 @@ class TestParsing:
     def test_missing_equals_rejected(self):
         with pytest.raises(ConfigError):
             parse_config_text("costs.K [1.0, 0.5]")
+
+    def test_readme_lists_every_key(self):
+        readme = (REPO / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Configuration format", 1)[1].split("```text", 1)[1].split("```", 1)[0]
+        keys = [line.split("=", 1)[0].strip() for line in block.splitlines() if "=" in line]
+        assert sorted(keys) == sorted(KEYS)
 
 
 class TestValidation:
@@ -206,6 +212,13 @@ class TestCliCertify:
         cfgp = tmp_path / "sd.cfg"
         write_config(canonical_data(**{"mode.kind": "sign_descent", "run.t_end": 1.0}), cfgp)
         assert main(["certify", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["certify", "--config", str(BRANCHING), "--out", str(out), "--seed", "-1"]) == 2
+        assert "run.seed" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCliConverge:
@@ -301,6 +314,7 @@ class TestNonFiniteInputs:
             pytest.param({"run.h": INF}, id="h=inf"),
             pytest.param({"run.h": NAN}, id="h=nan"),
             pytest.param({"run.h": "fast"}, id="h=word"),
+            pytest.param({"run.h": 10**400}, id="h=huge_int"),
             pytest.param({"assembly.A1": NAN}, id="A1=nan"),
             pytest.param({"assembly.kappa": [NAN, 1.0]}, id="kappa=nan"),
             pytest.param({"costs.K": [INF, 0.5, 0.25, 0.125]}, id="K=inf"),
@@ -317,6 +331,12 @@ class TestNonFiniteInputs:
             pytest.param({"run.x1": "far"}, id="x1=word"),
             pytest.param({"mode.kind": "sign_descent", "mode.eta": "fast"}, id="eta=word"),
             pytest.param({"mode.kind": "sign_descent", "mode.zeta": "slow"}, id="zeta=word"),
+            pytest.param({"run.seed": True}, id="seed=true"),
+            pytest.param({"run.h": True}, id="h=true"),
+            pytest.param({"sampling.count": True}, id="count=true"),
+            pytest.param({"tol.switch": True}, id="tol=true"),
+            pytest.param({"mode.kind": "sign_descent", "mode.epsilon": True}, id="epsilon=true"),
+            pytest.param({"mode.mobility": [1.0, 1.0]}, id="mobility_list=short"),
         ],
     )
     def test_simulate_exits_2_before_any_output(self, tmp_path, capsys, overrides):

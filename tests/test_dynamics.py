@@ -81,6 +81,15 @@ class TestSlideVelocity:
         assert v[3] == pytest.approx(0.0, abs=1e-12)
         assert abs(v[0]) == pytest.approx(1.0)
 
+    def test_saturated_coordinates_are_expelled_at_their_gain(self, costs, cfg):
+        # a slow n_2 gain: the equivalent control of both branching numbers
+        # exceeds its bound, so clamp-and-drop expels n_2 and then n_3
+        mode = SignDescent(sliding="equivalent_control", gradient_mode="coupled", zeta=(1e-3, 1.0))
+        gains = mode.gains(costs.p)
+        v = slide_velocity(mode, costs, cfg, GENERIC_X0, active_set=[3, 4])
+        assert v[3] == gains[3] and v[4] == gains[4]
+        assert np.all(np.abs(v) <= gains)
+
 
 class TestStep:
     def test_branching_exponential_decay(self, costs, cfg, box, pg_mode, x_star):
@@ -237,6 +246,7 @@ class TestEnsemble:
         opts = IntegrationOptions(stop_on_convergence=False)
         for i in range(X0.shape[0]):
             single = integrate(pg_mode, costs, cfg, box, X0[i], 2.0, 1e-3, opts)
+            assert np.array_equal(res.times, single.times)
             assert np.linalg.norm(res.final_states[i] - single.final_state) <= 1e-9
 
     def test_rejects_sign_descent(self, costs, cfg, box):
