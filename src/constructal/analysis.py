@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
 import math
-import warnings
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,8 @@ __all__ = [
 
 PSI_FLOOR = 1e-8
 CERT_SLACK = 1e-8
+SOBOL_BITS = 30
+SOBOL_PERIOD = 2**SOBOL_BITS  # distinct points of one Sobol sequence
 
 
 def matrix_measure(A) -> float:
@@ -61,6 +64,48 @@ def mode_hessian(mode: ProjectedGradient, costs, cfg, x) -> np.ndarray:
     xv = hm._as_vector(x, costs.p)
     Dg = hm.grad_jacobian(costs, cfg, xv, mode.gradient_mode)
     return 0.5 * (Dg + Dg.T)
+
+
+def _sobol(d: int, count: int, seed: int) -> np.ndarray:
+    """The first ``count`` points of a scrambled Sobol sequence in [0, 1)^d.
+
+    Bit for bit ``scipy.stats.qmc.Sobol(d, scramble=True, seed=seed)
+    .random(count)``: Joe-Kuo direction numbers (Joe & Kuo, SIAM J. Sci.
+    Comput. 30(5), 2008) with Matousek's linear matrix scramble and a
+    digital shift (J. Complexity 14, 1998), both drawn from
+    ``default_rng(seed)``.  The direction-number table is scipy's installed
+    data file; finding it imports nothing.
+    """
+    root = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    with np.load(os.path.join(root, "stats", "_sobol_direction_numbers.npz")) as table:
+        poly, vinit = table["poly"][:d], table["vinit"][:d]
+    bits = SOBOL_BITS
+    v = np.ones((d, bits), dtype=np.int64)  # dimension 0: all m_j = 1
+    for i in range(1, d):  # Bratley-Fox recurrence on the primitive polynomial
+        deg = int(poly[i]).bit_length() - 1
+        v[i, :deg] = vinit[i, :deg]
+        for j in range(deg, bits):
+            m_j = v[i, j - deg]
+            for k in range(1, deg + 1):
+                if (poly[i] >> (deg - k)) & 1:
+                    m_j ^= v[i, j - k] << k
+            v[i, j] = m_j
+    top = bits - 1 - np.arange(bits)  # bit j counted from the top
+    v <<= top
+
+    rng = np.random.default_rng(seed)
+    shift = rng.integers(2, size=(d, bits), dtype=np.uint32) @ (1 << np.arange(bits))
+    ltm = np.tril(rng.integers(2, size=(d, bits, bits), dtype=np.uint32))
+    ltm |= np.eye(bits, dtype=np.uint32)
+    old = (v[:, :, None] >> top) & 1
+    v = (np.einsum("dpk,djk->djp", ltm, old) & 1) @ (1 << top)
+
+    k = np.arange(count, dtype=np.int64)
+    gray = k ^ (k >> 1)
+    q = np.tile(shift, (count, 1))
+    for j in range(bits):
+        q ^= ((gray >> j) & 1)[:, None] * v[:, j]
+    return q * 2.0**-bits
 
 
 @dataclass(frozen=True)
@@ -121,11 +166,12 @@ def certify_contraction(
 ) -> ContractionCertificate:
     """Sampled matrix-measure certificate on a sub-box around the optimum.
 
-    Draws ``count`` scrambled-Sobol points, evaluates mu(J(x)) and the
-    minimum eigenvalue of the mode Hessian at each, and passes iff the
-    worst measure stays below -m * (min curvature) + slack with positive
-    curvature throughout.  Sampler, count and seed are recorded so the
-    certificate is reproducible.
+    Draws ``count`` (at most 2**30) scrambled-Sobol points, evaluates
+    mu(J(x)) and the minimum eigenvalue of the mode Hessian at each, and
+    passes iff the worst measure stays below -m * (min curvature) + slack
+    with positive curvature throughout.  Sampler, count and seed are
+    recorded so the certificate is reproducible; the sampler is ``_sobol``,
+    in-tree NumPy that draws the same points as ``scipy.stats.qmc.Sobol``.
 
     ``subbox`` may be a Box or an (lo, hi) pair of arrays; degenerate
     intervals (lo == hi, pinning a coordinate) are allowed.  By default
@@ -134,8 +180,8 @@ def certify_contraction(
     """
     if not isinstance(mode, ProjectedGradient):
         raise DomainError("certification requires the projected-gradient mode")
-    if count < 1:
-        raise DomainError("sample count must be >= 1")
+    if not 1 <= count <= SOBOL_PERIOD:
+        raise DomainError(f"sample count must be in [1, 2**{SOBOL_BITS}], got {count}")
     if subbox is None:
         x_opt = hm.optimum_state(costs, cfg).vector()
         half = rel_halfwidth * np.abs(x_opt)
@@ -150,14 +196,7 @@ def certify_contraction(
             raise DomainError("sampling sub-box needs lo <= hi of full dimension")
     d = box.dim
     m = float(np.min(mode.mobility))
-    from scipy.stats import qmc  # slow to import, and only the certificate needs it
-
-    sampler = qmc.Sobol(d=d, scramble=True, seed=seed)
-    with warnings.catch_warnings():
-        # balance only holds for power-of-two counts; irrelevant for extrema
-        warnings.simplefilter("ignore", UserWarning)
-        unit = sampler.random(count)
-    X = lo + unit * (hi - lo)
+    X = lo + _sobol(d, count, seed) * (hi - lo)
 
     Dg = hm.grad_jacobian(costs, cfg, X, mode.gradient_mode)
     J = -mode.mobility_vector(d)[:, None] * Dg

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -86,18 +87,17 @@ def cmd_table(args) -> int:
 
 
 def _trajectory_csv(path: Path, traj: Trajectory, p: int) -> None:
-    labels = _state_labels(p)
-    header = "t," + ",".join(labels) + ",R,Psi,regime_mask,event"
-    lines = [header]
-    for k in range(traj.times.size):
-        cells = [repr(float(traj.times[k]))]
-        cells += [repr(float(v)) for v in traj.states[k]]
-        cells.append(repr(float(traj.R_values[k])))
-        cells.append(repr(float(traj.Psi_values[k])))
-        cells.append(format(int(traj.regime_masks[k]), "x"))
-        cells.append(traj.step_events[k] if k < len(traj.step_events) else "")
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    header = "t," + ",".join(_state_labels(p)) + ",R,Psi,regime_mask,event\n"
+    rows = np.column_stack((traj.times, traj.states, traj.R_values, traj.Psi_values))
+    events = chain(traj.step_events, repeat(""))
+    # streamed row by row: the whole table as Python floats, or as one
+    # string, would hold several times the array's memory at once
+    with path.open("w", encoding="utf-8", newline="\n") as f:
+        f.write(header)
+        f.writelines(
+            f"{','.join(map(repr, row.tolist()))},{mask:x},{event}\n"
+            for row, mask, event in zip(rows, traj.regime_masks.tolist(), events)
+        )
 
 
 def _r_star(rc: RunConfig) -> float:

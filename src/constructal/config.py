@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import hierarchy as hm
+from .analysis import SOBOL_PERIOD
 from .cones import Box
 from .dynamics import (
     BOUNDARY_LAYER,
@@ -41,10 +42,12 @@ def _positive(key: str, v) -> float:
     return float(v)
 
 
-def _integer(minimum: int):
+def _integer(minimum: int, maximum: int | None = None):
     def convert(key: str, v) -> int:
         if not (type(v) is int and v >= minimum):
             raise ConfigError(f"{key} must be an integer >= {minimum}, got {v!r}")
+        if maximum is not None and v > maximum:
+            raise ConfigError(f"{key} must be an integer <= {maximum}, got {v!r}")
         return v
 
     return convert
@@ -98,7 +101,7 @@ KEYS = {
     "tol.boundary": (_positive, 1e-9),
     "tol.event": (_positive, 1e-10),
     "tol.converge": (_positive, 1e-10),
-    "sampling.count": (_integer(1), 10_000),
+    "sampling.count": (_integer(1, SOBOL_PERIOD), 10_000),
     "sampling.rel_halfwidth": (_positive, 0.1),
     "sampling.subbox_lo": (_numbers, None),
     "sampling.subbox_hi": (_numbers, None),

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,22 @@ class TestCertification:
             analysis.certify_contraction(SignDescent(), costs, cfg, box)
         with pytest.raises(DomainError):
             analysis.certify_contraction(pg_mode, costs, cfg, box, count=0)
+        with pytest.raises(DomainError, match="sample count"):
+            # one past the Sobol period: rejected before anything is drawn
+            analysis.certify_contraction(pg_mode, costs, cfg, box, count=2**30 + 1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 9, 15])
+def test_sobol_matches_scipy(d):
+    from scipy.stats import qmc
+
+    for seed in (0, 1, 7, 2**31):
+        for n in (1, 2, 3, 7, 100, 1024, 10_000):
+            with warnings.catch_warnings():
+                # balance only holds for power-of-two counts; irrelevant here
+                warnings.simplefilter("ignore", UserWarning)
+                want = qmc.Sobol(d=d, scramble=True, seed=seed).random(n)
+            assert np.array_equal(analysis._sobol(d, n, seed), want), (d, seed, n)
 
 
 class TestStructuralBound:

@@ -98,6 +98,11 @@ class TestValidation:
         with pytest.raises(ConfigError, match="sampling.count"):
             build_run_config(canonical_data(**{"sampling.count": 0}))
 
+    def test_sampling_count_past_sobol_period(self):
+        build_run_config(canonical_data(**{"sampling.count": 2**30}))
+        with pytest.raises(ConfigError, match="sampling.count"):
+            build_run_config(canonical_data(**{"sampling.count": 2**30 + 1}))
+
     def test_subbox_needs_both_bounds(self):
         with pytest.raises(ConfigError, match="subbox"):
             build_run_config(canonical_data(**{"sampling.subbox_lo": [1, 1, 1, 2, 2]}))
@@ -213,6 +218,21 @@ class TestCliCertify:
         write_config(canonical_data(**{"mode.kind": "sign_descent", "run.t_end": 1.0}), cfgp)
         assert main(["certify", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            # one past the Sobol period; rejected at load, so nothing is allocated
+            pytest.param({"sampling.count": 1073741825}, id="count=2**30+1"),
+        ],
+    )
+    def test_bad_count_exits_2_before_any_output(self, tmp_path, capsys, overrides):
+        cfgp = tmp_path / "run.cfg"
+        write_config(canonical_data(**overrides), cfgp)
+        out = tmp_path / "out"
+        assert main(["certify", "--config", str(cfgp), "--out", str(out)]) == 2
+        assert "config error: sampling.count" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_seed_rejected(self, tmp_path, capsys):
         out = tmp_path / "o"
@@ -349,13 +369,10 @@ class TestNonFiniteInputs:
 
 
 class TestImportCost:
-    def test_cli_import_loads_no_scipy(self):
-        # scipy.stats alone takes most of a second to import; only the
-        # contraction certificate needs it, and it imports it on call
-        code = (
-            "import sys, constructal.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-        )
+    @staticmethod
+    def scipy_modules_after(code: str) -> str:
+        """The scipy modules loaded in a fresh interpreter that ran code."""
+        code += "; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
         done = subprocess.run(
             [sys.executable, "-c", code],
@@ -364,4 +381,20 @@ class TestImportCost:
             text=True,
             check=True,
         )
-        assert done.stdout.strip() == "[]"
+        return done.stdout.strip().splitlines()[-1]
+
+    def test_cli_import_loads_no_scipy(self):
+        # scipy.stats alone takes most of a second to import; nothing in the
+        # program imports scipy, the certificate's Sobol sampler included
+        assert self.scipy_modules_after("import sys, constructal.cli") == "[]"
+
+    def test_certify_and_converge_load_no_scipy(self, tmp_path):
+        # the sampler reads scipy's direction-number table as a data file
+        runs = [("certify", CANONICAL), ("converge", BRANCHING)]
+        code = "import sys; from constructal.cli import main; " + "; ".join(
+            f"assert main([{cmd!r}, '--config', {str(cfg)!r}, '--out', {str(tmp_path / cmd)!r}]) == 0"
+            for cmd, cfg in runs
+        )
+        assert self.scipy_modules_after(code) == "[]"
+        assert "generator = sobol-scrambled" in (tmp_path / "certify" / "certificate.txt").read_text()
+        assert "nu_estimate = " in (tmp_path / "converge" / "convergence.txt").read_text()
