@@ -20,7 +20,7 @@ field found at a state), ``monitors`` (the regime changes to watch over a
 step) and ``classify`` (the event a fired monitor stands for); the core
 sees nothing else of the law.  Projected gradient and the boundary layer
 form their regimes on whole (N, d) stacks; equivalent control forms its
-regime on one row, by the clamp-and-drop iteration of the Filippov
+regime row by row, by the clamp-and-drop iteration of the Filippov
 condition.
 
 Coordinates held on a box face have zero velocity.  Projected gradient
@@ -35,9 +35,9 @@ Regime changes (box-face contact and release, boundary-layer entry and
 exit, switching-manifold crossings and sliding exit) are located by
 bisection on the dense output, in the event-driven style of Piiroinen &
 Kuznetsov (ACM TOMS 34(3), 2008), and the run restarts in the regime
-found at the event.  The same (N, d) stepper drives single runs, paired
-runs and projected-gradient ensembles; every row has its own step size
-and error norm.
+found at the event.  One run loop steps (N, d) stacks of any law:
+single runs are N = 1, paired runs N = 2 and ensembles N rows.  Every
+row has its own time, step size, error norm, events and regime.
 
 The core is float-pure, so identical inputs give bit-identical
 trajectories.  Coordinate indices in events and masks are flat: 0..p-1
@@ -327,15 +327,17 @@ class _Frozen:
         return _Frozen(self.frozen[rows], self.active[rows], self.sliding[rows], self.signs[rows],
                        self.coef, self.const[rows], mass)
 
-    def bits(self) -> int:
-        """Regime mask of the first row: sliding and face-held coordinates."""
-        return sum(1 << int(j) for j in np.flatnonzero(self.frozen[0] | self.sliding[0]))
+    def bits(self) -> np.ndarray:
+        """Regime mask of each row: sliding and face-held coordinates."""
+        return (self.frozen | self.sliding) @ (1 << np.arange(self.frozen.shape[1], dtype=np.int64))
 
 
 class _Monitor(NamedTuple):
     """A regime change: ``phi(x, g)`` (g the mode gradient at x) starts
     above ``band`` and the transition is phi <= band.  ``face`` is the
-    value coordinate j snaps to at the event, or None."""
+    value coordinate j snaps to at the event, or None; a face monitor
+    reads only x, and is located without the gradient, which is not
+    defined past every face."""
 
     label: str
     j: int
@@ -380,9 +382,14 @@ class _Field:
         J = fz.coef[..., None] * hm.grad_jacobian(self.costs, self.cfg, Y, self.gmode)
         return np.where(fz.active[:, :, None] & ~fz.frozen[:, None, :], J, 0.0)
 
-    def project(self, Y: np.ndarray, fz: _Frozen, tol: float) -> np.ndarray:
-        """States put back on the sliding manifolds (none here)."""
+    def project(self, Y: np.ndarray, active: np.ndarray, tol: float) -> np.ndarray:
+        """States put back on the sliding manifolds (none here); ``active``
+        is the (N, d) mask of the frozen regime's solved coordinates."""
         return Y
+
+    def may_change(self, Y1: np.ndarray, fz: _Frozen) -> np.ndarray:
+        """Rows whose step to Y1 has a monitor, and so may change regime."""
+        return np.ones(len(Y1), dtype=bool)
 
     def monitors(self, y0: np.ndarray, y1: np.ndarray, fz: _Frozen) -> list[_Monitor]:
         """Regime-change monitors of a frozen single-row regime for a step
@@ -424,6 +431,12 @@ class _PGField(_Field):
         zeros = np.zeros_like(Y)
         return _Frozen(frozen, ~frozen, np.zeros_like(frozen), zeros, self.neg_mob[None], zeros)
 
+    def may_change(self, Y1: np.ndarray, fz: _Frozen) -> np.ndarray:
+        """Only face monitors here: rows with a face-held coordinate, or
+        with an end state not strictly inside the box."""
+        inside = np.all((Y1 > self.box.lo) & (Y1 < self.box.hi), axis=1)
+        return fz.frozen.any(axis=1) | ~inside
+
 
 class _LayerField(_Field):
     """Boundary-layer sign descent: f_j = -(gain_j/eps) d_j R inside the
@@ -461,9 +474,9 @@ class _SlideField(_Field):
         0      = d_S R           on the sliding set S,
 
     with Jacobian rows [0; H_S,:].  Its velocity on S is the equivalent
-    control -H_SS^-1 H_S,ext x_ext'.  The regime is formed on a single row
-    by the clamp-and-drop iteration of the Filippov condition.  A sliding
-    block too ill-conditioned to solve hands the step to the
+    control -H_SS^-1 H_S,ext x_ext'.  The regime of each row is formed by
+    the clamp-and-drop iteration of the Filippov condition.  A row whose
+    sliding block is too ill-conditioned to solve hands its step to the
     boundary-layer field (``fallback``).
     """
 
@@ -473,50 +486,50 @@ class _SlideField(_Field):
         self.coef = np.ones((1, box.dim))
 
     def regime(self, Y: np.ndarray, G: np.ndarray) -> _Frozen:
-        x, g = Y[0], G[0]
-        sliding = np.abs(g) <= self.opts.switch_tol
-        signs = np.where(sliding, 0.0, np.sign(g))
-        v = -self.scale * signs
-        if sliding.any():
-            S0 = [int(j) for j in np.flatnonzero(sliding)]
-            v, S, dropped = _slide_iterate(self.mode, self.costs, self.cfg, x, S0, signs, self.scale, self.opts)
-            sliding[:] = False
-            sliding[S] = True
+        """Raises SingularSlidingError if the sliding block of a row cannot
+        be solved."""
+        sliding = np.abs(G) <= self.opts.switch_tol
+        signs = np.where(sliding, 0.0, np.sign(G))
+        V = -self.scale * signs
+        for i in np.flatnonzero(sliding.any(axis=1)):
+            S0 = [int(j) for j in np.flatnonzero(sliding[i])]
+            V[i], S, dropped = _slide_iterate(self.mode, self.costs, self.cfg, Y[i], S0, signs[i], self.scale, self.opts)
+            sliding[i] = False
+            sliding[i, S] = True
             for j, direction in dropped.items():
-                signs[j] = -direction  # so that -gain*sign reproduces the escape velocity
-        frozen = outward(self.box, x, v, self.opts.boundary_tol)
+                signs[i, j] = -direction  # so that -gain*sign reproduces the escape velocity
+        frozen = outward(self.box, Y, V, self.opts.boundary_tol)
         active = sliding & ~frozen
         const = np.where(frozen, 0.0, -self.scale * signs)
-        return _Frozen(frozen[None], active[None], sliding[None], signs[None], self.coef, const[None],
-                       np.where(active, 0.0, 1.0)[None])
-
-    def _solved(self, fz: _Frozen) -> list[int]:
-        """The coordinates whose velocity is the equivalent control."""
-        return [int(j) for j in np.flatnonzero(fz.active[0])]
+        return _Frozen(frozen, active, sliding, signs, self.coef, const, np.where(active, 0.0, 1.0))
 
     def velocity(self, Y: np.ndarray, G, fz: _Frozen) -> np.ndarray:
-        v = fz.const[0].copy()
-        S = self._solved(fz)
-        if S:
-            v[S] = _slide_solve(self.mode, self.costs, self.cfg, Y[0], S, v, self.opts)
-        return v[None]
+        V = fz.const.copy()
+        for i in np.flatnonzero(fz.active.any(axis=1)):
+            S = np.flatnonzero(fz.active[i]).tolist()
+            V[i, S] = _slide_solve(self.mode, self.costs, self.cfg, Y[i], S, V[i], self.opts)
+        return V
 
-    def project(self, Y: np.ndarray, fz: _Frozen, tol: float) -> np.ndarray:
+    def project(self, Y: np.ndarray, active: np.ndarray, tol: float) -> np.ndarray:
         """One Newton correction delta_S = -H_SS^-1 d_S R on the rows of Y
-        whose sliding coordinates are off their manifolds by more than tol."""
-        S = self._solved(fz)
-        if not S or not Y.size:
+        whose sliding coordinates are off their manifolds by more than tol,
+        solved together for the rows that share a sliding set S."""
+        if not active.any():
             return Y
-        gS = self.grad(Y)[:, S]
-        off = np.flatnonzero(np.any(np.abs(gS) > tol, axis=1))
-        if off.size:
-            H = hm.grad_jacobian(self.costs, self.cfg, Y[off], self.gmode)
+        G = self.grad(Y)
+        off = np.any(active & (np.abs(G) > tol), axis=1)
+        if not off.any():
+            return Y
+        Y = Y.copy()
+        for pattern in np.unique(active[off], axis=0):
+            S = np.flatnonzero(pattern)
+            rows = np.flatnonzero(off & np.all(active == pattern, axis=1))
+            H = hm.grad_jacobian(self.costs, self.cfg, Y[rows], self.gmode)
             try:
-                delta = np.linalg.solve(H[:, S][:, :, S], gS[off][..., None])[..., 0]
+                delta = np.linalg.solve(H[:, S][:, :, S], G[rows][:, S][..., None])[..., 0]
             except np.linalg.LinAlgError as exc:
-                raise SingularSlidingError(f"sliding block on coordinates {S} is singular") from exc
-            Y = Y.copy()
-            Y[np.ix_(off, S)] -= delta
+                raise SingularSlidingError(f"sliding block on coordinates {S.tolist()} is singular") from exc
+            Y[np.ix_(rows, S)] -= delta
         return Y
 
     def monitors(self, y0: np.ndarray, y1: np.ndarray, fz: _Frozen) -> list[_Monitor]:
@@ -527,8 +540,8 @@ class _SlideField(_Field):
         for j in np.flatnonzero(~fz.active[0] & ~fz.frozen[0]):
             s = signs[j]
             out.append(_Monitor("switch", j, None, self.opts.switch_tol, lambda x, g, j=j, s=s: s * g[j]))
-        S = self._solved(fz)
-        if S:
+        S = np.flatnonzero(fz.active[0])
+        if S.size:
             gains = self.scale[S]
 
             def margin(x, g):
@@ -540,9 +553,9 @@ class _SlideField(_Field):
     def classify(self, label: str, j: int, x_e: np.ndarray, fz: _Frozen) -> tuple[str, int]:
         if label == "slide_exit":
             # the coordinate whose equivalent control saturates
-            S = self._solved(fz)
+            S = np.flatnonzero(fz.active[0])
             v = self.velocity(x_e[None], None, fz)[0]
-            return SLIDE_EXIT, S[int(np.argmin(self.scale[S] - np.abs(v[S])))]
+            return SLIDE_EXIT, int(S[np.argmin(self.scale[S] - np.abs(v[S]))])
         if label == "switch":
             # sliding entry iff the Filippov condition accepts the coordinate;
             # an unsolvable block counts as entry and the next step falls back
@@ -571,21 +584,22 @@ def _indices(mask: np.ndarray) -> tuple[int, ...]:
     return tuple(int(j) for j in np.flatnonzero(mask))
 
 
-def _start(mode: DynamicsMode, costs, cfg, box: Box, x, options: IntegrationOptions | None):
-    """(field, state) of a run from x: the law's field under the options
-    (defaulted), and x as a flat state vector that must lie in the box."""
+def _start(mode: DynamicsMode, costs, cfg, box: Box, X: np.ndarray, options: IntegrationOptions | None):
+    """The law's field under the options (defaulted) for a run from the
+    rows of the (N, d) stack X, each of which must lie in the box."""
     opts = options or IntegrationOptions()
-    xv = hm._as_vector(x, costs.p)
-    if not box.contains(xv, opts.boundary_tol):
-        raise DomainError(f"state {xv.tolist()} outside the box")
-    return _field(mode, costs, cfg, box, opts), xv
+    for x in X:
+        if not box.contains(x, opts.boundary_tol):
+            raise DomainError(f"state {x.tolist()} outside the box")
+    return _field(mode, costs, cfg, box, opts)
 
 
 def velocity(mode: DynamicsMode, costs, cfg, box: Box, x, options: IntegrationOptions | None = None):
     """Filippov velocity selection at a state, the field the core
     integrates from there, and the regime descriptor it freezes."""
-    fld, xv = _start(mode, costs, cfg, box, x, options)
+    xv = hm._as_vector(x, costs.p)
     Y = xv[None]
+    fld = _start(mode, costs, cfg, box, Y, options)
     G = fld.grad(Y)
     fz = fld.regime(Y, G)
     v = fld.velocity(Y, G, fz)[0]
@@ -697,7 +711,7 @@ def _dense_eval(y0: np.ndarray, dense, s: np.ndarray) -> np.ndarray:
 def _grid_rows(box: Box, times, t0, Y0, st: _Step, first, stop, s_cap):
     """Grid rows first[i] <= k < stop[i] covered by each row's step, read
     off its dense output (at most at fraction s_cap[i]) and clipped to the
-    box.  Returns (step row of each grid row, k, states, largest clip)."""
+    box.  Returns (step row of each grid row, k, states, clip of each)."""
     counts = np.maximum(stop - first, 0)
     which = np.repeat(np.arange(first.size), counts)
     k = np.arange(which.size) - np.repeat(np.cumsum(counts) - counts, counts)
@@ -705,7 +719,7 @@ def _grid_rows(box: Box, times, t0, Y0, st: _Step, first, stop, s_cap):
     s = np.minimum((times[k] - t0[which]) / st.dt[which], s_cap[which])[:, None]
     X = np.where(s == 1.0, st.y1[which], _dense_eval(Y0[which], st.dense[:, which], s))
     Xc = box.clip(X)
-    return which, k, Xc, float(np.max(np.abs(Xc - X))) if X.size else 0.0
+    return which, k, Xc, np.abs(Xc - X).max(axis=1)
 
 
 def _inverse(W: np.ndarray) -> np.ndarray:
@@ -741,7 +755,7 @@ def _ros_attempt(fld: _Field, Y, F0, V0, J, fz: _Frozen, dt):
         corr = inv_dt * sum(c * u for c, u in zip(c_row, U))
         rhs = Fi + (corr if fz.mass is None else fz.mass * corr)
         U.append((W_inv @ rhs[..., None])[..., 0])
-    y1 = fld.project(Yi + U[5], fz, 0.1 * fld.opts.switch_tol)
+    y1 = fld.project(Yi + U[5], fz.active, 0.1 * fld.opts.switch_tol)
     g1 = fld.grad(y1)
     V1 = fld.velocity(y1, g1, fz)
     dt_col = dt[:, None]
@@ -839,18 +853,6 @@ def _initial_step(fld: _Field, Y, G, fz: _Frozen, span) -> np.ndarray:
     return np.where(np.isfinite(h) & (h > 0.0), h, np.minimum(1e-6, span))
 
 
-def _settle(fld: _Field, st: _Step):
-    """Clip accepted end states to the box; returns (Y, G, clip per row)."""
-    Y = fld.box.clip(st.y1)
-    clip = np.abs(Y - st.y1).max(axis=1)
-    G = st.g1
-    moved = clip > 0.0
-    if np.any(moved):
-        G = G.copy()
-        G[moved] = fld.grad(Y[moved])
-    return Y, G, clip
-
-
 def _bisect_fraction(phi, event_tol: float) -> float:
     """First root of phi on [0, 1] (phi(0) > 0 >= phi(1)) by bisection.
 
@@ -873,8 +875,8 @@ def _bisect_fraction(phi, event_tol: float) -> float:
     return b
 
 
-def _locate_events(fld: _Field, y0, g0, fz: _Frozen, st: _Step):
-    """Regime changes within one accepted single-row step.
+def _locate_events(fld: _Field, Y0, G0, fz: _Frozen, st: _Step, row: int):
+    """Regime changes within the accepted step of one row of a stack.
 
     Returns None, or (s, x_e, events) with s the step fraction of the
     earliest transition, x_e the state there (contact coordinates snapped
@@ -884,7 +886,8 @@ def _locate_events(fld: _Field, y0, g0, fz: _Frozen, st: _Step):
     the earliest contact.  A monitor that ends inside its band without a
     sign change fires at that end.
     """
-    y1, g1 = st.y1[0], st.g1[0]
+    y0, g0, y1, g1, dense = Y0[row], G0[row], st.y1[row], st.g1[row], st.dense[:, row]
+    fz = fz if len(Y0) == 1 else fz.take([row])
     live = [m for m in fld.monitors(y0, y1, fz) if m.phi(y0, g0) > m.band]
     if not live:
         return None
@@ -892,16 +895,16 @@ def _locate_events(fld: _Field, y0, g0, fz: _Frozen, st: _Step):
     def state_at(s: float) -> np.ndarray:
         if s == 1.0:
             return y1.copy()
-        return _dense_eval(y0, st.dense[:, 0], np.array([[s]]))[0]
+        return _dense_eval(y0, dense, np.array([[s]]))[0]
 
-    def fraction(phi, s_end: float) -> float:
+    def fraction(m: _Monitor, s_end: float) -> float:
         def at(u: float) -> float:
             x = state_at(u * s_end)
-            return phi(x, fld.grad(x[None])[0])
+            return m.phi(x, None if m.face is not None else fld.grad(x[None])[0])
 
         return s_end * _bisect_fraction(at, fld.opts.event_tol)
 
-    located = [(fraction(m.phi, 1.0), i) for i, m in enumerate(live)
+    located = [(fraction(m, 1.0), i) for i, m in enumerate(live)
                if m.face is not None and m.phi(y1, g1) <= 0.0]
     s_end, x_end, g_end = 1.0, y1, g1
     if located:
@@ -910,7 +913,7 @@ def _locate_events(fld: _Field, y0, g0, fz: _Frozen, st: _Step):
         g_end = fld.grad(x_end[None])[0]
     for i, m in enumerate(live):
         if m.face is None and m.phi(x_end, g_end) <= m.band:
-            located.append((s_end if m.phi(x_end, g_end) > 0.0 else fraction(m.phi, s_end), i))
+            located.append((s_end if m.phi(x_end, g_end) > 0.0 else fraction(m, s_end), i))
     if not located:
         return None
     s, first = min(located)
@@ -942,131 +945,174 @@ def _first_converged(fld: _Field, X: np.ndarray, psi: np.ndarray):
     return int(cand[ok[0]]) if ok.size else None
 
 
-def _run(fld: _Field, x: np.ndarray, t_end: float, h: float, stop: bool) -> Trajectory:
-    """Single run of any law on the RODAS4 core with located events.
+def _regimes(fld: _Field, rows: np.ndarray, Y: np.ndarray, G: np.ndarray):
+    """Frozen regimes of the run rows ``rows`` at states Y as a list of
+    (field, rows, regime) groups: a row whose sliding block cannot be
+    solved goes to the fallback field, in a group of its own."""
+    try:
+        return [(fld, rows, fld.regime(Y, G))]
+    except SingularSlidingError:
+        if rows.size == 1:
+            return [(fld.fallback, rows, fld.fallback.regime(Y, G))]
+    half = rows.size // 2
+    return _regimes(fld, rows[:half], Y[:half], G[:half]) + _regimes(fld, rows[half:], Y[half:], G[half:])
 
-    Each step integrates the frozen-regime field found at its start and
-    ends at the first regime change.  While the sliding block cannot be
-    solved there, steps of at most h go through the boundary-layer field;
-    each such episode is recorded once, as SlideExit at index -1, in
-    place of the layer's own events.
+
+def _run(fld: _Field, X: np.ndarray, t_end: float, h: float, stop: bool, keep: bool):
+    """Run every row of the (N, d) stack X on the RODAS4 core with located
+    events.  Returns one Trajectory per row with ``keep``, else an
+    EnsembleResult, which holds no state history.
+
+    Each row has its own time, step size, next grid row, events,
+    chattering guard and convergence stop (with ``stop``), so it takes the
+    steps of a run of that row alone.  Each step integrates the
+    frozen-regime field found at its start and ends at the row's first
+    regime change; rows that can have none (``may_change``) skip event
+    location.  While a row's sliding block cannot be solved, its steps of
+    at most h go through the boundary-layer field; each such episode is
+    recorded once, as SlideExit at index -1, in place of the layer's own
+    events.
     """
     box, costs, cfg, opts = fld.box, fld.costs, fld.cfg, fld.opts
     times = _nominal_grid(t_end, h)
     n_rows = times.size
-    states = np.empty((n_rows, x.size))
-    psis = np.empty(n_rows)
-    masks = np.zeros(n_rows, dtype=np.int64)
+    N = X.shape[0]
+    states = np.empty((N, n_rows, X.shape[1])) if keep else None
+    masks = np.zeros((N, n_rows), dtype=np.int64) if keep else None
+    Rs = None if keep else np.empty((N, n_rows))  # a trajectory's R is taken from its states
+    psis = np.empty((N, n_rows))
+    events: list[list[EventRecord]] = [[] for _ in range(N)]
+    filled = np.ones(N, dtype=np.int64)
+    since_row = np.zeros(N, dtype=np.int64)
+    converged = np.zeros(N, dtype=bool)
+    fell_before = np.zeros(N, dtype=bool)
+    max_clip = np.zeros(N)
 
-    def frozen_regime(y, G):
-        try:
-            return fld, fld.regime(y, G)
-        except SingularSlidingError:
-            return fld.fallback, fld.fallback.regime(y, G)
-
-    y = x[None, :].copy()
-    G = fld.grad(y)
-    stepper, fz = frozen_regime(y, G)
-    H = _initial_step(stepper, y, G, fz, np.array([t_end]))
-    states[0] = x
-    psis[0] = hm.imbalance_vec(costs, cfg, x)
-    masks[0] = fz.bits()
-    t = 0.0
-    filled = 1
-    events: list[EventRecord] = []
-    since_row = 0
-    max_clip = 0.0
-    status = "finished"
-    fell_back_before = False
-    while filled < n_rows:
-        fell_back = stepper is not fld
-        limit = min(t_end - t, h) if fell_back else t_end - t
-        st = _ros_advance(stepper, y, G, fz, H, np.array([limit]), np.array([t]))
-        dt = float(st.dt[0])
-        hit = _locate_events(stepper, y[0], G[0], fz, st)
-        if hit is not None:
-            s_end, t_next = hit[0], t + hit[0] * dt
-            stop_row = int(np.searchsorted(times, t_next, side="right"))
-        elif dt >= t_end - t:
-            s_end, t_next, stop_row = 1.0, t_end, n_rows
+    def record(rows, k, Xg, bits):
+        if keep:
+            states[rows, k] = Xg
+            masks[rows, k] = bits
         else:
-            s_end, t_next = 1.0, t + dt
-            stop_row = int(np.searchsorted(times, t_next, side="right"))
-        if stop_row > filled:
-            _, _, X, clip = _grid_rows(box, times, np.array([t]), y, st, np.array([filled]),
-                                       np.array([stop_row]), np.array([s_end]))
-            X = stepper.project(X, fz, 10.0 * opts.switch_tol)
-            max_clip = max(max_clip, clip)
-            states[filled:stop_row] = X
-            psis[filled:stop_row] = hm.imbalance_vec(costs, cfg, X)
-            masks[filled:stop_row] = fz.bits()
-            since_row = 0
-            if stop and hit is None:  # a step ending in an event records it first
-                k = _first_converged(fld, X, psis[filled:stop_row])
-                if k is not None:
-                    filled += k + 1
-                    status = "converged"
-                    break
-            filled = stop_row
-        if hit is None:
-            y, G, clip = _settle(stepper, st)
-            max_clip = max(max_clip, float(clip[0]))
-            new = []
-        else:
-            _, x_e, new = hit
-            y = x_e[None, :]
-            G = fld.grad(y)
-        if fell_back:
-            new = [] if fell_back_before else [(SLIDE_EXIT, -1)]
-        fell_back_before = fell_back
-        events += [EventRecord(time=t_next, kind=kind, index=j) for kind, j in new]
-        since_row += len(new)
-        if since_row > opts.max_events_per_step:
-            raise StepFailureError(
-                f"more than {opts.max_events_per_step} events within one nominal step "
-                f"at t={t_next:.6g}: likely chattering",
-                t_next,
-            )
-        H = st.h_next
-        t = t_next
-        stepper, fz = frozen_regime(y, G)
+            Rs[rows, k] = hm.resistance_lyapunov_vec(costs, cfg, Xg, fld.gmode)
+        psis[rows, k] = hm.imbalance_vec(costs, cfg, Xg)
 
-    times = times[:filled]
-    states = states[:filled]
-    events = [e for e in events if e.time <= times[-1]]
-    rows = np.maximum(np.searchsorted(times, [e.time for e in events], side="left"), 1)
-    step_events = [""] * filled
-    for e, k in zip(events, rows):
-        tag = f"{e.kind}:{e.index}"
-        step_events[k] = f"{step_events[k]};{tag}" if step_events[k] else tag
-    return Trajectory(
-        times=times,
-        states=states,
-        R_values=np.asarray(hm.resistance_lyapunov_vec(costs, cfg, states, fld.gmode)),
-        Psi_values=psis[:filled],
-        regime_masks=masks[:filled],
-        events=events,
-        step_events=step_events,
-        status=status,
-        max_clip=max_clip,
-    )
+    Y = X.copy()
+    G = fld.grad(Y)
+    t = np.zeros(N)
+    H = np.empty(N)
+    groups = _regimes(fld, np.arange(N), Y, G)
+    for stepper, rows, fz in groups:
+        H[rows] = _initial_step(stepper, Y[rows], G[rows], fz, np.full(rows.size, t_end))
+        record(rows, 0, Y[rows], fz.bits())
+    while groups:
+        for stepper, rows, fz in groups:
+            y0, g0, t0, first = Y[rows], G[rows], t[rows], filled[rows]
+            fell = stepper is not fld
+            limit = np.minimum(t_end - t0, h) if fell else t_end - t0
+            st = _ros_advance(stepper, y0, g0, fz, H[rows], limit, t0)
+            hits = {}
+            for i in np.flatnonzero(stepper.may_change(st.y1, fz)):
+                found = _locate_events(stepper, y0, g0, fz, st, i)
+                if found is not None:
+                    hits[i] = found
+            hit = np.zeros(rows.size, dtype=bool)
+            s_end = np.ones(rows.size)
+            for i, (s, _, _) in hits.items():
+                hit[i], s_end[i] = True, s
+            at_end = ~hit & (st.dt >= t_end - t0)
+            t_next = np.where(at_end, t_end, t0 + s_end * st.dt)
+            stop_row = np.where(at_end, n_rows, np.searchsorted(times, t_next, side="right"))
+            wrote = stop_row > first
+            if wrote.any():
+                which, k, Xg, clip = _grid_rows(box, times, t0, y0, st, first, stop_row, s_end)
+                Xg = stepper.project(Xg, fz.active[which], 10.0 * opts.switch_tol)
+                record(rows[which], k, Xg, fz.bits()[which] if keep else None)
+                np.maximum.at(max_clip, rows[which], clip)
+                since_row[rows[wrote]] = 0
+                filled[rows] = np.maximum(first, stop_row)
+            if stop:  # a step ending in an event records it first
+                for i in np.flatnonzero(wrote & ~hit):
+                    j = _first_converged(fld, Xg[which == i], psis[rows[i], first[i]:stop_row[i]])
+                    if j is not None:
+                        filled[rows[i]] = first[i] + j + 1
+                        converged[rows[i]] = True
+            done = converged[rows]
+
+            # the next step starts at the event state, or else at the end
+            # state clipped to the box
+            Y1 = box.clip(st.y1)
+            clip = np.where(hit | done, 0.0, np.abs(Y1 - st.y1).max(axis=1))
+            max_clip[rows] = np.maximum(max_clip[rows], clip)
+            for i, (_, x_e, _) in hits.items():
+                Y1[i] = x_e
+            moved = hit | (clip > 0.0)
+            G1 = st.g1
+            if moved.any():
+                G1[moved] = fld.grad(Y1[moved])
+            Y[rows], G[rows], H[rows], t[rows] = Y1, G1, st.h_next, t_next
+
+            new = {i: found for i, (_, _, found) in hits.items()}
+            if fell:
+                new = {i: [(SLIDE_EXIT, -1)] for i in np.flatnonzero(~done & ~fell_before[rows])}
+            fell_before[rows] = fell
+            for i, pairs in new.items():
+                r, te = rows[i], float(t_next[i])
+                events[r] += [EventRecord(time=te, kind=kind, index=j) for kind, j in pairs]
+                since_row[r] += len(pairs)
+                if since_row[r] > opts.max_events_per_step:
+                    raise StepFailureError(
+                        f"more than {opts.max_events_per_step} events within one nominal step "
+                        f"at t={te:.6g}: likely chattering",
+                        te,
+                    )
+        live = np.flatnonzero((filled < n_rows) & ~converged)
+        groups = _regimes(fld, live, Y[live], G[live]) if live.size else []
+
+    if not keep:
+        return EnsembleResult(times=times, final_states=Y, R_values=Rs, Psi_values=psis,
+                              max_clip=float(np.max(max_clip)))
+    out = []
+    for i, n in enumerate(filled):
+        kept = [e for e in events[i] if e.time <= times[n - 1]]
+        rows = np.maximum(np.searchsorted(times[:n], [e.time for e in kept], side="left"), 1)
+        step_events = [""] * n
+        for e, k in zip(kept, rows):
+            tag = f"{e.kind}:{e.index}"
+            step_events[k] = f"{step_events[k]};{tag}" if step_events[k] else tag
+        out.append(Trajectory(
+            times=times[:n],
+            states=states[i, :n],
+            R_values=np.asarray(hm.resistance_lyapunov_vec(costs, cfg, states[i, :n], fld.gmode)),
+            Psi_values=psis[i, :n],
+            regime_masks=masks[i, :n],
+            events=kept,
+            step_events=step_events,
+            status="converged" if converged[i] else "finished",
+            max_clip=float(max_clip[i]),
+        ))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # public integration entry points
 # ---------------------------------------------------------------------------
 
-def _check_horizon(t_end: float, h: float) -> None:
+def _integrate(mode: DynamicsMode, costs, cfg, box: Box, X: np.ndarray, t_end: float, h: float,
+               options: IntegrationOptions | None, stop: bool, keep: bool = True):
+    """Checked run of the rows of X (see :func:`_run`).  Step failures
+    propagate with a timestamp."""
     if not (_positive_finite(t_end) and _positive_finite(h)):
         raise DomainError(f"t_end and h must be positive and finite, got t_end={t_end}, h={h}")
+    fld = _start(mode, costs, cfg, box, X, options)
+    try:
+        return _run(fld, box.clip(X), t_end, h, stop, keep)
+    except StepFailureError as exc:
+        raise StepFailureError(f"integration failed at t={exc.time:.6g}: {exc}", exc.time) from exc
 
 
 def step(mode: DynamicsMode, costs, cfg, box: Box, x, h: float, options: IntegrationOptions | None = None):
     """One nominal step of size h; returns (x_next, events)."""
-    if not _positive_finite(h):
-        raise DomainError(f"step size must be positive and finite, got {h}")
-    fld, xv = _start(mode, costs, cfg, box, x, options)
-    traj = _run(fld, box.clip(xv), h, h, stop=False)
+    (traj,) = _integrate(mode, costs, cfg, box, hm._as_vector(x, costs.p)[None], h, h, options, False)
     return traj.final_state, traj.events
 
 
@@ -1089,12 +1135,9 @@ def integrate(
     mode (see :func:`hierarchy.resistance_lyapunov_vec`), nonincreasing
     along every admissible run.
     """
-    _check_horizon(t_end, h)
-    fld, x = _start(mode, costs, cfg, box, x0, options)
-    try:
-        return _run(fld, box.clip(x), t_end, h, fld.opts.stop_on_convergence)
-    except StepFailureError as exc:
-        raise StepFailureError(f"integration failed at t={exc.time:.6g}: {exc}", exc.time) from exc
+    stop = (options or IntegrationOptions()).stop_on_convergence
+    (traj,) = _integrate(mode, costs, cfg, box, hm._as_vector(x0, costs.p)[None], t_end, h, options, stop)
+    return traj
 
 
 def two_trajectory_run(
@@ -1109,16 +1152,14 @@ def two_trajectory_run(
     options: IntegrationOptions | None = None,
 ) -> PairedRun:
     """Integrate two initial states on a common grid with their separation."""
-    opts = replace(options or IntegrationOptions(), stop_on_convergence=False)
-    ta = integrate(mode, costs, cfg, box, x0, t_end, h, opts)
-    tb = integrate(mode, costs, cfg, box, y0, t_end, h, opts)
-    n = min(ta.times.size, tb.times.size)
-    sep = np.linalg.norm(ta.states[:n] - tb.states[:n], axis=1)
-    return PairedRun(first=ta, second=tb, times=ta.times[:n], separation=sep)
+    X = np.stack([hm._as_vector(x0, costs.p), hm._as_vector(y0, costs.p)])
+    ta, tb = _integrate(mode, costs, cfg, box, X, t_end, h, options, False)
+    sep = np.linalg.norm(ta.states - tb.states, axis=1)
+    return PairedRun(first=ta, second=tb, times=ta.times, separation=sep)
 
 
 def integrate_ensemble(
-    mode: ProjectedGradient,
+    mode: DynamicsMode,
     costs,
     cfg,
     box: Box,
@@ -1127,54 +1168,11 @@ def integrate_ensemble(
     h: float,
     options: IntegrationOptions | None = None,
 ) -> EnsembleResult:
-    """Projected-gradient integration of a batch of states.
+    """Integrate a batch of states (the rows of X0) to t_end under any law.
 
-    Same law, stepping core and nominal grid as :func:`integrate`; every
-    row has its own step size and error norm, so a row follows the steps
-    a single run from its state would take.  The box is enforced by
-    freezing faces at step starts and clipping, without event location.
-    Intended for ensemble studies (many interior initial states).
+    Each row takes the steps and events of a single :func:`integrate` run
+    from its state that does not stop on convergence.  Only the final
+    states and the R and Psi series on the nominal grid are kept.
     """
-    if not isinstance(mode, ProjectedGradient):
-        raise DomainError("ensemble integration supports projected gradient only")
-    _check_horizon(t_end, h)
-    opts = options or IntegrationOptions()
     X = hm._checked_state(np.array(X0, dtype=float, ndmin=2), costs.p)
-    for row in X:
-        if not box.contains(row, opts.boundary_tol):
-            raise DomainError(f"initial state {row.tolist()} outside the box")
-    X = box.clip(X)
-    fld = _PGField(mode, costs, cfg, box, opts)
-
-    times = _nominal_grid(t_end, h)
-    N = X.shape[0]
-    Rs = np.empty((N, times.size))
-    Ps = np.empty_like(Rs)
-    Rs[:, 0] = hm.resistance_lyapunov_vec(costs, cfg, X, mode.gradient_mode)
-    Ps[:, 0] = hm.imbalance_vec(costs, cfg, X)
-    G = fld.grad(X)
-    t = np.zeros(N)
-    H = _initial_step(fld, X, G, fld.regime(X, G), np.full(N, t_end))
-    next_row = np.ones(N, dtype=np.int64)
-    max_clip = 0.0
-
-    active = np.arange(N)
-    while active.size:
-        Y, t_a = X[active], t[active]
-        st = _ros_advance(fld, Y, G[active], fld.regime(Y, G[active]), H[active], t_end - t_a, t_a)
-        at_end = st.dt >= t_end - t_a
-        t_new = np.where(at_end, t_end, t_a + st.dt)
-        stop = np.where(at_end, times.size, np.searchsorted(times, t_new, side="right"))
-        which, k, Xr, clip = _grid_rows(box, times, t_a, Y, st, next_row[active], stop, np.ones(active.size))
-        max_clip = max(max_clip, clip)
-        Rs[active[which], k] = hm.resistance_lyapunov_vec(costs, cfg, Xr, mode.gradient_mode)
-        Ps[active[which], k] = hm.imbalance_vec(costs, cfg, Xr)
-        next_row[active] = np.maximum(stop, next_row[active])
-
-        X[active], G[active], clip = _settle(fld, st)
-        max_clip = max(max_clip, float(np.max(clip)))
-        t[active] = t_new
-        H[active] = st.h_next
-        active = active[~at_end]
-
-    return EnsembleResult(times=times, final_states=X, R_values=Rs, Psi_values=Ps, max_clip=max_clip)
+    return _integrate(mode, costs, cfg, box, X, t_end, h, options, False, keep=False)

@@ -131,7 +131,7 @@ def test_criterion_2_selection(selection_ensemble, boundary_layer_run):
     for idx in (0, 57):
         single = integrate(PG, COSTS, CFG, BOX, X0[idx], 8.0, 4e-3, opts)
         partial = integrate_ensemble(PG, COSTS, CFG, BOX, X0[idx][None, :], 8.0, 4e-3)
-        assert np.linalg.norm(partial.final_states[0] - single.final_state) <= 1e-9
+        assert np.array_equal(partial.final_states[0], single.final_state)
 
     mode, traj = boundary_layer_run
     assert np.linalg.norm(traj.final_state - X_STAR) <= 10.0 * mode.epsilon

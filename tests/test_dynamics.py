@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,12 +20,14 @@ from constructal import (
     velocity,
 )
 from constructal import hierarchy as hm
+from constructal.config import load_config
 from constructal.dynamics import slide_velocity
 from constructal.errors import DomainError, SingularSlidingError, StepFailureError
 
 from conftest import random_ladder
 
 GENERIC_X0 = np.array([1.3, 0.8, 0.3, 12.0, 20.0])
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def dissipation_violations(traj):
@@ -232,6 +236,19 @@ class TestTwoTrajectory:
         pair = two_trajectory_run(pg_mode, costs, cfg, box, x0, y0, 10.0, 1e-3)
         assert np.all(np.diff(pair.separation) <= 1e-12)
 
+    def test_rows_equal_single_runs(self):
+        # the canonical converge run: one two-row run, each row exactly
+        # the run of its state alone
+        rc = load_config(CONFIGS / "canonical.cfg")
+        pair = two_trajectory_run(rc.mode, rc.costs, rc.cfg, rc.box, rc.x0, rc.x1, rc.t_end, rc.h, rc.options)
+        opts = IntegrationOptions(stop_on_convergence=False)
+        for x, traj in ((rc.x0, pair.first), (rc.x1, pair.second)):
+            single = integrate(rc.mode, rc.costs, rc.cfg, rc.box, x, rc.t_end, rc.h, opts)
+            assert np.array_equal(traj.times, single.times)
+            assert np.array_equal(traj.states, single.states)
+            assert np.array_equal(traj.R_values, single.R_values)
+            assert traj.events == single.events
+
 
 class TestEnsemble:
     def test_matches_single_trajectory_integration(self, costs, cfg, box, pg_mode):
@@ -247,13 +264,37 @@ class TestEnsemble:
         for i in range(X0.shape[0]):
             single = integrate(pg_mode, costs, cfg, box, X0[i], 2.0, 1e-3, opts)
             assert np.array_equal(res.times, single.times)
-            assert np.linalg.norm(res.final_states[i] - single.final_state) <= 1e-9
+            assert np.array_equal(res.final_states[i], single.final_state)
 
-    def test_rejects_sign_descent(self, costs, cfg, box):
-        with pytest.raises(DomainError):
-            integrate_ensemble(
-                SignDescent(), costs, cfg, box, GENERIC_X0[None, :], 1.0, 1e-3
-            )
+    def test_equivalent_control_rows_reach_the_optimum(self, x_star):
+        rc = load_config(CONFIGS / "equivalent_control.cfg")
+        box = rc.box
+        X0 = (box.lo + np.random.default_rng(2024).random((100, box.dim)) * (box.hi - box.lo))[:20]
+        res = integrate_ensemble(rc.mode, rc.costs, rc.cfg, box, X0, 80.0, rc.h, rc.options)
+        assert np.max(np.abs(res.final_states - x_star.vector())) <= 1e-9
+        opts = IntegrationOptions(stop_on_convergence=False)
+        for i in (0, 17):  # row 17 takes steps that end past the n >= 1 face
+            single = integrate(rc.mode, rc.costs, rc.cfg, box, X0[i], 80.0, rc.h, opts)
+            assert np.array_equal(res.final_states[i], single.final_state)
+            assert np.array_equal(res.R_values[i], single.R_values)
+            assert np.array_equal(res.Psi_values[i], single.Psi_values)
+
+    def test_unsolvable_sliding_row_falls_back_alone(self, costs, cfg, box):
+        # a condition threshold below 1 rejects every sliding block: row 0
+        # reaches a manifold and continues on the boundary layer, row 1
+        # reaches none before t_end
+        mode = SignDescent(sliding="equivalent_control")
+        opts = IntegrationOptions(cond_threshold=0.5, stop_on_convergence=False)
+        X0 = np.array([GENERIC_X0, [3.0, 2.5, 2.5, 30.0, 40.0]])
+        res = integrate_ensemble(mode, costs, cfg, box, X0, 0.4, 1e-3, opts)
+        fallbacks = []
+        for i in range(2):
+            single = integrate(mode, costs, cfg, box, X0[i], 0.4, 1e-3, opts)
+            fallbacks.append(("SlideExit", -1) in [(e.kind, e.index) for e in single.events])
+            assert np.array_equal(res.final_states[i], single.final_state)
+            assert np.array_equal(res.R_values[i], single.R_values)
+            assert np.array_equal(res.Psi_values[i], single.Psi_values)
+        assert fallbacks == [True, False]
 
 
 class TestModeValidation:
