@@ -18,10 +18,10 @@ M y' = f(y) with a diagonal mass matrix M:
 Each law is one small class that owns ``regime`` (the frozen-regime
 field found at a state), ``monitors`` (the regime changes to watch over a
 step) and ``classify`` (the event a fired monitor stands for); the core
-sees nothing else of the law.  Projected gradient and the boundary layer
-form their regimes on whole (N, d) stacks; equivalent control forms its
-regime row by row, by the clamp-and-drop iteration of the Filippov
-condition.
+sees nothing else of the law.  Every law forms its regimes on whole
+(N, d) stacks; equivalent control runs the clamp-and-drop iteration of
+the Filippov condition on all rows at once, solving together the rows
+that share a sliding set.
 
 Coordinates held on a box face have zero velocity.  Projected gradient
 is stiff near the optimum (Jacobian eigenvalues from 0.5 to 1024 on the
@@ -232,68 +232,73 @@ class EnsembleResult:
 
 
 # ---------------------------------------------------------------------------
-# equivalent-control sliding solves
+# equivalent-control sliding solves on (n, d) stacks
 # ---------------------------------------------------------------------------
 
-def _slide_solve(
-    mode: SignDescent,
-    costs,
-    cfg,
-    x: np.ndarray,
-    S: list[int],
-    v_ext: np.ndarray,
-    opts: IntegrationOptions,
-    check_cond: bool = False,
-) -> np.ndarray:
-    """Solve the sliding system on the active set S with externals frozen."""
-    H = hm.grad_jacobian(costs, cfg, x, mode.gradient_mode)
-    in_S = np.zeros(x.size, dtype=bool)
-    in_S[S] = True
-    A = H[S][:, S]
-    if check_cond and np.linalg.cond(A) > opts.cond_threshold:
-        raise SingularSlidingError(
-            f"sliding block on coordinates {S} has condition number beyond "
-            f"{opts.cond_threshold:g}"
-        )
-    rhs = -(H[S][:, ~in_S] @ v_ext[~in_S]) if len(S) < x.size else np.zeros(len(S))
-    try:
-        return np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSlidingError(f"sliding block on coordinates {S} is singular") from exc
+def _solve_blocks(H: np.ndarray, S: np.ndarray, B: np.ndarray, cond_max: float | None = None):
+    """Solve H_SS z_S = B_S on each row of the stacks H (n, d, d), S (n, d)
+    masks and B (n, d), together for the rows that share a set.
 
-
-def _slide_iterate(
-    mode: SignDescent,
-    costs,
-    cfg,
-    x: np.ndarray,
-    S0: list[int],
-    signs: np.ndarray,
-    gains: np.ndarray,
-    opts: IntegrationOptions,
-):
-    """Clamp-and-drop iteration of the Filippov sliding condition.
-
-    Returns (velocity, surviving set, drop directions) where drop
-    directions record the saturated sign for coordinates expelled from S.
+    Returns z (zero off S) and the (n,) mask of rows left unsolved because
+    their block's condition number is beyond ``cond_max``.  An exactly
+    singular block raises SingularSlidingError.
     """
-    S = sorted(S0)
-    v = -gains * signs
-    dropped: dict[int, int] = {}
-    while S:
-        vS = _slide_solve(mode, costs, cfg, x, S, v, opts, check_cond=True)
-        over = np.abs(vS) / gains[S]
-        worst = int(np.argmax(over))
-        if over[worst] <= 1.0 + 1e-12:
-            for idx, j in enumerate(S):
-                v[j] = vS[idx]
-            return v, S, dropped
-        j = S[worst]
-        direction = 1 if vS[worst] > 0 else -1
-        v[j] = direction * gains[j]
-        dropped[j] = direction
-        S.pop(worst)
-    return v, S, dropped
+    Z = np.zeros_like(B)
+    ill = np.zeros(len(B), dtype=bool)
+    for pattern in np.unique(S, axis=0):
+        s = np.flatnonzero(pattern)
+        rows = np.flatnonzero(np.all(S == pattern, axis=1))
+        if cond_max is not None:
+            ill[rows] = np.linalg.cond(H[np.ix_(rows, s, s)]) > cond_max
+            rows = rows[~ill[rows]]
+        try:
+            Z[np.ix_(rows, s)] = np.linalg.solve(H[np.ix_(rows, s, s)], B[np.ix_(rows, s)][..., None])[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise SingularSlidingError(f"sliding block on coordinates {s.tolist()} is singular") from exc
+    return Z, ill
+
+
+def _equivalent_control(H: np.ndarray, S: np.ndarray, V: np.ndarray, cond_max: float | None = None):
+    """V with the sliding coordinates S of each row set to the equivalent
+    control -H_SS^-1 H_S,ext V_ext, and the rows left unsolved (see
+    :func:`_solve_blocks`)."""
+    B = np.zeros_like(V)
+    for i in np.flatnonzero(S.any(axis=1) & ~S.all(axis=1)):
+        # one product per row: a stacked matmul takes other BLAS kernels,
+        # whose sums round differently
+        B[i, S[i]] = -(H[i][S[i]][:, ~S[i]] @ V[i, ~S[i]])
+    Z, ill = _solve_blocks(H, S, B, cond_max)
+    return np.where(S, Z, V), ill
+
+
+def _clamp_and_drop(H: np.ndarray, S: np.ndarray, signs: np.ndarray, gains: np.ndarray, cond_max: float):
+    """Clamp-and-drop iteration of the Filippov sliding condition on the
+    rows of (n, d) stacks: each sliding set S is solved for its equivalent
+    control and, while a component exceeds its gain, the most saturated
+    coordinate leaves S at its saturated velocity.
+
+    Returns (velocities, unsolvable) and updates S and signs in place: an
+    expelled coordinate gets the sign that makes -gain*sign its velocity.
+    ``unsolvable`` marks the rows whose sliding block has a condition
+    number beyond ``cond_max``.
+    """
+    V = -gains * signs
+    unsolvable = np.zeros(len(S), dtype=bool)
+    live = np.flatnonzero(S.any(axis=1))
+    while live.size:
+        Vl, ill = _equivalent_control(H[live], S[live], V[live], cond_max)
+        over = np.where(S[live], np.abs(Vl) / gains, -np.inf)
+        j = np.argmax(over, axis=1)
+        done = (over[np.arange(live.size), j] <= 1.0 + 1e-12) | ill
+        unsolvable[live[ill]] = True
+        V[live[done]] = Vl[done]
+        rows, j = live[~done], j[~done]
+        direction = np.where(Vl[~done, j] > 0.0, 1.0, -1.0)
+        V[rows, j] = direction * gains[j]
+        signs[rows, j] = -direction
+        S[rows, j] = False
+        live = rows[S[rows].any(axis=1)]
+    return V, unsolvable
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +354,8 @@ class _Monitor(NamedTuple):
 class _Field:
     """Model access and the frozen-regime field shared by the three laws;
     each law adds its ``regime`` and may extend ``monitors`` and ``classify``.
+    ``regime(Y, G)`` returns the frozen regime of each row of the stack Y
+    and the (N,) mask of rows whose regime cannot be formed.
 
     A coordinate is held on a box face for a whole step when it starts the
     step on the face with an outward velocity (:func:`cones.outward`).
@@ -426,10 +433,11 @@ class _PGField(_Field):
         super().__init__(mode, costs, cfg, box, opts, mode.mobility_vector(box.dim))
         self.neg_mob = -self.scale
 
-    def regime(self, Y: np.ndarray, G: np.ndarray) -> _Frozen:
+    def regime(self, Y: np.ndarray, G: np.ndarray) -> tuple[_Frozen, np.ndarray]:
         frozen = outward(self.box, Y, self.neg_mob * G, self.opts.boundary_tol)
         zeros = np.zeros_like(Y)
-        return _Frozen(frozen, ~frozen, np.zeros_like(frozen), zeros, self.neg_mob[None], zeros)
+        fz = _Frozen(frozen, ~frozen, np.zeros_like(frozen), zeros, self.neg_mob[None], zeros)
+        return fz, np.zeros(len(Y), dtype=bool)
 
     def may_change(self, Y1: np.ndarray, fz: _Frozen) -> np.ndarray:
         """Only face monitors here: rows with a face-held coordinate, or
@@ -446,13 +454,13 @@ class _LayerField(_Field):
         super().__init__(mode, costs, cfg, box, opts, mode.gains(costs.p))
         self.coef = (-self.scale / mode.epsilon)[None]
 
-    def regime(self, Y: np.ndarray, G: np.ndarray) -> _Frozen:
+    def regime(self, Y: np.ndarray, G: np.ndarray) -> tuple[_Frozen, np.ndarray]:
         eps = self.mode.epsilon
         sliding = np.abs(G) <= eps
         signs = np.sign(np.where(sliding, 0.0, G))
         frozen = outward(self.box, Y, -self.scale * np.clip(G / eps, -1.0, 1.0), self.opts.boundary_tol)
         const = np.where(frozen, 0.0, -self.scale * signs)
-        return _Frozen(frozen, sliding & ~frozen, sliding, signs, self.coef, const)
+        return _Frozen(frozen, sliding & ~frozen, sliding, signs, self.coef, const), np.zeros(len(Y), dtype=bool)
 
     def monitors(self, y0: np.ndarray, y1: np.ndarray, fz: _Frozen) -> list[_Monitor]:
         """Face monitors plus layer exit (inside) and entry (saturated)."""
@@ -475,9 +483,10 @@ class _SlideField(_Field):
 
     with Jacobian rows [0; H_S,:].  Its velocity on S is the equivalent
     control -H_SS^-1 H_S,ext x_ext'.  The regime of each row is formed by
-    the clamp-and-drop iteration of the Filippov condition.  A row whose
-    sliding block is too ill-conditioned to solve hands its step to the
-    boundary-layer field (``fallback``).
+    the clamp-and-drop iteration of the Filippov condition
+    (:func:`_clamp_and_drop`).  A row whose sliding block is too
+    ill-conditioned to solve hands its step to the boundary-layer field
+    (``fallback``).
     """
 
     def __init__(self, mode: SignDescent, costs, cfg, box: Box, opts: IntegrationOptions):
@@ -485,35 +494,22 @@ class _SlideField(_Field):
         self.fallback = _LayerField(replace(mode, sliding=BOUNDARY_LAYER), costs, cfg, box, opts)
         self.coef = np.ones((1, box.dim))
 
-    def regime(self, Y: np.ndarray, G: np.ndarray) -> _Frozen:
-        """Raises SingularSlidingError if the sliding block of a row cannot
-        be solved."""
+    def regime(self, Y: np.ndarray, G: np.ndarray) -> tuple[_Frozen, np.ndarray]:
         sliding = np.abs(G) <= self.opts.switch_tol
         signs = np.where(sliding, 0.0, np.sign(G))
-        V = -self.scale * signs
-        for i in np.flatnonzero(sliding.any(axis=1)):
-            S0 = [int(j) for j in np.flatnonzero(sliding[i])]
-            V[i], S, dropped = _slide_iterate(self.mode, self.costs, self.cfg, Y[i], S0, signs[i], self.scale, self.opts)
-            sliding[i] = False
-            sliding[i, S] = True
-            for j, direction in dropped.items():
-                signs[i, j] = -direction  # so that -gain*sign reproduces the escape velocity
+        H = hm.grad_jacobian(self.costs, self.cfg, Y, self.gmode)
+        V, unsolvable = _clamp_and_drop(H, sliding, signs, self.scale, self.opts.cond_threshold)
         frozen = outward(self.box, Y, V, self.opts.boundary_tol)
         active = sliding & ~frozen
         const = np.where(frozen, 0.0, -self.scale * signs)
-        return _Frozen(frozen, active, sliding, signs, self.coef, const, np.where(active, 0.0, 1.0))
+        return _Frozen(frozen, active, sliding, signs, self.coef, const, np.where(active, 0.0, 1.0)), unsolvable
 
     def velocity(self, Y: np.ndarray, G, fz: _Frozen) -> np.ndarray:
-        V = fz.const.copy()
-        for i in np.flatnonzero(fz.active.any(axis=1)):
-            S = np.flatnonzero(fz.active[i]).tolist()
-            V[i, S] = _slide_solve(self.mode, self.costs, self.cfg, Y[i], S, V[i], self.opts)
-        return V
+        return _equivalent_control(hm.grad_jacobian(self.costs, self.cfg, Y, self.gmode), fz.active, fz.const)[0]
 
     def project(self, Y: np.ndarray, active: np.ndarray, tol: float) -> np.ndarray:
         """One Newton correction delta_S = -H_SS^-1 d_S R on the rows of Y
-        whose sliding coordinates are off their manifolds by more than tol,
-        solved together for the rows that share a sliding set S."""
+        whose sliding coordinates are off their manifolds by more than tol."""
         if not active.any():
             return Y
         G = self.grad(Y)
@@ -521,15 +517,8 @@ class _SlideField(_Field):
         if not off.any():
             return Y
         Y = Y.copy()
-        for pattern in np.unique(active[off], axis=0):
-            S = np.flatnonzero(pattern)
-            rows = np.flatnonzero(off & np.all(active == pattern, axis=1))
-            H = hm.grad_jacobian(self.costs, self.cfg, Y[rows], self.gmode)
-            try:
-                delta = np.linalg.solve(H[:, S][:, :, S], G[rows][:, S][..., None])[..., 0]
-            except np.linalg.LinAlgError as exc:
-                raise SingularSlidingError(f"sliding block on coordinates {S.tolist()} is singular") from exc
-            Y[np.ix_(rows, S)] -= delta
+        H = hm.grad_jacobian(self.costs, self.cfg, Y[off], self.gmode)
+        Y[off] -= _solve_blocks(H, active[off], G[off])[0]
         return Y
 
     def monitors(self, y0: np.ndarray, y1: np.ndarray, fz: _Frozen) -> list[_Monitor]:
@@ -560,11 +549,8 @@ class _SlideField(_Field):
             # sliding entry iff the Filippov condition accepts the coordinate;
             # an unsolvable block counts as entry and the next step falls back
             y = x_e[None]
-            try:
-                sliding = self.regime(y, self.grad(y)).sliding[0]
-            except SingularSlidingError:
-                return SLIDE_ENTER, int(j)
-            return (SLIDE_ENTER if sliding[j] else SWITCH_CROSS), int(j)
+            at, unsolvable = self.regime(y, self.grad(y))
+            return (SLIDE_ENTER if unsolvable[0] or at.sliding[0, j] else SWITCH_CROSS), int(j)
         return label, int(j)
 
 
@@ -601,7 +587,9 @@ def velocity(mode: DynamicsMode, costs, cfg, box: Box, x, options: IntegrationOp
     Y = xv[None]
     fld = _start(mode, costs, cfg, box, Y, options)
     G = fld.grad(Y)
-    fz = fld.regime(Y, G)
+    fz, unsolvable = fld.regime(Y, G)
+    if unsolvable[0]:
+        raise SingularSlidingError(f"sliding block beyond condition number {fld.opts.cond_threshold:g}")
     v = fld.velocity(Y, G, fz)[0]
     held = fz.frozen[0]
     lower = held & (xv <= box.lo + fld.opts.boundary_tol)
@@ -620,12 +608,19 @@ def slide_velocity(mode: SignDescent, costs, cfg, x, active_set, options: Integr
     if not isinstance(mode, SignDescent) or mode.sliding != EQUIVALENT_CONTROL:
         raise DomainError("slide_velocity requires SignDescent with equivalent control")
     opts = options or IntegrationOptions()
-    xv = hm._as_vector(x, costs.p)
-    g = hm.gradient_vec(costs, cfg, xv, mode.gradient_mode)
-    S0 = [int(j) for j in active_set]
-    signs = np.where(np.abs(g) <= opts.switch_tol, 0, np.sign(g)).astype(int)
-    v, _, _ = _slide_iterate(mode, costs, cfg, xv, S0, signs, mode.gains(costs.p), opts)
-    return v
+    Y = hm._as_vector(x, costs.p)[None]
+    d = Y.shape[1]
+    idx = [int(j) for j in active_set]
+    if not all(0 <= j < d for j in idx):
+        raise DomainError(f"active set {idx} has an index outside 0..{d - 1}")
+    S = np.isin(np.arange(d), idx)[None]
+    G = hm.gradient_vec(costs, cfg, Y, mode.gradient_mode)
+    H = hm.grad_jacobian(costs, cfg, Y, mode.gradient_mode)
+    signs = np.where(np.abs(G) <= opts.switch_tol, 0.0, np.sign(G))
+    V, unsolvable = _clamp_and_drop(H, S, signs, mode.gains(costs.p), opts.cond_threshold)
+    if unsolvable[0]:
+        raise SingularSlidingError(f"sliding block beyond condition number {opts.cond_threshold:g}")
+    return V[0]
 
 
 # ---------------------------------------------------------------------------
@@ -947,15 +942,15 @@ def _first_converged(fld: _Field, X: np.ndarray, psi: np.ndarray):
 
 def _regimes(fld: _Field, rows: np.ndarray, Y: np.ndarray, G: np.ndarray):
     """Frozen regimes of the run rows ``rows`` at states Y as a list of
-    (field, rows, regime) groups: a row whose sliding block cannot be
-    solved goes to the fallback field, in a group of its own."""
-    try:
-        return [(fld, rows, fld.regime(Y, G))]
-    except SingularSlidingError:
-        if rows.size == 1:
-            return [(fld.fallback, rows, fld.fallback.regime(Y, G))]
-    half = rows.size // 2
-    return _regimes(fld, rows[:half], Y[:half], G[:half]) + _regimes(fld, rows[half:], Y[half:], G[half:])
+    (field, rows, regime) groups: the rows whose sliding block cannot be
+    solved go to the fallback field as one group."""
+    fz, unsolvable = fld.regime(Y, G)
+    if not unsolvable.any():
+        return [(fld, rows, fz)]
+    groups = [(fld.fallback, rows[unsolvable], fld.fallback.regime(Y[unsolvable], G[unsolvable])[0])]
+    if not unsolvable.all():
+        groups.append((fld, rows[~unsolvable], fz.take(~unsolvable)))
+    return groups
 
 
 def _run(fld: _Field, X: np.ndarray, t_end: float, h: float, stop: bool, keep: bool):
