@@ -235,13 +235,18 @@ class EnsembleResult:
 # equivalent-control sliding solves on (n, d) stacks
 # ---------------------------------------------------------------------------
 
-def _solve_blocks(H: np.ndarray, S: np.ndarray, B: np.ndarray, cond_max: float | None = None):
-    """Solve H_SS z_S = B_S on each row of the stacks H (n, d, d), S (n, d)
-    masks and B (n, d), together for the rows that share a set.
+def _on_manifold(G: np.ndarray, H: np.ndarray, tol: float) -> np.ndarray:
+    """Coordinates on their switching manifolds, |d_j R| <= tol max(1, H_jj):
+    scaled by the curvature, the test holds somewhere even where one ulp of
+    x_j moves d_j R by more than tol."""
+    return np.abs(G) <= tol * np.maximum(1.0, np.diagonal(H, axis1=-2, axis2=-1))
 
-    Returns z (zero off S) and the (n,) mask of rows left unsolved because
-    their block's condition number is beyond ``cond_max``.  An exactly
-    singular block raises SingularSlidingError.
+
+def _solve_blocks(H: np.ndarray, S: np.ndarray, B: np.ndarray, cond_max: float | None = None):
+    """Solve H_SS z_S = B_S on each row of the stacks H, S and B, together
+    for the rows that share a set S.  Returns z (zero off S) and the (n,)
+    mask of rows left unsolved because their block's condition number is
+    beyond ``cond_max``; an exactly singular block raises SingularSlidingError.
     """
     Z = np.zeros_like(B)
     ill = np.zeros(len(B), dtype=bool)
@@ -275,12 +280,9 @@ def _clamp_and_drop(H: np.ndarray, S: np.ndarray, signs: np.ndarray, gains: np.n
     """Clamp-and-drop iteration of the Filippov sliding condition on the
     rows of (n, d) stacks: each sliding set S is solved for its equivalent
     control and, while a component exceeds its gain, the most saturated
-    coordinate leaves S at its saturated velocity.
-
-    Returns (velocities, unsolvable) and updates S and signs in place: an
-    expelled coordinate gets the sign that makes -gain*sign its velocity.
-    ``unsolvable`` marks the rows whose sliding block has a condition
-    number beyond ``cond_max``.
+    coordinate leaves S at its saturated velocity (its sign is set so that
+    -gain*sign is that velocity).  Updates S and signs in place and returns
+    the velocities and the mask of rows whose block is beyond ``cond_max``.
     """
     V = -gains * signs
     unsolvable = np.zeros(len(S), dtype=bool)
@@ -495,9 +497,9 @@ class _SlideField(_Field):
         self.coef = np.ones((1, box.dim))
 
     def regime(self, Y: np.ndarray, G: np.ndarray) -> tuple[_Frozen, np.ndarray]:
-        sliding = np.abs(G) <= self.opts.switch_tol
-        signs = np.where(sliding, 0.0, np.sign(G))
         H = hm.grad_jacobian(self.costs, self.cfg, Y, self.gmode)
+        sliding = _on_manifold(G, H, self.opts.switch_tol)
+        signs = np.where(sliding, 0.0, np.sign(G))
         V, unsolvable = _clamp_and_drop(H, sliding, signs, self.scale, self.opts.cond_threshold)
         frozen = outward(self.box, Y, V, self.opts.boundary_tol)
         active = sliding & ~frozen
@@ -599,7 +601,8 @@ def velocity(mode: DynamicsMode, costs, cfg, box: Box, x, options: IntegrationOp
 
 
 def slide_velocity(mode: SignDescent, costs, cfg, x, active_set, options: IntegrationOptions | None = None) -> np.ndarray:
-    """Equivalent-control sliding velocity on the given active set.
+    """Equivalent-control sliding velocity on the given active set of
+    coordinate indices in 0..d-1 (a repeated index counts once).
 
     External coordinates keep their sign-descent values; solved components
     are clamped to the gain bounds and the set shrinks when the Filippov
@@ -616,7 +619,7 @@ def slide_velocity(mode: SignDescent, costs, cfg, x, active_set, options: Integr
     S = np.isin(np.arange(d), idx)[None]
     G = hm.gradient_vec(costs, cfg, Y, mode.gradient_mode)
     H = hm.grad_jacobian(costs, cfg, Y, mode.gradient_mode)
-    signs = np.where(np.abs(G) <= opts.switch_tol, 0.0, np.sign(G))
+    signs = np.where(_on_manifold(G, H, opts.switch_tol), 0.0, np.sign(G))
     V, unsolvable = _clamp_and_drop(H, S, signs, mode.gains(costs.p), opts.cond_threshold)
     if unsolvable[0]:
         raise SingularSlidingError(f"sliding block beyond condition number {opts.cond_threshold:g}")
