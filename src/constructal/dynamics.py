@@ -242,38 +242,34 @@ def _on_manifold(G: np.ndarray, H: np.ndarray, tol: float) -> np.ndarray:
     return np.abs(G) <= tol * np.maximum(1.0, np.diagonal(H, axis1=-2, axis2=-1))
 
 
-def _solve_blocks(H: np.ndarray, S: np.ndarray, B: np.ndarray, cond_max: float | None = None):
-    """Solve H_SS z_S = B_S on each row of the stacks H, S and B, together
-    for the rows that share a set S.  Returns z (zero off S) and the (n,)
-    mask of rows left unsolved because their block's condition number is
-    beyond ``cond_max``; an exactly singular block raises SingularSlidingError.
-    """
-    Z = np.zeros_like(B)
-    ill = np.zeros(len(B), dtype=bool)
+def _groups(S: np.ndarray):
+    """(set, rows) of each distinct row of the (n, d) mask S."""
     for pattern in np.unique(S, axis=0):
-        s = np.flatnonzero(pattern)
-        rows = np.flatnonzero(np.all(S == pattern, axis=1))
-        if cond_max is not None:
-            ill[rows] = np.linalg.cond(H[np.ix_(rows, s, s)]) > cond_max
-            rows = rows[~ill[rows]]
+        yield np.flatnonzero(pattern), np.flatnonzero(np.all(S == pattern, axis=1))
+
+
+def _solve_blocks(H: np.ndarray, S: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """z with H_SS z_S = B_S and zero off S on each row of the stacks H, S
+    and B, solved together for the rows that share a set S.  An exactly
+    singular block raises SingularSlidingError."""
+    Z = np.zeros_like(B)
+    for s, rows in _groups(S):
         try:
             Z[np.ix_(rows, s)] = np.linalg.solve(H[np.ix_(rows, s, s)], B[np.ix_(rows, s)][..., None])[..., 0]
         except np.linalg.LinAlgError as exc:
             raise SingularSlidingError(f"sliding block on coordinates {s.tolist()} is singular") from exc
-    return Z, ill
+    return Z
 
 
-def _equivalent_control(H: np.ndarray, S: np.ndarray, V: np.ndarray, cond_max: float | None = None):
+def _equivalent_control(H: np.ndarray, S: np.ndarray, V: np.ndarray) -> np.ndarray:
     """V with the sliding coordinates S of each row set to the equivalent
-    control -H_SS^-1 H_S,ext V_ext, and the rows left unsolved (see
-    :func:`_solve_blocks`)."""
+    control -H_SS^-1 H_S,ext V_ext."""
     B = np.zeros_like(V)
     for i in np.flatnonzero(S.any(axis=1) & ~S.all(axis=1)):
         # one product per row: a stacked matmul takes other BLAS kernels,
         # whose sums round differently
         B[i, S[i]] = -(H[i][S[i]][:, ~S[i]] @ V[i, ~S[i]])
-    Z, ill = _solve_blocks(H, S, B, cond_max)
-    return np.where(S, Z, V), ill
+    return np.where(S, _solve_blocks(H, S, B), V)
 
 
 def _clamp_and_drop(H: np.ndarray, S: np.ndarray, signs: np.ndarray, gains: np.ndarray, cond_max: float):
@@ -282,17 +278,20 @@ def _clamp_and_drop(H: np.ndarray, S: np.ndarray, signs: np.ndarray, gains: np.n
     control and, while a component exceeds its gain, the most saturated
     coordinate leaves S at its saturated velocity (its sign is set so that
     -gain*sign is that velocity).  Updates S and signs in place and returns
-    the velocities and the mask of rows whose block is beyond ``cond_max``.
+    the velocities and the mask of rows left unsolvable, with a block whose
+    condition number is beyond ``cond_max``.
     """
     V = -gains * signs
     unsolvable = np.zeros(len(S), dtype=bool)
     live = np.flatnonzero(S.any(axis=1))
     while live.size:
-        Vl, ill = _equivalent_control(H[live], S[live], V[live], cond_max)
+        for s, rows in _groups(S[live]):
+            unsolvable[live[rows]] = np.linalg.cond(H[np.ix_(live[rows], s, s)]) > cond_max
+        live = live[~unsolvable[live]]
+        Vl = _equivalent_control(H[live], S[live], V[live])
         over = np.where(S[live], np.abs(Vl) / gains, -np.inf)
         j = np.argmax(over, axis=1)
-        done = (over[np.arange(live.size), j] <= 1.0 + 1e-12) | ill
-        unsolvable[live[ill]] = True
+        done = over[np.arange(live.size), j] <= 1.0 + 1e-12
         V[live[done]] = Vl[done]
         rows, j = live[~done], j[~done]
         direction = np.where(Vl[~done, j] > 0.0, 1.0, -1.0)
@@ -507,7 +506,7 @@ class _SlideField(_Field):
         return _Frozen(frozen, active, sliding, signs, self.coef, const, np.where(active, 0.0, 1.0)), unsolvable
 
     def velocity(self, Y: np.ndarray, G, fz: _Frozen) -> np.ndarray:
-        return _equivalent_control(hm.grad_jacobian(self.costs, self.cfg, Y, self.gmode), fz.active, fz.const)[0]
+        return _equivalent_control(hm.grad_jacobian(self.costs, self.cfg, Y, self.gmode), fz.active, fz.const)
 
     def project(self, Y: np.ndarray, active: np.ndarray, tol: float) -> np.ndarray:
         """One Newton correction delta_S = -H_SS^-1 d_S R on the rows of Y
@@ -520,7 +519,7 @@ class _SlideField(_Field):
             return Y
         Y = Y.copy()
         H = hm.grad_jacobian(self.costs, self.cfg, Y[off], self.gmode)
-        Y[off] -= _solve_blocks(H, active[off], G[off])[0]
+        Y[off] -= _solve_blocks(H, active[off], G[off])
         return Y
 
     def monitors(self, y0: np.ndarray, y1: np.ndarray, fz: _Frozen) -> list[_Monitor]:

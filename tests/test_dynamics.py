@@ -509,8 +509,9 @@ class TestSlidingCore:
 
     @pytest.mark.parametrize("p", range(1, 9))
     def test_equivalent_control_on_halving_ladders(self, p):
-        # deep ladders have stiff manifolds (H_jj up to 1e8 and beyond), on
-        # which one ulp of x_j moves d_j R by more than tol.switch
+        # deep ladders have stiff manifolds (H_jj at x* reaches 1e6 at p = 5
+        # and 3e10 at p = 8), on which one ulp of x_j moves d_j R by more
+        # than tol.switch
         costs = TransportCosts(K=tuple(0.5 ** i for i in range(p + 1)))
         cfg = AssemblyConfig.bejan(costs)
         box = state_box(costs, cfg)
