@@ -143,7 +143,7 @@ class DissipationReport:
     violations: int
     psi_integral: float
     r_final: float
-    r_gap: float | None
+    r_gap: float
     samples: int
 
 
@@ -173,10 +173,9 @@ def certify_contraction(
     recorded so the certificate is reproducible; the sampler is ``_sobol``,
     in-tree NumPy that draws the same points as ``scipy.stats.qmc.Sobol``.
 
-    ``subbox`` may be a Box or an (lo, hi) pair of arrays; degenerate
-    intervals (lo == hi, pinning a coordinate) are allowed.  By default
-    the sub-box spans +/- rel_halfwidth around the optimum, clipped to
-    the admissible box.
+    ``subbox`` is an (lo, hi) pair of arrays; degenerate intervals (lo ==
+    hi, pinning a coordinate) are allowed.  By default the sub-box spans
+    +/- rel_halfwidth around the optimum, clipped to the admissible box.
     """
     if not isinstance(mode, ProjectedGradient):
         raise DomainError("certification requires the projected-gradient mode")
@@ -187,8 +186,6 @@ def certify_contraction(
         half = rel_halfwidth * np.abs(x_opt)
         lo = np.maximum(box.lo, x_opt - half)
         hi = np.minimum(box.hi, x_opt + half)
-    elif isinstance(subbox, Box):
-        lo, hi = subbox.lo, subbox.hi
     else:
         lo = np.asarray(subbox[0], dtype=float)
         hi = np.asarray(subbox[1], dtype=float)
@@ -235,7 +232,7 @@ def structural_bound(mode: ProjectedGradient, costs, cfg, x, L_M: float) -> floa
     return -m * lam_min + 0.5 * L_M * float(np.linalg.norm(g))
 
 
-def dissipation_report(traj: Trajectory, r_star: float | None = None) -> DissipationReport:
+def dissipation_report(traj: Trajectory, r_star: float) -> DissipationReport:
     """Per-interval dissipation audit of a trajectory.
 
     alpha_hat is the smallest observed (-dR/dt)/Psi over intervals with
@@ -255,22 +252,21 @@ def dissipation_report(traj: Trajectory, r_star: float | None = None) -> Dissipa
     mask = Psi[:-1] >= PSI_FLOOR
     alpha_hat = float(np.min(rates[mask] / Psi[:-1][mask])) if np.any(mask) else math.inf
     psi_integral = float(np.trapezoid(Psi, t))
-    r_gap = abs(float(R[-1]) - r_star) if r_star is not None else None
     return DissipationReport(
         alpha_hat=alpha_hat,
         violations=violations,
         psi_integral=psi_integral,
         r_final=float(R[-1]),
-        r_gap=r_gap,
+        r_gap=abs(float(R[-1]) - r_star),
         samples=int(t.size),
     )
 
 
-def fit_rate(times, values, transient_fraction: float = 0.1) -> ConvergenceFit:
+def fit_rate(times, values) -> ConvergenceFit:
     """Log-linear decay fit on the post-transient window.
 
     Fits log(values) ~ intercept + slope * t on strictly positive samples
-    after dropping the first ``transient_fraction`` of the series; returns
+    after dropping the first tenth of the series; returns
     rate = -slope, prefactor = exp(intercept)/values[0] and the fit's R^2.
     """
     t = np.asarray(times, dtype=float).ravel()
@@ -279,7 +275,7 @@ def fit_rate(times, values, transient_fraction: float = 0.1) -> ConvergenceFit:
         raise DomainError("times and values must be equal-length, nonempty")
     if not np.any(v > 1e-14):
         raise DegenerateFitError("all values below 1e-14; nothing to fit")
-    start = int(math.ceil(transient_fraction * t.size))
+    start = int(math.ceil(0.1 * t.size))
     tw, vw = t[start:], v[start:]
     keep = vw > 1e-14
     tw, vw = tw[keep], vw[keep]
@@ -303,14 +299,14 @@ def fit_rate(times, values, transient_fraction: float = 0.1) -> ConvergenceFit:
     )
 
 
-def golden_section(f, a: float, b: float, tol: float = 1e-10, max_iter: int = 200) -> float:
-    """Minimize a unimodal scalar function on [a, b] to interval width tol."""
+def golden_section(f, a: float, b: float) -> float:
+    """Minimize a unimodal scalar function on [a, b] to interval width 1e-10."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
     f1, f2 = f(x1), f(x2)
-    for _ in range(max_iter):
-        if b - a <= tol:
+    for _ in range(200):
+        if b - a <= 1e-10:
             break
         if f1 > f2:
             a, x1, f1 = x1, x2, f2
@@ -323,7 +319,8 @@ def golden_section(f, a: float, b: float, tol: float = 1e-10, max_iter: int = 20
     return 0.5 * (a + b)
 
 
-def _bisect_root(f, a: float, b: float, tol: float = 1e-12, max_iter: int = 200) -> float:
+def _bisect_root(f, a: float, b: float) -> float:
+    """Root of f bracketed by [a, b], to interval width 1e-12."""
     fa, fb = f(a), f(b)
     if fa == 0.0:
         return a
@@ -331,10 +328,10 @@ def _bisect_root(f, a: float, b: float, tol: float = 1e-12, max_iter: int = 200)
         return b
     if (fa > 0) == (fb > 0):
         raise DomainError("root not bracketed")
-    for _ in range(max_iter):
+    for _ in range(200):
         m = 0.5 * (a + b)
         fm = f(m)
-        if abs(fm) == 0.0 or b - a <= tol:
+        if abs(fm) == 0.0 or b - a <= 1e-12:
             return m
         if (fm > 0) == (fa > 0):
             a, fa = m, fm
@@ -343,13 +340,13 @@ def _bisect_root(f, a: float, b: float, tol: float = 1e-12, max_iter: int = 200)
     return 0.5 * (a + b)
 
 
-def grid_oracle(costs, cfg, grid_points: int = 100_000) -> OracleTable:
+def grid_oracle(costs, cfg) -> OracleTable:
     """Search-based verification of the analytic optima.
 
     Branching numbers come from a bisection root of the penalty gradient
     (cross-checked against a golden-section minimization of the penalty);
-    aspect ratios from a dense grid plus golden-section refinement of the
-    per-level cost.  No analytic minimizer formulas are consulted.
+    aspect ratios from a 100,000-point grid plus golden-section refinement
+    of the per-level cost.  No analytic minimizer formulas are consulted.
     """
     p = costs.p
     kappa = np.asarray(cfg.kappa)
@@ -359,7 +356,7 @@ def grid_oracle(costs, cfg, grid_points: int = 100_000) -> OracleTable:
         g = lambda v, i=i: kappa[i] * (v - n_centers[i])
         root = _bisect_root(g, 1.0, cfg.n_hi)
         pen = lambda v, i=i: 0.5 * kappa[i] * (v - n_centers[i]) ** 2
-        check = golden_section(pen, 1.0, cfg.n_hi, tol=1e-10)
+        check = golden_section(pen, 1.0, cfg.n_hi)
         if abs(root - check) > 1e-6 * max(1.0, abs(root)):
             raise DomainError(
                 f"branching oracle mismatch at level {i + 2}: {root} vs {check}"
@@ -368,7 +365,7 @@ def grid_oracle(costs, cfg, grid_points: int = 100_000) -> OracleTable:
     n_loc = np.asarray(n_loc)
 
     A = hm.areas_from_n(cfg, n_loc)
-    grid = np.linspace(cfg.r_lo, cfg.r_hi, grid_points)
+    grid = np.linspace(cfg.r_lo, cfg.r_hi, 100_000)
     K = costs.as_array()
     alpha = np.asarray(cfg.alpha)
     beta = np.asarray(cfg.beta)
@@ -380,9 +377,9 @@ def grid_oracle(costs, cfg, grid_points: int = 100_000) -> OracleTable:
         )
         k = int(np.argmin(vals))
         lo = grid[max(0, k - 1)]
-        hi = grid[min(grid_points - 1, k + 1)]
+        hi = grid[min(grid.size - 1, k + 1)]
         f = lambda r, i=i: hm.level_cost(costs, cfg, i, float(A[i - 1]), r)
-        r_best = golden_section(f, lo, hi, tol=1e-10)
+        r_best = golden_section(f, lo, hi)
         r_loc.append(r_best)
         costs_min.append(f(r_best))
     return OracleTable(

@@ -83,6 +83,9 @@ SLIDE_EXIT = "SlideExit"
 BOUNDARY_CONTACT = "BoundaryContact"
 BOUNDARY_RELEASE = "BoundaryRelease"
 
+_COND_MAX = 1e12  # a sliding block beyond this condition number steps on the boundary layer
+_MAX_EVENTS = 64  # more located events in one nominal step raise the chattering guard
+
 
 def _positive_finite(v: float) -> bool:
     return math.isfinite(v) and v > 0.0
@@ -160,13 +163,14 @@ DynamicsMode = ProjectedGradient | SignDescent
 
 @dataclass(frozen=True)
 class IntegrationOptions:
+    """Run tolerances and the convergence stop; the sliding-block condition
+    bound and the chattering guard are fixed (``_COND_MAX``, ``_MAX_EVENTS``)."""
+
     switch_tol: float = 1e-9
     boundary_tol: float = 1e-9
     event_tol: float = 1e-10
     converge_tol: float = 1e-10
     stop_on_convergence: bool = True
-    max_events_per_step: int = 64
-    cond_threshold: float = 1e12
 
 
 @dataclass(frozen=True)
@@ -244,8 +248,9 @@ def _on_manifold(G: np.ndarray, H: np.ndarray, tol: float) -> np.ndarray:
 
 def _groups(S: np.ndarray):
     """(set, rows) of each distinct row of the (n, d) mask S."""
-    for pattern in np.unique(S, axis=0):
-        yield np.flatnonzero(pattern), np.flatnonzero(np.all(S == pattern, axis=1))
+    patterns, which = np.unique(S, axis=0, return_inverse=True)
+    for g, pattern in enumerate(patterns):
+        yield np.flatnonzero(pattern), np.flatnonzero(which == g)
 
 
 def _solve_blocks(H: np.ndarray, S: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -272,21 +277,21 @@ def _equivalent_control(H: np.ndarray, S: np.ndarray, V: np.ndarray) -> np.ndarr
     return np.where(S, _solve_blocks(H, S, B), V)
 
 
-def _clamp_and_drop(H: np.ndarray, S: np.ndarray, signs: np.ndarray, gains: np.ndarray, cond_max: float):
+def _clamp_and_drop(H: np.ndarray, S: np.ndarray, signs: np.ndarray, gains: np.ndarray):
     """Clamp-and-drop iteration of the Filippov sliding condition on the
     rows of (n, d) stacks: each sliding set S is solved for its equivalent
     control and, while a component exceeds its gain, the most saturated
     coordinate leaves S at its saturated velocity (its sign is set so that
     -gain*sign is that velocity).  Updates S and signs in place and returns
     the velocities and the mask of rows left unsolvable, with a block whose
-    condition number is beyond ``cond_max``.
+    condition number is beyond ``_COND_MAX``.
     """
     V = -gains * signs
     unsolvable = np.zeros(len(S), dtype=bool)
     live = np.flatnonzero(S.any(axis=1))
     while live.size:
         for s, rows in _groups(S[live]):
-            unsolvable[live[rows]] = np.linalg.cond(H[np.ix_(live[rows], s, s)]) > cond_max
+            unsolvable[live[rows]] = np.linalg.cond(H[np.ix_(live[rows], s, s)]) > _COND_MAX
         live = live[~unsolvable[live]]
         Vl = _equivalent_control(H[live], S[live], V[live])
         over = np.where(S[live], np.abs(Vl) / gains, -np.inf)
@@ -313,25 +318,24 @@ class _Frozen:
         f(y) = coef * grad R(y)  on ``active`` coordinates,
         f(y) = const             elsewhere,
 
-    and M = diag(mass), mass 0 marking algebraic rows (None: M = I).
+    and M = diag(mass), mass 0 marking algebraic rows (all ones: an ODE).
     Coordinates in ``frozen`` are held on a box face (const 0).
     ``sliding`` marks the coordinates in their boundary layer or on their
     switching manifold, face-held ones included, and ``signs`` the signs
     of d_j R that set the saturated velocities (0 where none does).
     """
 
-    frozen: np.ndarray              # (N, d) bool
-    active: np.ndarray              # (N, d) bool
-    sliding: np.ndarray             # (N, d) bool
-    signs: np.ndarray               # (N, d)
-    coef: np.ndarray                # (1, d), shared by all rows
-    const: np.ndarray               # (N, d)
-    mass: np.ndarray | None = None  # (N, d)
+    frozen: np.ndarray   # (N, d) bool
+    active: np.ndarray   # (N, d) bool
+    sliding: np.ndarray  # (N, d) bool
+    signs: np.ndarray    # (N, d)
+    coef: np.ndarray     # (1, d), shared by all rows
+    const: np.ndarray    # (N, d)
+    mass: np.ndarray     # (N, d)
 
     def take(self, rows) -> _Frozen:
-        mass = None if self.mass is None else self.mass[rows]
         return _Frozen(self.frozen[rows], self.active[rows], self.sliding[rows], self.signs[rows],
-                       self.coef, self.const[rows], mass)
+                       self.coef, self.const[rows], self.mass[rows])
 
     def bits(self) -> np.ndarray:
         """Regime mask of each row: sliding and face-held coordinates."""
@@ -437,7 +441,7 @@ class _PGField(_Field):
     def regime(self, Y: np.ndarray, G: np.ndarray) -> tuple[_Frozen, np.ndarray]:
         frozen = outward(self.box, Y, self.neg_mob * G, self.opts.boundary_tol)
         zeros = np.zeros_like(Y)
-        fz = _Frozen(frozen, ~frozen, np.zeros_like(frozen), zeros, self.neg_mob[None], zeros)
+        fz = _Frozen(frozen, ~frozen, np.zeros_like(frozen), zeros, self.neg_mob[None], zeros, np.ones_like(Y))
         return fz, np.zeros(len(Y), dtype=bool)
 
     def may_change(self, Y1: np.ndarray, fz: _Frozen) -> np.ndarray:
@@ -461,7 +465,8 @@ class _LayerField(_Field):
         signs = np.sign(np.where(sliding, 0.0, G))
         frozen = outward(self.box, Y, -self.scale * np.clip(G / eps, -1.0, 1.0), self.opts.boundary_tol)
         const = np.where(frozen, 0.0, -self.scale * signs)
-        return _Frozen(frozen, sliding & ~frozen, sliding, signs, self.coef, const), np.zeros(len(Y), dtype=bool)
+        fz = _Frozen(frozen, sliding & ~frozen, sliding, signs, self.coef, const, np.ones_like(Y))
+        return fz, np.zeros(len(Y), dtype=bool)
 
     def monitors(self, y0: np.ndarray, y1: np.ndarray, fz: _Frozen) -> list[_Monitor]:
         """Face monitors plus layer exit (inside) and entry (saturated)."""
@@ -499,7 +504,7 @@ class _SlideField(_Field):
         H = hm.grad_jacobian(self.costs, self.cfg, Y, self.gmode)
         sliding = _on_manifold(G, H, self.opts.switch_tol)
         signs = np.where(sliding, 0.0, np.sign(G))
-        V, unsolvable = _clamp_and_drop(H, sliding, signs, self.scale, self.opts.cond_threshold)
+        V, unsolvable = _clamp_and_drop(H, sliding, signs, self.scale)
         frozen = outward(self.box, Y, V, self.opts.boundary_tol)
         active = sliding & ~frozen
         const = np.where(frozen, 0.0, -self.scale * signs)
@@ -583,15 +588,15 @@ def _start(mode: DynamicsMode, costs, cfg, box: Box, X: np.ndarray, options: Int
 
 def velocity(mode: DynamicsMode, costs, cfg, box: Box, x, options: IntegrationOptions | None = None):
     """Filippov velocity selection at a state, the field the core
-    integrates from there, and the regime descriptor it freezes."""
+    integrates from there, and the regime descriptor it freezes.  Where
+    the sliding block of equivalent control cannot be solved, that is the
+    boundary-layer field and its regime."""
     xv = hm._as_vector(x, costs.p)
     Y = xv[None]
     fld = _start(mode, costs, cfg, box, Y, options)
     G = fld.grad(Y)
-    fz, unsolvable = fld.regime(Y, G)
-    if unsolvable[0]:
-        raise SingularSlidingError(f"sliding block beyond condition number {fld.opts.cond_threshold:g}")
-    v = fld.velocity(Y, G, fz)[0]
+    ((stepper, _, fz),) = _regimes(fld, np.arange(1), Y, G)
+    v = stepper.velocity(Y, G, fz)[0]
     held = fz.frozen[0]
     lower = held & (xv <= box.lo + fld.opts.boundary_tol)
     regime = Regime(sliding=_indices(fz.sliding[0]), lower=_indices(lower), upper=_indices(held & ~lower),
@@ -619,9 +624,9 @@ def slide_velocity(mode: SignDescent, costs, cfg, x, active_set, options: Integr
     G = hm.gradient_vec(costs, cfg, Y, mode.gradient_mode)
     H = hm.grad_jacobian(costs, cfg, Y, mode.gradient_mode)
     signs = np.where(_on_manifold(G, H, opts.switch_tol), 0.0, np.sign(G))
-    V, unsolvable = _clamp_and_drop(H, S, signs, mode.gains(costs.p), opts.cond_threshold)
+    V, unsolvable = _clamp_and_drop(H, S, signs, mode.gains(costs.p))
     if unsolvable[0]:
-        raise SingularSlidingError(f"sliding block beyond condition number {opts.cond_threshold:g}")
+        raise SingularSlidingError(f"sliding block beyond condition number {_COND_MAX:g}")
     return V[0]
 
 
@@ -742,16 +747,14 @@ def _ros_attempt(fld: _Field, Y, F0, V0, J, fz: _Frozen, dt):
     the step size with the same exponent.  It is inf wherever a stage or
     the result is not finite.
     """
-    eye = np.eye(Y.shape[1]) if fz.mass is None else np.eye(Y.shape[1]) * fz.mass[:, None, :]
-    W_inv = _inverse(eye / (dt * _ROS_GAMMA)[:, None, None] - J)
+    W_inv = _inverse(np.eye(Y.shape[1]) * fz.mass[:, None, :] / (dt * _ROS_GAMMA)[:, None, None] - J)
     inv_dt = (1.0 / dt)[:, None]
     U = [(W_inv @ F0[..., None])[..., 0]]
     for a_row, c_row in zip(_ROS_A, _ROS_C):
         Yi = Y + sum(a * u for a, u in zip(a_row, U))
         Fi = fld.rhs(fld.grad(Yi), fz)
         corr = inv_dt * sum(c * u for c, u in zip(c_row, U))
-        rhs = Fi + (corr if fz.mass is None else fz.mass * corr)
-        U.append((W_inv @ rhs[..., None])[..., 0])
+        U.append((W_inv @ (Fi + fz.mass * corr)[..., None])[..., 0])
     y1 = fld.project(Yi + U[5], fz.active, 0.1 * fld.opts.switch_tol)
     g1 = fld.grad(y1)
     V1 = fld.velocity(y1, g1, fz)
@@ -762,9 +765,7 @@ def _ros_attempt(fld: _Field, Y, F0, V0, J, fz: _Frozen, dt):
     a = dt_col * V0
     b = (0.5 * dt_col * dt_col) * (J @ V0[..., None])[..., 0]
     b_cubic = 3.0 * step - 2.0 * a - dt_col * V1
-    cubic = np.abs(b - b_cubic) > np.abs(step) + scale
-    if fz.mass is not None:
-        cubic |= fz.mass == 0.0
+    cubic = (np.abs(b - b_cubic) > np.abs(step) + scale) | (fz.mass == 0.0)
     b = np.where(cubic, b_cubic, b)
     r1 = step - a - b
     r2 = dt_col * V1 - a - 2.0 * b
@@ -1056,9 +1057,9 @@ def _run(fld: _Field, X: np.ndarray, t_end: float, h: float, stop: bool, keep: b
                 r, te = rows[i], float(t_next[i])
                 events[r] += [EventRecord(time=te, kind=kind, index=j) for kind, j in pairs]
                 since_row[r] += len(pairs)
-                if since_row[r] > opts.max_events_per_step:
+                if since_row[r] > _MAX_EVENTS:
                     raise StepFailureError(
-                        f"more than {opts.max_events_per_step} events within one nominal step "
+                        f"more than {_MAX_EVENTS} events within one nominal step "
                         f"at t={te:.6g}: likely chattering",
                         te,
                     )

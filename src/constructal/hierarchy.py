@@ -71,6 +71,9 @@ class TransportCosts:
         object.__setattr__(self, "K", K)
         if len(K) < 2:
             raise ConfigError("need at least two cost levels (p >= 1)")
+        if len(K) > 33:
+            raise ConfigError(f"at most 32 levels (p <= 32), got p = {len(K) - 1}: the regime mask "
+                              "holds each of the 2p-1 coordinates as one bit of a 64-bit integer")
         if not all(math.isfinite(k) for k in K):
             raise ConfigError(f"cost coefficients must be finite, got {K}")
         if K[-1] <= 0.0:
@@ -149,10 +152,6 @@ class AssemblyConfig:
     @property
     def p(self) -> int:
         return len(self.alpha)
-
-    @property
-    def state_dim(self) -> int:
-        return 2 * self.p - 1
 
     @classmethod
     def bejan(
@@ -289,10 +288,7 @@ def _as_vector(x, p: int) -> np.ndarray:
 def areas_from_n(cfg: AssemblyConfig, n: np.ndarray) -> np.ndarray:
     """A_1 = A1, A_i = n_i A_{i-1}; shape (..., p-1) -> (..., p)."""
     n = np.asarray(n, dtype=float)
-    ones = np.ones(n.shape[:-1] + (1,))
-    if n.shape[-1] == 0:
-        return cfg.A1 * ones
-    return cfg.A1 * np.concatenate([ones, np.cumprod(n, axis=-1)], axis=-1)
+    return cfg.A1 * np.concatenate([np.ones(n.shape[:-1] + (1,)), np.cumprod(n, axis=-1)], axis=-1)
 
 
 def resistance_vec(costs: TransportCosts, cfg: AssemblyConfig, X: np.ndarray) -> np.ndarray:

@@ -196,7 +196,7 @@ class TestDissipationReport:
         traj = integrate(
             pg_mode, costs, cfg, box, x0, 4.0, 1e-3, IntegrationOptions(stop_on_convergence=False)
         )
-        report = analysis.dissipation_report(traj)
+        report = analysis.dissipation_report(traj, r_star=264.5)
         assert report.violations == 0
         h = 1e-3
         expected = (1.0 - np.exp(-2.0 * h)) / (2.0 * h)
@@ -214,7 +214,7 @@ class TestDissipationReport:
     def test_too_few_samples(self, costs, cfg, box, pg_mode, x_star):
         traj = integrate(pg_mode, costs, cfg, box, x_star, 0.004, 1e-3)
         with pytest.raises(TooFewSamplesError):
-            analysis.dissipation_report(traj)
+            analysis.dissipation_report(traj, r_star=264.5)
 
 
 class TestFitRate:

@@ -185,6 +185,15 @@ class TestCliSimulate:
         summary = (out / "summary.txt").read_text()
         assert "events.SlideEnter = 5" in summary
 
+    def test_too_many_levels_exit_2_without_output(self, tmp_path, capsys):
+        cfgp = tmp_path / "deep.cfg"
+        K = [0.9**i for i in range(35)]
+        write_config(canonical_data(**{"costs.K": K, "assembly.kappa": None, "run.x0": None}), cfgp)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfgp), "--out", str(out)]) == 2
+        assert "config error: at most 32 levels" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_validation_failure_leaves_no_partial_output(self, tmp_path):
         cfgp = tmp_path / "bad.cfg"
         write_config(canonical_data(**{"run.t_end": -1.0}), cfgp)
@@ -370,9 +379,9 @@ class TestNonFiniteInputs:
 
 class TestImportCost:
     @staticmethod
-    def scipy_modules_after(code: str) -> str:
-        """The scipy modules loaded in a fresh interpreter that ran code."""
-        code += "; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    def modules_after(code: str, package: str) -> str:
+        """The modules of package loaded in a fresh interpreter that ran code."""
+        code += f"; print(sorted(m for m in sys.modules if (m + '.').startswith({package + '.'!r})))"
         path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
         done = subprocess.run(
             [sys.executable, "-c", code],
@@ -386,7 +395,7 @@ class TestImportCost:
     def test_cli_import_loads_no_scipy(self):
         # scipy.stats alone takes most of a second to import; nothing in the
         # program imports scipy, the certificate's Sobol sampler included
-        assert self.scipy_modules_after("import sys, constructal.cli") == "[]"
+        assert self.modules_after("import sys, constructal.cli", "scipy") == "[]"
 
     def test_certify_and_converge_load_no_scipy(self, tmp_path):
         # the sampler reads scipy's direction-number table as a data file
@@ -395,6 +404,15 @@ class TestImportCost:
             f"assert main([{cmd!r}, '--config', {str(cfg)!r}, '--out', {str(tmp_path / cmd)!r}]) == 0"
             for cmd, cfg in runs
         )
-        assert self.scipy_modules_after(code) == "[]"
+        assert self.modules_after(code, "scipy") == "[]"
         assert "generator = sobol-scrambled" in (tmp_path / "certify" / "certificate.txt").read_text()
         assert "nu_estimate = " in (tmp_path / "converge" / "convergence.txt").read_text()
+
+    def test_equivalent_control_simulate_loads_no_masked_arrays(self, tmp_path):
+        # numpy.ma takes about 15 ms to import; the grouped sliding solves
+        # avoid the plain np.unique, which loads it
+        code = ("import sys; from constructal.cli import main; "
+                f"assert main(['simulate', '--config', {str(REPO / 'configs' / 'equivalent_control.cfg')!r}, "
+                f"'--out', {str(tmp_path / 'out')!r}]) == 0")
+        assert self.modules_after(code, "numpy.ma") == "[]"
+        assert "events.SlideEnter" in (tmp_path / "out" / "summary.txt").read_text()

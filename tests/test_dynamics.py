@@ -19,6 +19,7 @@ from constructal import (
     two_trajectory_run,
     velocity,
 )
+from constructal import dynamics
 from constructal import hierarchy as hm
 from constructal.config import load_config
 from constructal.dynamics import slide_velocity
@@ -61,6 +62,21 @@ class TestVelocity:
     def test_rejects_off_box(self, costs, cfg, box, pg_mode):
         with pytest.raises(DomainError):
             velocity(pg_mode, costs, cfg, box, np.array([9.0, 0.5, 0.5, 8.0, 16.0]))
+
+    def test_unsolvable_sliding_block_gives_the_layer_field(self, costs, cfg, box, monkeypatch):
+        # r_3 sits on its manifold, and a condition bound below 1 rejects its
+        # block: integrate steps the boundary layer from here, so velocity
+        # returns that field and its regime
+        monkeypatch.setattr(dynamics, "_COND_MAX", 0.5)
+        mode = SignDescent(sliding="equivalent_control")
+        x = GENERIC_X0.copy()
+        x[2] = 0.5
+        v, regime = velocity(mode, costs, cfg, box, x)
+        g = hm.gradient_vec(costs, cfg, x)
+        expected = -mode.gains(costs.p) * np.clip(g / mode.epsilon, -1.0, 1.0)
+        np.testing.assert_allclose(v, expected, rtol=1e-15, atol=0.0)
+        assert regime.sliding == (2,)
+        assert regime.velocity is v
 
 
 class TestSlideVelocity:
@@ -175,11 +191,11 @@ class TestIntegrate:
         b = integrate(pg_mode, costs, cfg, box, GENERIC_X0, t_end, 5e-4).final_state
         assert np.linalg.norm(a - b) <= 1e-8
 
-    def test_chattering_guard_raises(self, costs, cfg, box):
+    def test_chattering_guard_raises(self, costs, cfg, box, monkeypatch):
+        monkeypatch.setattr(dynamics, "_MAX_EVENTS", 3)
         mode = SignDescent(sliding="equivalent_control")
-        opts = IntegrationOptions(max_events_per_step=3)
         with pytest.raises(StepFailureError, match="chattering"):
-            integrate(mode, costs, cfg, box, GENERIC_X0, 8.0, 8.0, opts)
+            integrate(mode, costs, cfg, box, GENERIC_X0, 8.0, 8.0)
 
     def test_coupled_mode_hits_branching_floor(self, costs, cfg, box):
         mode = ProjectedGradient(mobility=1.0, gradient_mode="coupled")
@@ -199,11 +215,11 @@ class TestIntegrate:
         r_literal = np.array([hm.resistance_vec(costs, cfg, s) for s in traj.states])
         assert np.max(np.diff(r_literal)) > 1e-3  # the literal one really rises
 
-    def test_event_timestamp_in_failure(self, costs, cfg, box):
+    def test_event_timestamp_in_failure(self, costs, cfg, box, monkeypatch):
+        monkeypatch.setattr(dynamics, "_MAX_EVENTS", 1)
         mode = SignDescent(sliding="equivalent_control")
-        opts = IntegrationOptions(max_events_per_step=1)
         with pytest.raises(StepFailureError) as err:
-            integrate(mode, costs, cfg, box, GENERIC_X0, 8.0, 8.0, opts)
+            integrate(mode, costs, cfg, box, GENERIC_X0, 8.0, 8.0)
         assert err.value.time is not None
 
 
@@ -288,12 +304,13 @@ class TestEnsemble:
             assert np.array_equal(res.R_values[i], single.R_values)
             assert np.array_equal(res.Psi_values[i], single.Psi_values)
 
-    def test_unsolvable_sliding_row_falls_back_alone(self, costs, cfg, box):
-        # a condition threshold below 1 rejects every sliding block: row 0
+    def test_unsolvable_sliding_row_falls_back_alone(self, costs, cfg, box, monkeypatch):
+        # a condition bound below 1 rejects every sliding block: row 0
         # reaches a manifold and continues on the boundary layer, row 1
         # reaches none before t_end
+        monkeypatch.setattr(dynamics, "_COND_MAX", 0.5)
         mode = SignDescent(sliding="equivalent_control")
-        opts = IntegrationOptions(cond_threshold=0.5, stop_on_convergence=False)
+        opts = IntegrationOptions(stop_on_convergence=False)
         X0 = np.array([GENERIC_X0, [3.0, 2.5, 2.5, 30.0, 40.0]])
         res = integrate_ensemble(mode, costs, cfg, box, X0, 0.4, 1e-3, opts)
         fallbacks = []
@@ -304,6 +321,30 @@ class TestEnsemble:
             assert np.array_equal(res.R_values[i], single.R_values)
             assert np.array_equal(res.Psi_values[i], single.Psi_values)
         assert fallbacks == [True, False]
+
+    def test_fallback_and_solvable_rows_step_in_one_run(self, costs, cfg, box, x_star, monkeypatch):
+        # row 0 starts on every manifold with its block rejected, row 1 on
+        # none: their first step already goes through two groups, one on
+        # the boundary layer and one on equivalent control
+        monkeypatch.setattr(dynamics, "_COND_MAX", 0.5)
+        real, formed = dynamics._regimes, []
+
+        def regimes(fld, rows, Y, G):
+            groups = real(fld, rows, Y, G)
+            formed.append([(stepper is fld, r.tolist()) for stepper, r, _ in groups])
+            return groups
+
+        monkeypatch.setattr(dynamics, "_regimes", regimes)
+        mode = SignDescent(sliding="equivalent_control")
+        opts = IntegrationOptions(stop_on_convergence=False)
+        X0 = np.array([x_star.vector(), GENERIC_X0])
+        res = integrate_ensemble(mode, costs, cfg, box, X0, 0.4, 1e-3, opts)
+        assert formed[0] == [(False, [0]), (True, [1])]
+        for i in range(2):
+            single = integrate(mode, costs, cfg, box, X0[i], 0.4, 1e-3, opts)
+            assert np.array_equal(res.final_states[i], single.final_state)
+            assert np.array_equal(res.R_values[i], single.R_values)
+            assert np.array_equal(res.Psi_values[i], single.Psi_values)
 
 
 class TestModeValidation:
@@ -486,11 +527,12 @@ class TestSlidingCore:
         assert sol.success
         assert np.max(np.abs(traj.states - sol.y.T)) <= 1e-8
 
-    def test_unsolvable_sliding_block_falls_back_to_the_layer(self, costs, cfg, box, x_star):
-        # a condition threshold below 1 rejects every sliding block, so once
+    def test_unsolvable_sliding_block_falls_back_to_the_layer(self, costs, cfg, box, x_star, monkeypatch):
+        # a condition bound below 1 rejects every sliding block, so once
         # r_3 reaches its manifold the run continues on the boundary layer
+        monkeypatch.setattr(dynamics, "_COND_MAX", 0.5)
         mode = SignDescent(sliding="equivalent_control")
-        opts = IntegrationOptions(cond_threshold=0.5, stop_on_convergence=False)
+        opts = IntegrationOptions(stop_on_convergence=False)
         traj = integrate(mode, costs, cfg, box, GENERIC_X0, 1.0, 1e-3, opts)
         assert [(e.kind, e.index) for e in traj.events] == [("SlideEnter", 2), ("SlideExit", -1)]
         assert traj.final_state[:3] == pytest.approx(x_star.vector()[:3], abs=1e-9)

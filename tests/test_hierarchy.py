@@ -27,6 +27,15 @@ class TestTransportCosts:
         assert costs.p == 3
 
 
+    def test_at_most_32_levels(self):
+        # the regime mask packs the 2p-1 coordinates into one int64; at
+        # p = 34 the ladder is admissible and its gradient finite, but
+        # coordinates 63 and up would wrap
+        TransportCosts(K=tuple(0.9**i for i in range(33)))
+        with pytest.raises(ConfigError, match="at most 32 levels"):
+            TransportCosts(K=tuple(0.9**i for i in range(35)))
+
+
 class TestPrefactors:
     def test_canonical_level_one_matches_quarter_half(self, costs, cfg):
         assert cfg.alpha[0] == pytest.approx(0.25, abs=1e-15)
