@@ -29,8 +29,11 @@ canonical ladder), and so is the boundary layer (rates gain/eps times the
 curvature).  Every field is integrated by a linearly implicit Rosenbrock
 pair, RODAS4 (Hairer & Wanner, *Solving ODEs II*, Sec. IV.7 and VI.4),
 fed with the analytic Jacobian.  Its embedded error estimate and a bound
-on the change of velocity per step set the step size, which does not
-depend on h; a continuous dense output fills the grid rows a step covers.
+on the change of velocity per output interval h set the step size: a step
+of h or longer may change the velocity by a fixed fraction of itself, a
+shorter step dt by h/dt times that fraction, so a transient that settles
+within a grid interval is left to error control.  A continuous dense
+output fills the grid rows a step covers.
 Regime changes (box-face contact and release, boundary-layer entry and
 exit, switching-manifold crossings and sliding exit) are located by
 bisection on the dense output, in the event-driven style of Piiroinen &
@@ -654,19 +657,25 @@ def slide_velocity(mode: SignDescent, costs, cfg, x, active_set, options: Integr
 # two differ by more than the step moves: for a stiff component J y'(0)
 # magnifies any velocity not yet on its slow manifold.
 #
-# Velocity-change bound: on slow components (diagonal Jacobian rate within
-# a factor 1/_VELOCITY_CHANGE of the slowest), a step may change the
-# velocity by at most _VELOCITY_CHANGE of itself, plus _ATOL per
-# unit time so that a velocity at rounding level holds nothing back.  Error
-# control relative to |y| lets the steps grow without limit as the state
-# nears its equilibrium, until grid rows stop resolving the exponential
-# tail that the dissipation audit and the rate fits read; the bound keeps
-# a fixed number of steps per e-folding of the slow motion.  Under a
-# gradient flow (``slaved_fast``) faster components relax onto the slow
-# manifold and are left to error control, so stiff transients cost no more
-# than error control asks.  Under sign descent a coordinate enters its
-# boundary layer at full speed, so every component is bounded; a velocity
-# change within the rounding of rate * |y| counts as none.
+# Velocity-change bound, set per output interval h: on slow components
+# (diagonal Jacobian rate within a factor 1/_VELOCITY_CHANGE of the
+# slowest), a step of length dt >= h may change the velocity by at most
+# _VELOCITY_CHANGE of itself and a shorter step by _VELOCITY_CHANGE * h/dt
+# of itself, plus _ATOL per unit time so that a velocity at rounding level
+# holds nothing back.  Error control relative to |y| lets the steps grow
+# without limit as the state nears its equilibrium, until grid rows stop
+# resolving the exponential tail that the dissipation audit and the rate
+# fits read; the bound keeps a fixed number of steps per e-folding of the
+# slow motion once that motion is slow on the scale of h.  Below h the
+# bound loosens with the step; from dt = _VELOCITY_CHANGE * h down it
+# allows any change that keeps the velocity's sign.  So a transient that
+# settles within a grid interval, such as a coordinate relaxing into its
+# boundary layer at rate gain/eps times the curvature, is left to error
+# control.  Under a gradient flow (``slaved_fast``) faster components
+# relax onto the slow manifold and are left to error control at every
+# step size.  Under sign descent a coordinate enters its boundary layer at
+# full speed, so every component is bounded; a velocity change within the
+# rounding of rate * |y| counts as none.
 _ROS_GAMMA = 0.25
 _ROS_A = (
     (1.544,),
@@ -738,14 +747,15 @@ def _inverse(W: np.ndarray) -> np.ndarray:
         return out
 
 
-def _ros_attempt(fld: _Field, Y, F0, V0, J, fz: _Frozen, dt):
+def _ros_attempt(fld: _Field, Y, F0, V0, J, fz: _Frozen, dt, h: float):
     """One RODAS4 step per row; returns (y1, g1, dense, err).
 
-    F0 is f(Y) and V0 the velocity y' at Y.  err is the larger of the
-    error estimate over the error scale and the fourth power of the
-    velocity-change ratio, so that both are accepted at err <= 1 and steer
-    the step size with the same exponent.  It is inf wherever a stage or
-    the result is not finite.
+    F0 is f(Y), V0 the velocity y' at Y and h the output interval, which
+    sets the velocity-change bound of steps shorter than h.  err is the
+    larger of the error estimate over the error scale and the fourth power
+    of the velocity-change ratio, so that both are accepted at err <= 1
+    and steer the step size with the same exponent.  It is inf wherever a
+    stage or the result is not finite.
     """
     W_inv = _inverse(np.eye(Y.shape[1]) * fz.mass[:, None, :] / (dt * _ROS_GAMMA)[:, None, None] - J)
     inv_dt = (1.0 / dt)[:, None]
@@ -774,7 +784,8 @@ def _ros_attempt(fld: _Field, Y, F0, V0, J, fz: _Frozen, dt):
     err = np.max(np.abs(U[5]) / scale, axis=1)
     rate = np.abs(np.diagonal(J, axis1=1, axis2=2))
     noise = (_ROUNDING * rate) * size
-    resolved = _VELOCITY_CHANGE * np.maximum(np.abs(V0), np.abs(V1)) + _ATOL * inv_dt
+    allowed = (_VELOCITY_CHANGE * np.maximum(1.0, h / dt))[:, None]
+    resolved = allowed * np.maximum(np.abs(V0), np.abs(V1)) + _ATOL * inv_dt
     bend = np.abs(V1 - V0) / np.maximum(resolved, noise)
     if fld.slaved_fast:
         slowest = np.min(np.where(rate > 0.0, rate, np.inf), axis=1, keepdims=True)
@@ -784,15 +795,15 @@ def _ros_attempt(fld: _Field, Y, F0, V0, J, fz: _Frozen, dt):
     return y1, g1, dense, err
 
 
-def _ros_advance(fld: _Field, Y, G, fz: _Frozen, H, limit, t) -> _Step:
+def _ros_advance(fld: _Field, Y, G, fz: _Frozen, H, limit, t, h: float) -> _Step:
     """Advance every row of Y by one accepted RODAS4 step.
 
     G is the raw gradient at Y, fz the frozen-regime field, H the
-    preferred step sizes, ``limit`` the remaining time of each row and t
-    its current time.  Each row has its own step size and error norm: a
-    rejected row retries with a smaller step while the accepted rows wait,
-    so no row's steps depend on another row.  A row whose step underflows
-    raises StepFailureError.
+    preferred step sizes, ``limit`` the remaining time of each row, t its
+    current time and h the output interval.  Each row has its own step
+    size and error norm: a rejected row retries with a smaller step while
+    the accepted rows wait, so no row's steps depend on another row.  A
+    row whose step underflows raises StepFailureError.
     """
     with np.errstate(all="ignore"):
         F0 = fld.rhs(G, fz)
@@ -808,7 +819,7 @@ def _ros_advance(fld: _Field, Y, G, fz: _Frozen, H, limit, t) -> _Step:
         todo = np.arange(dt.size)
         while todo.size:
             part = fz if todo.size == dt.size else fz.take(todo)
-            yt, gt, dn, err = _ros_attempt(fld, Y[todo], F0[todo], V0[todo], J[todo], part, dt[todo])
+            yt, gt, dn, err = _ros_attempt(fld, Y[todo], F0[todo], V0[todo], J[todo], part, dt[todo], h)
             fac = np.clip(_SAFETY * err ** -0.25, _FAC_MIN, fac_max[todo])
             ok = err <= 1.0
             acc, rej = todo[ok], todo[~ok]
@@ -969,7 +980,7 @@ def _run(fld: _Field, X: np.ndarray, t_end: float, h: float, stop: bool, keep: b
     location.  While a row's sliding block cannot be solved, its steps of
     at most h go through the boundary-layer field; each such episode is
     recorded once, as SlideExit at index -1, in place of the layer's own
-    events.
+    events, which still count toward the chattering guard.
     """
     box, costs, cfg, opts = fld.box, fld.costs, fld.cfg, fld.opts
     times = _nominal_grid(t_end, h)
@@ -1007,7 +1018,7 @@ def _run(fld: _Field, X: np.ndarray, t_end: float, h: float, stop: bool, keep: b
             y0, g0, t0, first = Y[rows], G[rows], t[rows], filled[rows]
             fell = stepper is not fld
             limit = np.minimum(t_end - t0, h) if fell else t_end - t0
-            st = _ros_advance(stepper, y0, g0, fz, H[rows], limit, t0)
+            st = _ros_advance(stepper, y0, g0, fz, H[rows], limit, t0, h)
             hits = {}
             for i in np.flatnonzero(stepper.may_change(st.y1, fz)):
                 found = _locate_events(stepper, y0, g0, fz, st, i)
@@ -1050,19 +1061,24 @@ def _run(fld: _Field, X: np.ndarray, t_end: float, h: float, stop: bool, keep: b
             Y[rows], G[rows], H[rows], t[rows] = Y1, G1, st.h_next, t_next
 
             new = {i: found for i, (_, _, found) in hits.items()}
+            for i, found in new.items():
+                since_row[rows[i]] += len(found)
             if fell:
+                # one record per fallback episode in place of the layer's own
+                # events, which still count toward the chattering guard
                 new = {i: [(SLIDE_EXIT, -1)] for i in np.flatnonzero(~done & ~fell_before[rows])}
+                since_row[rows[list(new)]] += 1
             fell_before[rows] = fell
             for i, pairs in new.items():
-                r, te = rows[i], float(t_next[i])
-                events[r] += [EventRecord(time=te, kind=kind, index=j) for kind, j in pairs]
-                since_row[r] += len(pairs)
-                if since_row[r] > _MAX_EVENTS:
-                    raise StepFailureError(
-                        f"more than {_MAX_EVENTS} events within one nominal step "
-                        f"at t={te:.6g}: likely chattering",
-                        te,
-                    )
+                events[rows[i]] += [EventRecord(time=float(t_next[i]), kind=kind, index=j) for kind, j in pairs]
+            over = np.flatnonzero(since_row[rows] > _MAX_EVENTS)
+            if over.size:
+                te = float(t_next[over[0]])
+                raise StepFailureError(
+                    f"more than {_MAX_EVENTS} events within one nominal step "
+                    f"at t={te:.6g}: likely chattering",
+                    te,
+                )
         live = np.flatnonzero((filled < n_rows) & ~converged)
         groups = _regimes(fld, live, Y[live], G[live]) if live.size else []
 
