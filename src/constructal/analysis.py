@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import importlib.util
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +29,8 @@ __all__ = [
 
 PSI_FLOOR = 1e-8
 CERT_SLACK = 1e-8
-SOBOL_BITS = 30
-SOBOL_PERIOD = 2**SOBOL_BITS  # distinct points of one Sobol sequence
+SAMPLE_LIMIT = 2**30  # below it, k * alpha keeps at least 23 fractional bits
+CERT_CHUNK = 2**14  # samples whose Jacobians are held at once
 
 
 def matrix_measure(A) -> float:
@@ -66,46 +64,20 @@ def mode_hessian(mode: ProjectedGradient, costs, cfg, x) -> np.ndarray:
     return 0.5 * (Dg + Dg.T)
 
 
-def _sobol(d: int, count: int, seed: int) -> np.ndarray:
-    """The first ``count`` points of a scrambled Sobol sequence in [0, 1)^d.
+def _kronecker(d: int, seed: int, start: int, stop: int) -> np.ndarray:
+    """Points k = start+1..stop of a shifted Kronecker sequence in [0, 1)^d.
 
-    Bit for bit ``scipy.stats.qmc.Sobol(d, scramble=True, seed=seed)
-    .random(count)``: Joe-Kuo direction numbers (Joe & Kuo, SIAM J. Sci.
-    Comput. 30(5), 2008) with Matousek's linear matrix scramble and a
-    digital shift (J. Complexity 14, 1998), both drawn from
-    ``default_rng(seed)``.  The direction-number table is scipy's installed
-    data file; finding it imports nothing.
+    Point k is frac(shift + k alpha) with alpha_j = phi^-j, j = 1..d, where
+    phi is the positive root of x^(d+1) = x + 1 (Cranley & Patterson, SIAM
+    J. Numer. Anal. 13(6), 1976); the shift is ``default_rng(seed)``.
     """
-    root = importlib.util.find_spec("scipy").submodule_search_locations[0]
-    with np.load(os.path.join(root, "stats", "_sobol_direction_numbers.npz")) as table:
-        poly, vinit = table["poly"][:d], table["vinit"][:d]
-    bits = SOBOL_BITS
-    v = np.ones((d, bits), dtype=np.int64)  # dimension 0: all m_j = 1
-    for i in range(1, d):  # Bratley-Fox recurrence on the primitive polynomial
-        deg = int(poly[i]).bit_length() - 1
-        v[i, :deg] = vinit[i, :deg]
-        for j in range(deg, bits):
-            m_j = v[i, j - deg]
-            for k in range(1, deg + 1):
-                if (poly[i] >> (deg - k)) & 1:
-                    m_j ^= v[i, j - k] << k
-            v[i, j] = m_j
-    top = bits - 1 - np.arange(bits)  # bit j counted from the top
-    v <<= top
-
-    rng = np.random.default_rng(seed)
-    shift = rng.integers(2, size=(d, bits), dtype=np.uint32) @ (1 << np.arange(bits))
-    ltm = np.tril(rng.integers(2, size=(d, bits, bits), dtype=np.uint32))
-    ltm |= np.eye(bits, dtype=np.uint32)
-    old = (v[:, :, None] >> top) & 1
-    v = (np.einsum("dpk,djk->djp", ltm, old) & 1) @ (1 << top)
-
-    k = np.arange(count, dtype=np.int64)
-    gray = k ^ (k >> 1)
-    q = np.tile(shift, (count, 1))
-    for j in range(bits):
-        q ^= ((gray >> j) & 1)[:, None] * v[:, j]
-    return q * 2.0**-bits
+    phi = 2.0
+    for _ in range(60):  # a contraction with factor below 1/2
+        phi = (1.0 + phi) ** (1.0 / (d + 1))
+    alpha = phi ** -np.arange(1.0, d + 1)
+    shift = np.random.default_rng(seed).random(d)
+    k = np.arange(start + 1.0, stop + 1)
+    return (shift + k[:, None] * alpha) % 1.0
 
 
 @dataclass(frozen=True)
@@ -166,12 +138,13 @@ def certify_contraction(
 ) -> ContractionCertificate:
     """Sampled matrix-measure certificate on a sub-box around the optimum.
 
-    Draws ``count`` (at most 2**30) scrambled-Sobol points, evaluates
-    mu(J(x)) and the minimum eigenvalue of the mode Hessian at each, and
-    passes iff the worst measure stays below -m * (min curvature) + slack
-    with positive curvature throughout.  Sampler, count and seed are
-    recorded so the certificate is reproducible; the sampler is ``_sobol``,
-    in-tree NumPy that draws the same points as ``scipy.stats.qmc.Sobol``.
+    Draws ``count`` (at most 2**30) points of a randomly shifted Kronecker
+    sequence (``_kronecker``), evaluates mu(J(x)) and the minimum
+    eigenvalue of the mode Hessian at each, and passes iff the worst
+    measure stays below -m * (min curvature) + slack with positive
+    curvature throughout.  Sampler, count and seed are recorded so the
+    certificate is reproducible.  Samples are evaluated CERT_CHUNK at a
+    time; a failing certificate takes a second pass for its witnesses.
 
     ``subbox`` is an (lo, hi) pair of arrays; degenerate intervals (lo ==
     hi, pinning a coordinate) are allowed.  By default the sub-box spans
@@ -179,8 +152,8 @@ def certify_contraction(
     """
     if not isinstance(mode, ProjectedGradient):
         raise DomainError("certification requires the projected-gradient mode")
-    if not 1 <= count <= SOBOL_PERIOD:
-        raise DomainError(f"sample count must be in [1, 2**{SOBOL_BITS}], got {count}")
+    if not 1 <= count <= SAMPLE_LIMIT:
+        raise DomainError(f"sample count must be in [1, 2**30], got {count}")
     if subbox is None:
         x_opt = hm.optimum_state(costs, cfg).vector()
         half = rel_halfwidth * np.abs(x_opt)
@@ -193,18 +166,27 @@ def certify_contraction(
             raise DomainError("sampling sub-box needs lo <= hi of full dimension")
     d = box.dim
     m = float(np.min(mode.mobility))
-    X = lo + _sobol(d, count, seed) * (hi - lo)
 
-    Dg = hm.grad_jacobian(costs, cfg, X, mode.gradient_mode)
-    J = -mode.mobility_vector(d)[:, None] * Dg
-    mus = np.linalg.eigvalsh(0.5 * (J + J.swapaxes(1, 2)))[:, -1]
-    lams = np.linalg.eigvalsh(0.5 * (Dg + Dg.swapaxes(1, 2)))[:, 0]
+    def chunks():
+        for start in range(0, count, CERT_CHUNK):
+            X = lo + _kronecker(d, seed, start, min(count, start + CERT_CHUNK)) * (hi - lo)
+            Dg = hm.grad_jacobian(costs, cfg, X, mode.gradient_mode)
+            J = -mode.mobility_vector(d)[:, None] * Dg
+            mus = np.linalg.eigvalsh(0.5 * (J + J.swapaxes(1, 2)))[:, -1]
+            lams = np.linalg.eigvalsh(0.5 * (Dg + Dg.swapaxes(1, 2)))[:, 0]
+            yield X, mus, lams
 
-    worst_mu = float(np.max(mus))
-    lam_min = float(np.min(lams))
+    extremes = np.array([(np.max(mus), np.min(lams)) for _, mus, lams in chunks()])
+    worst_mu = float(np.max(extremes[:, 0]))
+    lam_min = float(np.min(extremes[:, 1]))
     margin = worst_mu + m * lam_min
-    bad = np.flatnonzero((lams <= 0.0) | (mus > -m * lam_min + CERT_SLACK))
-    witnesses = tuple(tuple(float(v) for v in X[i]) for i in bad[:8])
+    witnesses: list[tuple[float, ...]] = []
+    if lam_min <= 0.0 or worst_mu > -m * lam_min + CERT_SLACK:  # some sample breaks the bound
+        for X, mus, lams in chunks():
+            bad = (lams <= 0.0) | (mus > -m * lam_min + CERT_SLACK)
+            witnesses += [tuple(float(v) for v in x) for x in X[bad][:8]]
+            if len(witnesses) >= 8:
+                break
     return ContractionCertificate(
         samples=count,
         nu_estimate=m * lam_min,
@@ -212,12 +194,12 @@ def certify_contraction(
         curvature_lambda=lam_min,
         mobility_m=m,
         margin=margin,
-        generator="sobol-scrambled",
+        generator="kronecker-shifted",
         seed=seed,
         subbox_lo=tuple(float(v) for v in lo),
         subbox_hi=tuple(float(v) for v in hi),
         gradient_mode=mode.gradient_mode,
-        witnesses=witnesses,
+        witnesses=tuple(witnesses[:8]),
     )
 
 

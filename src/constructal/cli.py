@@ -21,12 +21,14 @@ from .dynamics import (
     SignDescent,
     Trajectory,
     integrate,
+    nominal_rows,
     two_trajectory_run,
 )
 from .errors import ConfigError, ConstructalError, DegenerateFitError
 
 SCHEMA_VERSION = 1
 TABLE_TOL = 1e-6
+MAX_GRID_ROWS = 10**7  # over 300x the longest shipped run
 
 
 def _out_dir(rc: RunConfig, args) -> Path:
@@ -37,8 +39,15 @@ def _out_dir(rc: RunConfig, args) -> Path:
 
 def _load(args) -> RunConfig:
     rc = load_config(args.config, args.seed)
-    if rc.t_end is None and args.command != "table":
+    if args.command == "table":
+        return rc
+    if rc.t_end is None:
         raise ConfigError(f"run.t_end is required for {args.command}")
+    rows = nominal_rows(rc.t_end, rc.h)
+    if rows > MAX_GRID_ROWS:
+        raise ConfigError(f"run.t_end / run.h gives {rows:.3g} grid rows; at most {MAX_GRID_ROWS:.0e}")
+    if rows < 10 and args.command in ("simulate", "certify"):
+        raise ConfigError(f"run.t_end / run.h gives {rows} grid rows; {args.command} needs at least 10")
     return rc
 
 

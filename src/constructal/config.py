@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import hierarchy as hm
-from .analysis import SOBOL_PERIOD
+from .analysis import SAMPLE_LIMIT
 from .cones import Box
 from .dynamics import (
     BOUNDARY_LAYER,
@@ -101,7 +101,7 @@ KEYS = {
     "tol.boundary": (_positive, 1e-9),
     "tol.event": (_positive, 1e-10),
     "tol.converge": (_positive, 1e-10),
-    "sampling.count": (_integer(1, SOBOL_PERIOD), 10_000),
+    "sampling.count": (_integer(1, SAMPLE_LIMIT), 10_000),
     "sampling.rel_halfwidth": (_positive, 0.1),
     "sampling.subbox_lo": (_numbers, None),
     "sampling.subbox_hi": (_numbers, None),

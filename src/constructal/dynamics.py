@@ -935,9 +935,16 @@ def _locate_events(fld: _Field, Y0, G0, fz: _Frozen, st: _Step, row: int):
     return s, x_e, [fld.classify(live[i].label, live[i].j, x_e, fz) for i in fired]
 
 
+def nominal_rows(t_end: float, h: float) -> float:
+    """Rows of the output grid to t_end at interval h: the start and
+    max(1, ceil(t_end/h)) steps; inf when t_end/h overflows."""
+    q = t_end / h - 1e-12
+    return 1 + max(1, math.ceil(q)) if math.isfinite(q) else math.inf
+
+
 def _nominal_grid(t_end: float, h: float) -> np.ndarray:
     """Output times 0, h, 2h, ..., the last step cut to end at t_end."""
-    t0 = np.arange(max(1, int(math.ceil(t_end / h - 1e-12)))) * h
+    t0 = np.arange(nominal_rows(t_end, h) - 1) * h
     return np.concatenate([[0.0], t0 + np.minimum(h, t_end - t0)])
 
 

@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -5,9 +6,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from constructal.cli import main
-from constructal.config import KEYS, build_run_config, load_config, parse_config_text, write_config
+from constructal import hierarchy as hm
+from constructal.cli import _load, main
+from constructal.config import (
+    KEYS,
+    RunConfig,
+    build_run_config,
+    format_value,
+    load_config,
+    parse_config_text,
+    write_config,
+)
 from constructal.dynamics import ProjectedGradient, SignDescent
 from constructal.errors import ConfigError
 
@@ -140,6 +152,28 @@ class TestCliTable:
         out = capsys.readouterr().out
         assert "n_opt" not in out
 
+    def test_explicit_bejan_prefactors_reproduce_the_default(self, tmp_path, capsys):
+        default = tmp_path / "default.cfg"
+        write_config(canonical_data(), default)
+        assert main(["table", "--config", str(default)]) == 0
+        want = capsys.readouterr().out
+        alpha, beta = hm.bejan_prefactors(hm.TransportCosts(K=(1.0, 0.5, 0.25, 0.125)))
+        explicit = tmp_path / "explicit.cfg"
+        write_config(canonical_data(**{"assembly.alpha": list(alpha), "assembly.beta": list(beta)}), explicit)
+        assert main(["table", "--config", str(explicit)]) == 0
+        assert capsys.readouterr().out == want
+
+    def test_non_bejan_prefactors_move_the_optimum(self, tmp_path, capsys):
+        # r_opt,i = sqrt(beta_i / alpha_i) sqrt(K_i / K_(i-1))
+        alpha, beta = [0.3, 0.6, 0.4], [0.5, 0.5, 0.7]
+        path = tmp_path / "prefactors.cfg"
+        write_config(canonical_data(**{"assembly.alpha": alpha, "assembly.beta": beta}), path)
+        assert main(["table", "--config", str(path)]) == 0
+        rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()[1:4]]
+        want = np.sqrt(np.divide(beta, alpha) * 0.5)
+        assert [float(row[1]) for row in rows] == pytest.approx(want, rel=1e-12)
+        assert want == pytest.approx([0.91287, 0.64550, 0.93541], abs=1e-5)
+
     def test_bad_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("costs.K = [1.0, 2.0]\n")
@@ -231,7 +265,7 @@ class TestCliCertify:
     @pytest.mark.parametrize(
         "overrides",
         [
-            # one past the Sobol period; rejected at load, so nothing is allocated
+            # one past the sample bound; rejected at load, so nothing is allocated
             pytest.param({"sampling.count": 1073741825}, id="count=2**30+1"),
         ],
     )
@@ -366,6 +400,10 @@ class TestNonFiniteInputs:
             pytest.param({"tol.switch": True}, id="tol=true"),
             pytest.param({"mode.kind": "sign_descent", "mode.epsilon": True}, id="epsilon=true"),
             pytest.param({"mode.mobility": [1.0, 1.0]}, id="mobility_list=short"),
+            # grids too large to allocate, and one too short for the dissipation audit
+            pytest.param({"run.t_end": 1e15}, id="grid=1e18_rows"),
+            pytest.param({"run.h": 1e-300}, id="grid=overflow"),
+            pytest.param({"run.t_end": 0.004}, id="grid=5_rows"),
         ],
     )
     def test_simulate_exits_2_before_any_output(self, tmp_path, capsys, overrides):
@@ -375,6 +413,59 @@ class TestNonFiniteInputs:
         assert main(["simulate", "--config", str(cfgp), "--out", str(out)]) == 2
         assert "config error:" in capsys.readouterr().err
         assert not out.exists()
+
+
+WORDS = ["true", "false", "nan", "-inf", "1e999", "0x10", "[", "]", "[]", "[1.0,]", "[1.0, x]", "",
+         "projected_gradient", "sign_descent", "equivalent_control", "boundary_layer", "coupled"]
+RAW_NUMBERS = st.one_of(
+    st.floats().map(repr),
+    st.integers(min_value=-(10**20), max_value=10**20).map(str),
+    st.sampled_from(["1e-300", "5e-324", "1e300", "1e15", "1e-12", "0.004", str(2**30), str(10**400)]),
+)
+RAW_VALUES = st.one_of(
+    RAW_NUMBERS,
+    st.sampled_from(WORDS),
+    st.lists(RAW_NUMBERS, max_size=7).map(lambda xs: "[" + ", ".join(xs) + "]"),
+    st.text(max_size=12),
+)
+
+
+JUNK_LINES = st.one_of(
+    st.sampled_from(["# note", "", "   ", "costs.K", "= 1.0", "unknown.key = 1", "run.h = 1e-3 # note"]),
+    st.text(max_size=20),
+)
+
+
+@st.composite
+def config_texts(draw):
+    """The canonical config with some values replaced by arbitrary text,
+    the grid often by arbitrary numbers, some keys dropped and a junk line
+    added, in any order."""
+    data = {k: format_value(v) for k, v in canonical_data(**{"run.t_end": 30.0}).items()}
+    for key in draw(st.lists(st.sampled_from(sorted(KEYS)), max_size=4)):
+        data[key] = draw(RAW_VALUES)
+    for key in ("run.h", "run.t_end"):
+        if draw(st.booleans()):
+            data[key] = draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False).map(repr))
+    for key in draw(st.lists(st.sampled_from(sorted(data)), max_size=2)):
+        data.pop(key, None)
+    lines = [f"{k} = {v}" for k, v in data.items()] + draw(st.lists(JUNK_LINES, max_size=1))
+    return "\n".join(draw(st.permutations(lines)))
+
+
+class TestConfigFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(text=config_texts())
+    def test_loader_returns_a_config_or_raises_config_error(self, tmp_path_factory, text):
+        # loading only: nothing here integrates
+        path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+        path.write_text(text, encoding="utf-8")
+        for command in ("table", "simulate", "certify", "converge"):
+            try:
+                rc = _load(argparse.Namespace(config=path, seed=None, command=command))
+            except ConfigError:
+                continue
+            assert isinstance(rc, RunConfig)
 
 
 class TestImportCost:
@@ -394,18 +485,18 @@ class TestImportCost:
 
     def test_cli_import_loads_no_scipy(self):
         # scipy.stats alone takes most of a second to import; nothing in the
-        # program imports scipy, the certificate's Sobol sampler included
+        # program imports scipy
         assert self.modules_after("import sys, constructal.cli", "scipy") == "[]"
 
     def test_certify_and_converge_load_no_scipy(self, tmp_path):
-        # the sampler reads scipy's direction-number table as a data file
+        # the certificate's sampler is a closed form in NumPy
         runs = [("certify", CANONICAL), ("converge", BRANCHING)]
         code = "import sys; from constructal.cli import main; " + "; ".join(
             f"assert main([{cmd!r}, '--config', {str(cfg)!r}, '--out', {str(tmp_path / cmd)!r}]) == 0"
             for cmd, cfg in runs
         )
         assert self.modules_after(code, "scipy") == "[]"
-        assert "generator = sobol-scrambled" in (tmp_path / "certify" / "certificate.txt").read_text()
+        assert "generator = kronecker-shifted" in (tmp_path / "certify" / "certificate.txt").read_text()
         assert "nu_estimate = " in (tmp_path / "converge" / "convergence.txt").read_text()
 
     def test_equivalent_control_simulate_loads_no_masked_arrays(self, tmp_path):

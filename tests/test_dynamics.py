@@ -622,6 +622,26 @@ class TestSlidingCore:
         assert traj.final_state[3:] == pytest.approx([11.0, 19.0], abs=1e-9)
         assert dissipation_violations(traj) == 0
 
+    def test_saturated_equivalent_control_exits_its_manifold(self, costs, cfg, box):
+        # coupled mode: once n_3 (flat index 4) slides, its equivalent
+        # control grows until it reaches the gain zeta_2 = 1.06; there n_3
+        # leaves its manifold and moves at the gain
+        mode = SignDescent(sliding="equivalent_control", gradient_mode="coupled",
+                           eta=(2.4, 4.2, 3.4), zeta=(0.7, 1.06))
+        opts = IntegrationOptions(stop_on_convergence=False)
+        traj = integrate(mode, costs, cfg, box, [0.51, 1.06, 0.42, 6.9, 6.6], 4.0, 1e-2, opts)
+        assert [(e.kind, e.index) for e in traj.events] == [
+            ("SlideEnter", 2), ("SlideEnter", 1), ("SlideEnter", 0), ("SlideEnter", 4), ("SlideExit", 4)
+        ]
+        t_exit = traj.events[-1].time
+        assert t_exit == pytest.approx(2.11406, abs=1e-5)
+        k = traj.step_events.index("SlideExit:4")
+        assert traj.times[k - 1] < t_exit <= traj.times[k]
+        v4 = [velocity(mode, costs, cfg, box, x)[0][4] for x in traj.states[k - 2 : k + 1]]
+        assert v4[0] < v4[1] < 1.06
+        assert v4[2] == pytest.approx(1.06, abs=1e-12)
+        assert traj.regime_masks[k - 1] == 0x17 and traj.regime_masks[k] == 0x7
+
     def test_equivalent_control_evaluation_ceiling(self, costs, cfg, box, monkeypatch):
         counts = count_model_calls(monkeypatch)
         mode = SignDescent(sliding="equivalent_control")
