@@ -8,7 +8,7 @@ gradient integration with sliding and events), :mod:`constructal.analysis`
 :mod:`constructal.cli` (batch subcommands).
 """
 
-from .cones import Box, clarke_directional, kkt_residual, moreau_decompose, sign_set, tangent_project
+from .cones import Box, kkt_residual, moreau_decompose, tangent_project
 from .dynamics import (
     IntegrationOptions,
     ProjectedGradient,
@@ -16,7 +16,6 @@ from .dynamics import (
     Trajectory,
     integrate,
     integrate_ensemble,
-    step,
     two_trajectory_run,
     velocity,
 )
@@ -24,13 +23,9 @@ from .hierarchy import (
     ArchState,
     AssemblyConfig,
     TransportCosts,
-    derive_geometry,
-    grad_resistance,
-    imbalance,
     optimal_branching,
     optimal_ratios,
     optimum_state,
-    resistance,
     state_box,
 )
 
@@ -45,10 +40,6 @@ __all__ = [
     "SignDescent",
     "Trajectory",
     "TransportCosts",
-    "clarke_directional",
-    "derive_geometry",
-    "grad_resistance",
-    "imbalance",
     "integrate",
     "integrate_ensemble",
     "kkt_residual",
@@ -56,10 +47,7 @@ __all__ = [
     "optimal_branching",
     "optimal_ratios",
     "optimum_state",
-    "resistance",
-    "sign_set",
     "state_box",
-    "step",
     "tangent_project",
     "two_trajectory_run",
     "velocity",

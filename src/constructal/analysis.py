@@ -219,13 +219,16 @@ def dissipation_report(traj: Trajectory, r_star: float) -> DissipationReport:
 
     alpha_hat is the smallest observed (-dR/dt)/Psi over intervals with
     Psi above the floor (inf when no interval qualifies); violations count
-    steps with a resistance increase beyond the per-step tolerance.
+    steps with a resistance increase beyond the per-step tolerance.  A run
+    needs 10 samples, or 2 if it stopped converged (a run from the optimum
+    stops after one step).
     """
     t = np.asarray(traj.times)
     R = np.asarray(traj.R_values)
     Psi = np.asarray(traj.Psi_values)
-    if t.size < 10:
-        raise TooFewSamplesError(f"need at least 10 samples, got {t.size}")
+    need = 2 if traj.converged else 10
+    if t.size < need:
+        raise TooFewSamplesError(f"need at least {need} samples, got {t.size}")
     dt = np.diff(t)
     dR = np.diff(R)
     tol = 1e-9 * (1.0 + np.abs(R[:-1]))

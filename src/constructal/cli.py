@@ -61,8 +61,8 @@ def cmd_table(args) -> int:
     p = costs.p
     r_ana = hm.optimal_ratios(costs, cfg)
     n_ana = hm.optimal_branching(costs)
-    geo = hm.derive_geometry(costs, cfg, hm.optimum_state(costs, cfg))
-    c_ana = np.array([hm.min_cost_per_flow(costs, cfg, i, geo.A[i - 1]) for i in range(1, p + 1)])
+    A = hm.areas_from_n(cfg, n_ana)
+    c_ana = np.array([hm.min_cost_per_flow(costs, cfg, i, A[i - 1]) for i in range(1, p + 1)])
     oracle = analysis.grid_oracle(costs, cfg)
 
     header = ["level", "r_opt", "r_oracle", "dev_r", "cost_min", "cost_oracle", "dev_cost"]

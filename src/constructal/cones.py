@@ -15,13 +15,10 @@ from .errors import DomainError
 __all__ = [
     "Box",
     "ConeDecomposition",
-    "SignInterval",
     "outward",
     "tangent_project",
     "moreau_decompose",
     "kkt_residual",
-    "sign_set",
-    "clarke_directional",
 ]
 
 BOUNDARY_TOL = 1e-9
@@ -118,38 +115,3 @@ def kkt_residual(box: Box, x, g, tol: float = BOUNDARY_TOL) -> float:
     stationary points.  For a box this is ||P_{T_K(x)}(-g)||^2."""
     t = tangent_project(box, x, -np.asarray(g, dtype=float), tol)
     return float(t @ t)
-
-
-@dataclass(frozen=True)
-class SignInterval:
-    """Componentwise set-valued sign: each component is {-1}, {+1} or [-1, 1].
-
-    Follows the inverted orientation of the inclusion's sign map: a positive
-    argument selects {-1} and a negative one {+1}, so applying a positive
-    gain directly to a selection already descends the argument.
-    """
-
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def is_singleton(self) -> np.ndarray:
-        return self.lo == self.hi
-
-    def selection(self) -> np.ndarray:
-        """Midpoint selection (0 on switching components)."""
-        return 0.5 * (self.lo + self.hi)
-
-
-def sign_set(u, tol: float) -> SignInterval:
-    """Set-valued sign of u with switching tolerance tol (> 0)."""
-    if tol <= 0:
-        raise DomainError("switching tolerance must be positive")
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    lo = np.where(u > tol, -1.0, np.where(u < -tol, 1.0, -1.0))
-    hi = np.where(u > tol, -1.0, np.where(u < -tol, 1.0, 1.0))
-    return SignInterval(lo=lo, hi=hi)
-
-
-def clarke_directional(grad, v) -> float:
-    """Directional derivative <grad, v> (R is smooth on the box interior)."""
-    return float(np.asarray(grad, dtype=float) @ np.asarray(v, dtype=float))

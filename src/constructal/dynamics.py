@@ -70,8 +70,6 @@ __all__ = [
     "PairedRun",
     "EnsembleResult",
     "velocity",
-    "slide_velocity",
-    "step",
     "integrate",
     "two_trajectory_run",
     "integrate_ensemble",
@@ -272,11 +270,7 @@ def _solve_blocks(H: np.ndarray, S: np.ndarray, B: np.ndarray) -> np.ndarray:
 def _equivalent_control(H: np.ndarray, S: np.ndarray, V: np.ndarray) -> np.ndarray:
     """V with the sliding coordinates S of each row set to the equivalent
     control -H_SS^-1 H_S,ext V_ext."""
-    B = np.zeros_like(V)
-    for i in np.flatnonzero(S.any(axis=1) & ~S.all(axis=1)):
-        # one product per row: a stacked matmul takes other BLAS kernels,
-        # whose sums round differently
-        B[i, S[i]] = -(H[i][S[i]][:, ~S[i]] @ V[i, ~S[i]])
+    B = np.where(S, -(H @ np.where(S, 0.0, V)[..., None])[..., 0], 0.0)
     return np.where(S, _solve_blocks(H, S, B), V)
 
 
@@ -605,32 +599,6 @@ def velocity(mode: DynamicsMode, costs, cfg, box: Box, x, options: IntegrationOp
     regime = Regime(sliding=_indices(fz.sliding[0]), lower=_indices(lower), upper=_indices(held & ~lower),
                     signs=tuple(int(s) for s in fz.signs[0]), velocity=v)
     return v, regime
-
-
-def slide_velocity(mode: SignDescent, costs, cfg, x, active_set, options: IntegrationOptions | None = None) -> np.ndarray:
-    """Equivalent-control sliding velocity on the given active set of
-    coordinate indices in 0..d-1 (a repeated index counts once).
-
-    External coordinates keep their sign-descent values; solved components
-    are clamped to the gain bounds and the set shrinks when the Filippov
-    condition fails.
-    """
-    if not isinstance(mode, SignDescent) or mode.sliding != EQUIVALENT_CONTROL:
-        raise DomainError("slide_velocity requires SignDescent with equivalent control")
-    opts = options or IntegrationOptions()
-    Y = hm._as_vector(x, costs.p)[None]
-    d = Y.shape[1]
-    idx = [int(j) for j in active_set]
-    if not all(0 <= j < d for j in idx):
-        raise DomainError(f"active set {idx} has an index outside 0..{d - 1}")
-    S = np.isin(np.arange(d), idx)[None]
-    G = hm.gradient_vec(costs, cfg, Y, mode.gradient_mode)
-    H = hm.grad_jacobian(costs, cfg, Y, mode.gradient_mode)
-    signs = np.where(_on_manifold(G, H, opts.switch_tol), 0.0, np.sign(G))
-    V, unsolvable = _clamp_and_drop(H, S, signs, mode.gains(costs.p))
-    if unsolvable[0]:
-        raise SingularSlidingError(f"sliding block beyond condition number {_COND_MAX:g}")
-    return V[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1129,12 +1097,6 @@ def _integrate(mode: DynamicsMode, costs, cfg, box: Box, X: np.ndarray, t_end: f
         return _run(fld, box.clip(X), t_end, h, stop, keep)
     except StepFailureError as exc:
         raise StepFailureError(f"integration failed at t={exc.time:.6g}: {exc}", exc.time) from exc
-
-
-def step(mode: DynamicsMode, costs, cfg, box: Box, x, h: float, options: IntegrationOptions | None = None):
-    """One nominal step of size h; returns (x_next, events)."""
-    (traj,) = _integrate(mode, costs, cfg, box, hm._as_vector(x, costs.p)[None], h, h, options, False)
-    return traj.final_state, traj.events
 
 
 def integrate(

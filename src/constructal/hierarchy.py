@@ -44,18 +44,18 @@ __all__ = [
     "TransportCosts",
     "AssemblyConfig",
     "ArchState",
-    "DerivedGeometry",
     "bejan_prefactors",
-    "derive_geometry",
+    "areas_from_n",
+    "resistance_vec",
+    "resistance_lyapunov_vec",
+    "gradient_vec",
+    "grad_jacobian",
+    "imbalance_vec",
     "level_cost",
     "min_cost_per_flow",
     "optimal_ratios",
     "optimal_branching",
     "optimum_state",
-    "resistance",
-    "grad_resistance",
-    "grad_jacobian",
-    "imbalance",
     "state_box",
 ]
 
@@ -202,23 +202,6 @@ class ArchState:
 
     def vector(self) -> np.ndarray:
         return np.asarray(self.r + self.n, dtype=float)
-
-    @classmethod
-    def from_vector(cls, vec, p: int) -> "ArchState":
-        v = np.asarray(vec, dtype=float).ravel()
-        if v.size != 2 * p - 1:
-            raise DomainError(f"expected state of dimension {2 * p - 1}, got {v.size}")
-        return cls(r=tuple(v[:p]), n=tuple(v[p:]))
-
-
-@dataclass(frozen=True)
-class DerivedGeometry:
-    """Areas, flows and rectangle sides implied by a state."""
-
-    A: tuple[float, ...]
-    m: tuple[float, ...]
-    H: tuple[float, ...]
-    L: tuple[float, ...]
 
 
 def state_box(costs: TransportCosts, cfg: AssemblyConfig) -> Box:
@@ -389,34 +372,8 @@ def grad_jacobian(
 
 
 # ---------------------------------------------------------------------------
-# typed operations
+# per-level costs and the analytic optimum
 # ---------------------------------------------------------------------------
-
-def _require_in_box(costs: TransportCosts, cfg: AssemblyConfig, x: ArchState, tol: float = 1e-9):
-    r = np.asarray(x.r)
-    n = np.asarray(x.n)
-    if x.p != costs.p:
-        raise DomainError(f"state has p={x.p}, costs have p={costs.p}")
-    if np.any(r < cfg.r_lo - tol) or np.any(r > cfg.r_hi + tol):
-        raise DomainError(f"aspect ratios {x.r} outside [{cfg.r_lo}, {cfg.r_hi}]")
-    if n.size and (np.any(n < 1.0 - tol) or np.any(n > cfg.n_hi + tol)):
-        raise DomainError(f"branching numbers {x.n} outside [1, {cfg.n_hi}]")
-
-
-def derive_geometry(costs: TransportCosts, cfg: AssemblyConfig, x: ArchState) -> DerivedGeometry:
-    """Areas, flows and rectangle sides from the assembly recursion."""
-    if any(v <= 0 for v in x.r):
-        raise DomainError("aspect ratios must be positive")
-    if any(v < 1.0 for v in x.n):
-        raise DomainError("branching numbers must be >= 1")
-    _require_in_box(costs, cfg, x)
-    r = np.asarray(x.r)
-    A = areas_from_n(cfg, np.asarray(x.n))
-    m = cfg.gamma * A
-    H = np.sqrt(A * r)
-    L = np.sqrt(A / r)
-    return DerivedGeometry(A=tuple(A), m=tuple(m), H=tuple(H), L=tuple(L))
-
 
 def level_cost(costs: TransportCosts, cfg: AssemblyConfig, i: int, A_i: float, r_i: float) -> float:
     """Per-unit-flow cost of level i (1-based) at area A_i and ratio r_i."""
@@ -470,26 +427,3 @@ def optimum_state(costs: TransportCosts, cfg: AssemblyConfig) -> ArchState:
         r=tuple(optimal_ratios(costs, cfg)),
         n=tuple(optimal_branching(costs)),
     )
-
-
-def resistance(costs: TransportCosts, cfg: AssemblyConfig, x: ArchState) -> float:
-    """Total resistance: area-weighted per-flow costs plus branching penalty."""
-    if any(v <= 0 for v in x.r):
-        raise DomainError("aspect ratios must be positive")
-    _require_in_box(costs, cfg, x)
-    return float(resistance_vec(costs, cfg, x.vector()))
-
-
-def grad_resistance(
-    costs: TransportCosts, cfg: AssemblyConfig, x: ArchState, mode: str = "decoupled"
-) -> np.ndarray:
-    """Gradient of the selected mode; zero exactly at the analytic optimum
-    in decoupled mode."""
-    _require_in_box(costs, cfg, x)
-    return gradient_vec(costs, cfg, x.vector(), mode)
-
-
-def imbalance(costs: TransportCosts, cfg: AssemblyConfig, x: ArchState) -> float:
-    """Squared distance to the analytic optimum, summed over all coordinates."""
-    _require_in_box(costs, cfg, x)
-    return float(imbalance_vec(costs, cfg, x.vector()))

@@ -3,6 +3,7 @@ import pytest
 
 from constructal import (
     AssemblyConfig,
+    IntegrationOptions,
     ProjectedGradient,
     TransportCosts,
     integrate,
@@ -174,8 +175,6 @@ class TestStructuralBound:
 
 class TestDissipationReport:
     def test_constant_trajectory(self, costs, cfg, box, pg_mode, x_star):
-        from constructal.dynamics import IntegrationOptions
-
         traj = integrate(
             pg_mode, costs, cfg, box, x_star, 0.02, 1e-3,
             IntegrationOptions(stop_on_convergence=False),
@@ -190,8 +189,6 @@ class TestDissipationReport:
         # the per-interval difference quotient carries the discretization
         # bias (1 - exp(-2h))/(2h) ~= 1 - h
         x0 = x_star.vector() + np.array([0.0, 0.0, 0.0, 2.0, 1.0])
-        from constructal.dynamics import IntegrationOptions
-
         traj = integrate(
             pg_mode, costs, cfg, box, x0, 4.0, 1e-3, IntegrationOptions(stop_on_convergence=False)
         )
@@ -211,9 +208,17 @@ class TestDissipationReport:
         assert report.alpha_hat > 0.0
 
     def test_too_few_samples(self, costs, cfg, box, pg_mode, x_star):
-        traj = integrate(pg_mode, costs, cfg, box, x_star, 0.004, 1e-3)
+        # 5 samples: too few for a run that has not converged, enough for
+        # one that stopped converged (from x* after one step)
+        traj = integrate(
+            pg_mode, costs, cfg, box, x_star, 0.004, 1e-3, IntegrationOptions(stop_on_convergence=False)
+        )
         with pytest.raises(TooFewSamplesError):
             analysis.dissipation_report(traj, r_star=264.5)
+        traj = integrate(pg_mode, costs, cfg, box, x_star, 0.004, 1e-3)
+        assert traj.converged and traj.times.size == 2
+        report = analysis.dissipation_report(traj, r_star=264.5)
+        assert report.samples == 2 and report.violations == 0
 
 
 class TestFitRate:

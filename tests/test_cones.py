@@ -6,10 +6,8 @@ from hypothesis import strategies as st
 from constructal import hierarchy as hm
 from constructal.cones import (
     Box,
-    clarke_directional,
     kkt_residual,
     moreau_decompose,
-    sign_set,
     tangent_project,
 )
 from constructal.errors import DomainError
@@ -125,7 +123,7 @@ class TestKKTResidual:
                 assert res == pytest.approx(float(g @ g), rel=1e-12)
 
     def test_stationary_at_optimum(self, costs, cfg, box, x_star):
-        g = hm.grad_resistance(costs, cfg, x_star, "decoupled")
+        g = hm.gradient_vec(costs, cfg, x_star.vector(), "decoupled")
         assert kkt_residual(box, x_star.vector(), g) <= 1e-12
 
     def test_positive_at_perturbed_points(self, costs, cfg, box, x_star):
@@ -139,51 +137,3 @@ class TestKKTResidual:
             g = hm.gradient_vec(costs, cfg, vec, "decoupled")
             assert kkt_residual(box, vec, g) > 0.0
 
-
-class TestSignSet:
-    def test_inverted_orientation(self):
-        s = sign_set(np.array([0.5, -0.5]), 1e-9)
-        assert s.lo.tolist() == [-1.0, 1.0]
-        assert s.hi.tolist() == [-1.0, 1.0]
-
-    def test_switching_interval(self):
-        s = sign_set(np.array([0.0]), 1e-9)
-        assert (s.lo[0], s.hi[0]) == (-1.0, 1.0)
-        assert not s.is_singleton()[0]
-
-    def test_tolerance_monotonicity(self):
-        rng = np.random.default_rng(31)
-        u = rng.normal(size=50) * 1e-6
-        small = sign_set(u, 1e-9)
-        large = sign_set(u, 1e-3)
-        assert np.all(large.lo <= small.lo)
-        assert np.all(large.hi >= small.hi)
-
-    def test_rejects_nonpositive_tolerance(self):
-        with pytest.raises(DomainError):
-            sign_set(np.array([1.0]), 0.0)
-
-
-class TestClarkeDirectional:
-    def test_sign_descent_rate(self):
-        grad = np.array([3.0, -4.0])
-        v = -np.sign(grad)
-        assert clarke_directional(grad, v) == pytest.approx(-7.0)
-
-    def test_zero_direction(self):
-        assert clarke_directional(np.array([3.0, -4.0]), np.zeros(2)) == 0.0
-
-    def test_matches_directional_finite_differences(self, costs, cfg):
-        from conftest import interior_states
-
-        rng = np.random.default_rng(37)
-        for vec in interior_states(rng, 100):
-            g = hm.gradient_vec(costs, cfg, vec, "coupled")
-            v = rng.normal(size=5)
-            v /= np.linalg.norm(v)
-            step = 1e-6
-            fd = (
-                hm.resistance_vec(costs, cfg, vec + step * v)
-                - hm.resistance_vec(costs, cfg, vec - step * v)
-            ) / (2 * step)
-            assert clarke_directional(g, v) == pytest.approx(fd, rel=1e-5, abs=1e-6)

@@ -305,6 +305,19 @@ class TestCliConverge:
         assert float(report["r_squared"]) >= 0.999
 
 
+class TestCliFromOptimum:
+    @pytest.mark.parametrize("command, report", [("simulate", "summary.txt"), ("certify", "certificate.txt")])
+    def test_run_that_starts_converged_passes(self, tmp_path, command, report):
+        # the run stops converged after one step, with 2 of its 1001 grid rows
+        cfgp = tmp_path / "xstar.cfg"
+        write_config(canonical_data(**{"run.x0": [1.0, 0.5, 0.5, 8.0, 16.0], "sampling.count": 512}), cfgp)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfgp), "--out", str(out)]) == 0
+        text = (out / report).read_text()
+        assert "dissipation_violations = 0" in text
+        assert "R_gap = 0.0" in text
+
+
 class TestCliErrorMapping:
     def test_integration_failure_exits_1(self, tmp_path, monkeypatch):
         from constructal import cli

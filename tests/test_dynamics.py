@@ -15,14 +15,12 @@ from constructal import (
     integrate_ensemble,
     optimum_state,
     state_box,
-    step,
     two_trajectory_run,
     velocity,
 )
 from constructal import dynamics
 from constructal import hierarchy as hm
 from constructal.config import load_config
-from constructal.dynamics import slide_velocity
 from constructal.errors import DomainError, SingularSlidingError, StepFailureError
 
 from conftest import random_ladder
@@ -90,25 +88,37 @@ class TestVelocity:
         assert regime.velocity is v
 
 
+def clamp_and_drop(mode, costs, cfg, x, active):
+    """Clamp-and-drop velocity at x from the sliding set ``active``."""
+    Y = np.asarray(x, dtype=float)[None]
+    G = hm.gradient_vec(costs, cfg, Y, mode.gradient_mode)
+    H = hm.grad_jacobian(costs, cfg, Y, mode.gradient_mode)
+    S = np.isin(np.arange(Y.shape[1]), active)[None]
+    signs = np.where(dynamics._on_manifold(G, H, IntegrationOptions().switch_tol), 0.0, np.sign(G))
+    V, unsolvable = dynamics._clamp_and_drop(H, S, signs, mode.gains(costs.p))
+    assert not unsolvable.any()
+    return V[0]
+
+
 class TestSlideVelocity:
     def test_full_sliding_at_equilibrium(self, costs, cfg, x_star):
         mode = SignDescent(sliding="equivalent_control")
-        v = slide_velocity(mode, costs, cfg, x_star, active_set=range(5))
+        v = clamp_and_drop(mode, costs, cfg, x_star.vector(), range(5))
         assert np.max(np.abs(v)) <= 1e-9
 
     def test_single_level_manifold_freezes(self):
         costs = TransportCosts(K=(1.0, 0.5))
         cfg = AssemblyConfig.bejan(costs)
         mode = SignDescent(sliding="equivalent_control")
-        x = optimum_state(costs, cfg)
-        v = slide_velocity(mode, costs, cfg, x, active_set=[0])
+        x = optimum_state(costs, cfg).vector()
+        v = clamp_and_drop(mode, costs, cfg, x, [0])
         assert v == pytest.approx([0.0], abs=1e-12)
 
     def test_branching_block_is_diagonal(self, costs, cfg, x_star):
         mode = SignDescent(sliding="equivalent_control")
         x = x_star.vector() + np.array([0.2, 0.0, 0.0, 0.0, 0.0])
         x[3] = 8.0  # n_2 on its manifold
-        v = slide_velocity(mode, costs, cfg, x, active_set=[3])
+        v = clamp_and_drop(mode, costs, cfg, x, [3])
         assert v[3] == pytest.approx(0.0, abs=1e-12)
         assert abs(v[0]) == pytest.approx(1.0)
 
@@ -117,45 +127,41 @@ class TestSlideVelocity:
         # exceeds its bound, so clamp-and-drop expels n_2 and then n_3
         mode = SignDescent(sliding="equivalent_control", gradient_mode="coupled", zeta=(1e-3, 1.0))
         gains = mode.gains(costs.p)
-        v = slide_velocity(mode, costs, cfg, GENERIC_X0, active_set=[3, 4])
+        v = clamp_and_drop(mode, costs, cfg, GENERIC_X0, [3, 4])
         assert v[3] == gains[3] and v[4] == gains[4]
         assert np.all(np.abs(v) <= gains)
 
-    def test_active_set_is_a_set_of_valid_indices(self, costs, cfg, x_star):
-        mode = SignDescent(sliding="equivalent_control")
-        x = x_star.vector() + np.array([0.2, 0.0, 0.0, 0.0, 0.0])
-        once = slide_velocity(mode, costs, cfg, x, active_set=[3, 4])
-        assert np.array_equal(slide_velocity(mode, costs, cfg, x, active_set=[4, 3, 3]), once)
-        for bad in ([-1], [5], [0, 7]):
-            with pytest.raises(DomainError):
-                slide_velocity(mode, costs, cfg, x, active_set=bad)
+
+ONE_STEP = IntegrationOptions(stop_on_convergence=False)
 
 
 class TestStep:
+    """One nominal step: a run to t_end = h that does not stop on convergence."""
+
     def test_branching_exponential_decay(self, costs, cfg, box, pg_mode, x_star):
         x0 = x_star.vector() + np.array([0.0, 0.0, 0.0, 2.0, 0.0])
         h = 0.01
-        x1, events = step(pg_mode, costs, cfg, box, x0, h)
-        assert events == []
-        assert x1[3] - 8.0 == pytest.approx(2.0 * np.exp(-h), abs=1e-10)
+        traj = integrate(pg_mode, costs, cfg, box, x0, h, h, ONE_STEP)
+        assert traj.events == []
+        assert traj.final_state[3] - 8.0 == pytest.approx(2.0 * np.exp(-h), abs=1e-10)
 
     def test_equilibrium_fixed_point(self, costs, cfg, box, pg_mode, x_star):
-        x1, events = step(pg_mode, costs, cfg, box, x_star, 0.01)
-        assert events == []
-        assert x1 == pytest.approx(x_star.vector(), abs=1e-12)
+        traj = integrate(pg_mode, costs, cfg, box, x_star, 0.01, 0.01, ONE_STEP)
+        assert traj.events == []
+        assert traj.final_state == pytest.approx(x_star.vector(), abs=1e-12)
 
     def test_sign_descent_constant_speed(self):
         costs = TransportCosts(K=(1.0, 0.5))
         cfg = AssemblyConfig.bejan(costs)
         box = state_box(costs, cfg)
         mode = SignDescent(eta=(0.7,), zeta=(), sliding="equivalent_control")
-        x1, events = step(mode, costs, cfg, box, np.array([2.0]), 0.01)
-        assert events == []
-        assert x1[0] == pytest.approx(2.0 - 0.7 * 0.01, abs=1e-14)
+        traj = integrate(mode, costs, cfg, box, np.array([2.0]), 0.01, 0.01, ONE_STEP)
+        assert traj.events == []
+        assert traj.final_state[0] == pytest.approx(2.0 - 0.7 * 0.01, abs=1e-14)
 
     def test_rejects_bad_args(self, costs, cfg, box, pg_mode, x_star):
         with pytest.raises(DomainError):
-            step(pg_mode, costs, cfg, box, x_star, -1.0)
+            integrate(pg_mode, costs, cfg, box, x_star, -1.0, -1.0, ONE_STEP)
 
 
 class TestIntegrate:
@@ -497,7 +503,7 @@ class TestStiffCore:
         with pytest.raises(DomainError):
             integrate(pg_mode, costs, cfg, box, GENERIC_X0, 1.0, bad)
         with pytest.raises(DomainError):
-            step(pg_mode, costs, cfg, box, GENERIC_X0, bad)
+            integrate(pg_mode, costs, cfg, box, GENERIC_X0, bad, bad, ONE_STEP)
         with pytest.raises(DomainError):
             integrate_ensemble(pg_mode, costs, cfg, box, GENERIC_X0[None, :], bad, 1e-3)
         with pytest.raises(DomainError):
