@@ -78,7 +78,6 @@ def _speed(key: str, v):
 KEYS = {
     "costs.K": (_numbers, None),
     "assembly.A1": (_positive, 1.0),
-    "assembly.gamma": (_positive, 1.0),
     "assembly.kappa": (_numbers, None),
     "assembly.alpha": (_numbers, None),
     "assembly.beta": (_numbers, None),
@@ -247,7 +246,6 @@ def build_run_config(data: dict) -> RunConfig:
         alpha, beta = hm.bejan_prefactors(costs)
     kappa = v["assembly.kappa"]
     cfg = hm.AssemblyConfig(
-        gamma=v["assembly.gamma"],
         A1=v["assembly.A1"],
         alpha=alpha,
         beta=beta,

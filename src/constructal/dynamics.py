@@ -18,10 +18,12 @@ M y' = f(y) with a diagonal mass matrix M:
 Each law is one small class that owns ``regime`` (the frozen-regime
 field found at a state), ``monitors`` (the regime changes to watch over a
 step) and ``classify`` (the event a fired monitor stands for); the core
-sees nothing else of the law.  Every law forms its regimes on whole
-(N, d) stacks; equivalent control runs the clamp-and-drop iteration of
-the Filippov condition on all rows at once, solving together the rows
-that share a sliding set.
+sees nothing else of the law.  A regime is data (coefficients, constant
+velocities and the mass matrix of each row), so rows in different
+regimes advance in one batched step.  Every law forms its regimes on
+whole (N, d) stacks; equivalent control runs the clamp-and-drop
+iteration of the Filippov condition on all rows at once, solving
+together the rows that share a sliding set.
 
 Coordinates held on a box face have zero velocity.  Projected gradient
 is stiff near the optimum (Jacobian eigenvalues from 0.5 to 1024 on the
@@ -310,29 +312,43 @@ def _clamp_and_drop(H: np.ndarray, S: np.ndarray, signs: np.ndarray, gains: np.n
 
 @dataclass
 class _Frozen:
-    """Frozen-regime field of one step: M y' = f(y) with
+    """Frozen regime of each row of a stack, as data: M y' = f(y) with
 
         f(y) = coef * grad R(y)  on ``active`` coordinates,
         f(y) = const             elsewhere,
 
-    and M = diag(mass), mass 0 marking algebraic rows (all ones: an ODE).
+    and M = diag(mass).  Coordinates of mass 0 (``algebraic``) are the
+    sliding set S of equivalent control, where 0 = d_S R and the state
+    velocity is the equivalent control; all ones make the row an ODE.
     Coordinates in ``frozen`` are held on a box face (const 0).
     ``sliding`` marks the coordinates in their boundary layer or on their
     switching manifold, face-held ones included, and ``signs`` the signs
     of d_j R that set the saturated velocities (0 where none does).
+    ``fallback`` marks the rows of equivalent control whose sliding block
+    cannot be solved: they hold the boundary-layer regime.  ``dae`` and
+    ``falls`` tell whether any row has algebraic coordinates or falls back.
     """
 
-    frozen: np.ndarray   # (N, d) bool
-    active: np.ndarray   # (N, d) bool
-    sliding: np.ndarray  # (N, d) bool
-    signs: np.ndarray    # (N, d)
-    coef: np.ndarray     # (1, d), shared by all rows
-    const: np.ndarray    # (N, d)
-    mass: np.ndarray     # (N, d)
+    frozen: np.ndarray    # (N, d) bool
+    active: np.ndarray    # (N, d) bool
+    sliding: np.ndarray   # (N, d) bool
+    signs: np.ndarray     # (N, d)
+    coef: np.ndarray      # (N, d)
+    const: np.ndarray     # (N, d)
+    mass: np.ndarray      # (N, d)
+    fallback: np.ndarray  # (N,) bool
+
+    def __post_init__(self):
+        self.algebraic = self.mass == 0.0
+        self.dae = bool(self.algebraic.any())
+        self.falls = bool(self.fallback.any())
+
+    def planes(self) -> tuple[np.ndarray, ...]:
+        """The (N, d) arrays, in field order."""
+        return self.frozen, self.active, self.sliding, self.signs, self.coef, self.const, self.mass
 
     def take(self, rows) -> _Frozen:
-        return _Frozen(self.frozen[rows], self.active[rows], self.sliding[rows], self.signs[rows],
-                       self.coef, self.const[rows], self.mass[rows])
+        return _Frozen(*(a[rows] for a in self.planes()), self.fallback[rows])
 
     def bits(self) -> np.ndarray:
         """Regime mask of each row: sliding and face-held coordinates."""
@@ -357,7 +373,7 @@ class _Field:
     """Model access and the frozen-regime field shared by the three laws;
     each law adds its ``regime`` and may extend ``monitors`` and ``classify``.
     ``regime(Y, G)`` returns the frozen regime of each row of the stack Y
-    and the (N,) mask of rows whose regime cannot be formed.
+    as data (:class:`_Frozen`), which alone sets the field of a step.
 
     A coordinate is held on a box face for a whole step when it starts the
     step on the face with an outward velocity (:func:`cones.outward`).
@@ -365,11 +381,9 @@ class _Field:
     (mobility or gains): the raw velocity of coordinate j has the sign of
     -d_j R, so a face-held coordinate is released when d_j R turns.
     ``slaved_fast`` exempts fast components from the velocity-change bound
-    (see the notes on the core); ``fallback`` is the field that takes a
-    step whose own regime cannot be formed.
+    (see the notes on the core).
     """
 
-    fallback: _Field | None = None
     slaved_fast = False
 
     def __init__(self, mode: DynamicsMode, costs, cfg, box: Box, opts: IntegrationOptions, scale):
@@ -380,20 +394,34 @@ class _Field:
     def grad(self, Y: np.ndarray) -> np.ndarray:
         return hm.gradient_vec(self.costs, self.cfg, Y, self.gmode)
 
+    def hess(self, Y: np.ndarray) -> np.ndarray:
+        return hm.grad_jacobian(self.costs, self.cfg, Y, self.gmode)
+
     def rhs(self, G: np.ndarray, fz: _Frozen) -> np.ndarray:
         return np.where(fz.active, fz.coef * G, fz.const)
 
     def velocity(self, Y: np.ndarray, G: np.ndarray, fz: _Frozen) -> np.ndarray:
-        """State velocity y'; differs from rhs only on algebraic rows."""
-        return self.rhs(G, fz)
+        """State velocity y': f, with the equivalent control
+        -H_SS^-1 H_S,ext y'_ext on the algebraic coordinates S."""
+        V = self.rhs(G, fz)
+        return _equivalent_control(self.hess(Y), fz.algebraic, V) if fz.dae else V
 
     def jacobian(self, Y: np.ndarray, fz: _Frozen) -> np.ndarray:
-        J = fz.coef[..., None] * hm.grad_jacobian(self.costs, self.cfg, Y, self.gmode)
+        J = fz.coef[..., None] * self.hess(Y)
         return np.where(fz.active[:, :, None] & ~fz.frozen[:, None, :], J, 0.0)
 
-    def project(self, Y: np.ndarray, active: np.ndarray, tol: float) -> np.ndarray:
-        """States put back on the sliding manifolds (none here); ``active``
-        is the (N, d) mask of the frozen regime's solved coordinates."""
+    def project(self, Y: np.ndarray, algebraic: np.ndarray, tol: float) -> np.ndarray:
+        """States put back on their sliding manifolds: one Newton correction
+        delta_S = -H_SS^-1 d_S R on the rows of Y whose algebraic coordinates
+        S (the (N, d) mask ``algebraic``) are off by more than tol."""
+        if not algebraic.any():
+            return Y
+        G = self.grad(Y)
+        off = np.any(algebraic & (np.abs(G) > tol), axis=1)
+        if not off.any():
+            return Y
+        Y = Y.copy()
+        Y[off] -= _solve_blocks(self.hess(Y[off]), algebraic[off], G[off])
         return Y
 
     def may_change(self, Y1: np.ndarray, fz: _Frozen) -> np.ndarray:
@@ -435,11 +463,11 @@ class _PGField(_Field):
         super().__init__(mode, costs, cfg, box, opts, mode.mobility_vector(box.dim))
         self.neg_mob = -self.scale
 
-    def regime(self, Y: np.ndarray, G: np.ndarray) -> tuple[_Frozen, np.ndarray]:
+    def regime(self, Y: np.ndarray, G: np.ndarray) -> _Frozen:
         frozen = outward(self.box, Y, self.neg_mob * G, self.opts.boundary_tol)
         zeros = np.zeros_like(Y)
-        fz = _Frozen(frozen, ~frozen, np.zeros_like(frozen), zeros, self.neg_mob[None], zeros, np.ones_like(Y))
-        return fz, np.zeros(len(Y), dtype=bool)
+        return _Frozen(frozen, ~frozen, np.zeros_like(frozen), zeros, np.tile(self.neg_mob, (len(Y), 1)),
+                       zeros, np.ones_like(Y), np.zeros(len(Y), dtype=bool))
 
     def may_change(self, Y1: np.ndarray, fz: _Frozen) -> np.ndarray:
         """Only face monitors here: rows with a face-held coordinate, or
@@ -454,16 +482,16 @@ class _LayerField(_Field):
 
     def __init__(self, mode: SignDescent, costs, cfg, box: Box, opts: IntegrationOptions):
         super().__init__(mode, costs, cfg, box, opts, mode.gains(costs.p))
-        self.coef = (-self.scale / mode.epsilon)[None]
+        self.coef = -self.scale / mode.epsilon
 
-    def regime(self, Y: np.ndarray, G: np.ndarray) -> tuple[_Frozen, np.ndarray]:
+    def regime(self, Y: np.ndarray, G: np.ndarray) -> _Frozen:
         eps = self.mode.epsilon
         sliding = np.abs(G) <= eps
         signs = np.sign(np.where(sliding, 0.0, G))
         frozen = outward(self.box, Y, -self.scale * np.clip(G / eps, -1.0, 1.0), self.opts.boundary_tol)
         const = np.where(frozen, 0.0, -self.scale * signs)
-        fz = _Frozen(frozen, sliding & ~frozen, sliding, signs, self.coef, const, np.ones_like(Y))
-        return fz, np.zeros(len(Y), dtype=bool)
+        return _Frozen(frozen, sliding & ~frozen, sliding, signs, np.tile(self.coef, (len(Y), 1)), const,
+                       np.ones_like(Y), np.zeros(len(Y), dtype=bool))
 
     def monitors(self, y0: np.ndarray, y1: np.ndarray, fz: _Frozen) -> list[_Monitor]:
         """Face monitors plus layer exit (inside) and entry (saturated)."""
@@ -484,49 +512,37 @@ class _SlideField(_Field):
         x_ext' = -gain sgn(d R)  (0 on face-held coordinates),
         0      = d_S R           on the sliding set S,
 
-    with Jacobian rows [0; H_S,:].  Its velocity on S is the equivalent
-    control -H_SS^-1 H_S,ext x_ext'.  The regime of each row is formed by
+    with Jacobian rows [0; H_S,:].  The regime of each row is formed by
     the clamp-and-drop iteration of the Filippov condition
     (:func:`_clamp_and_drop`).  A row whose sliding block is too
-    ill-conditioned to solve hands its step to the boundary-layer field
-    (``fallback``).
+    ill-conditioned to solve takes the boundary-layer regime instead
+    (``fallback``), and that field's monitors.
     """
 
     def __init__(self, mode: SignDescent, costs, cfg, box: Box, opts: IntegrationOptions):
         super().__init__(mode, costs, cfg, box, opts, mode.gains(costs.p))
-        self.fallback = _LayerField(replace(mode, sliding=BOUNDARY_LAYER), costs, cfg, box, opts)
-        self.coef = np.ones((1, box.dim))
+        self.layer = _LayerField(replace(mode, sliding=BOUNDARY_LAYER), costs, cfg, box, opts)
 
-    def regime(self, Y: np.ndarray, G: np.ndarray) -> tuple[_Frozen, np.ndarray]:
-        H = hm.grad_jacobian(self.costs, self.cfg, Y, self.gmode)
+    def regime(self, Y: np.ndarray, G: np.ndarray) -> _Frozen:
+        H = self.hess(Y)
         sliding = _on_manifold(G, H, self.opts.switch_tol)
         signs = np.where(sliding, 0.0, np.sign(G))
         V, unsolvable = _clamp_and_drop(H, sliding, signs, self.scale)
         frozen = outward(self.box, Y, V, self.opts.boundary_tol)
         active = sliding & ~frozen
         const = np.where(frozen, 0.0, -self.scale * signs)
-        return _Frozen(frozen, active, sliding, signs, self.coef, const, np.where(active, 0.0, 1.0)), unsolvable
-
-    def velocity(self, Y: np.ndarray, G, fz: _Frozen) -> np.ndarray:
-        return _equivalent_control(hm.grad_jacobian(self.costs, self.cfg, Y, self.gmode), fz.active, fz.const)
-
-    def project(self, Y: np.ndarray, active: np.ndarray, tol: float) -> np.ndarray:
-        """One Newton correction delta_S = -H_SS^-1 d_S R on the rows of Y
-        whose sliding coordinates are off their manifolds by more than tol."""
-        if not active.any():
-            return Y
-        G = self.grad(Y)
-        off = np.any(active & (np.abs(G) > tol), axis=1)
-        if not off.any():
-            return Y
-        Y = Y.copy()
-        H = hm.grad_jacobian(self.costs, self.cfg, Y[off], self.gmode)
-        Y[off] -= _solve_blocks(H, active[off], G[off])
-        return Y
+        parts = (frozen, active, sliding, signs, np.ones_like(Y), const, np.where(active, 0.0, 1.0))
+        if unsolvable.any():
+            for own, fill in zip(parts, self.layer.regime(Y[unsolvable], G[unsolvable]).planes()):
+                own[unsolvable] = fill
+        return _Frozen(*parts, unsolvable)
 
     def monitors(self, y0: np.ndarray, y1: np.ndarray, fz: _Frozen) -> list[_Monitor]:
-        """Face monitors plus switching-manifold crossings of the external
-        coordinates and the saturation of the equivalent control."""
+        """The layer's monitors on a fallback row; else face monitors plus
+        switching-manifold crossings of the external coordinates and the
+        saturation of the equivalent control."""
+        if fz.fallback[0]:
+            return self.layer.monitors(y0, y1, fz)
         out = super().monitors(y0, y1, fz)
         signs = fz.signs[0]
         for j in np.flatnonzero(~fz.active[0] & ~fz.frozen[0]):
@@ -535,26 +551,24 @@ class _SlideField(_Field):
         S = np.flatnonzero(fz.active[0])
         if S.size:
             gains = self.scale[S]
-
-            def margin(x, g):
-                return float(np.min(gains - np.abs(self.velocity(x[None], None, fz)[0, S])))
-
-            out.append(_Monitor("slide_exit", -1, None, 0.0, margin))
+            out.append(_Monitor("slide_exit", -1, None, 0.0, lambda x, g: float(
+                np.min(gains - np.abs(self.velocity(x[None], g[None], fz)[0, S])))))
         return out
 
     def classify(self, label: str, j: int, x_e: np.ndarray, fz: _Frozen) -> tuple[str, int]:
+        if label not in ("slide_exit", "switch"):
+            return label, int(j)
+        y = x_e[None]
+        g = self.grad(y)
         if label == "slide_exit":
             # the coordinate whose equivalent control saturates
             S = np.flatnonzero(fz.active[0])
-            v = self.velocity(x_e[None], None, fz)[0]
+            v = self.velocity(y, g, fz)[0]
             return SLIDE_EXIT, int(S[np.argmin(self.scale[S] - np.abs(v[S]))])
-        if label == "switch":
-            # sliding entry iff the Filippov condition accepts the coordinate;
-            # an unsolvable block counts as entry and the next step falls back
-            y = x_e[None]
-            at, unsolvable = self.regime(y, self.grad(y))
-            return (SLIDE_ENTER if unsolvable[0] or at.sliding[0, j] else SWITCH_CROSS), int(j)
-        return label, int(j)
+        # sliding entry iff the Filippov condition accepts the coordinate;
+        # an unsolvable block counts as entry and the next step falls back
+        at = self.regime(y, g)
+        return (SLIDE_ENTER if at.fallback[0] or at.sliding[0, j] else SWITCH_CROSS), int(j)
 
 
 def _field(mode: DynamicsMode, costs, cfg, box: Box, opts: IntegrationOptions) -> _Field:
@@ -592,8 +606,8 @@ def velocity(mode: DynamicsMode, costs, cfg, box: Box, x, options: IntegrationOp
     Y = xv[None]
     fld = _start(mode, costs, cfg, box, Y, options)
     G = fld.grad(Y)
-    ((stepper, _, fz),) = _regimes(fld, np.arange(1), Y, G)
-    v = stepper.velocity(Y, G, fz)[0]
+    fz = fld.regime(Y, G)
+    v = fld.velocity(Y, G, fz)[0]
     held = fz.frozen[0]
     lower = held & (xv <= box.lo + fld.opts.boundary_tol)
     regime = Regime(sliding=_indices(fz.sliding[0]), lower=_indices(lower), upper=_indices(held & ~lower),
@@ -733,7 +747,7 @@ def _ros_attempt(fld: _Field, Y, F0, V0, J, fz: _Frozen, dt, h: float):
         Fi = fld.rhs(fld.grad(Yi), fz)
         corr = inv_dt * sum(c * u for c, u in zip(c_row, U))
         U.append((W_inv @ (Fi + fz.mass * corr)[..., None])[..., 0])
-    y1 = fld.project(Yi + U[5], fz.active, 0.1 * fld.opts.switch_tol)
+    y1 = fld.project(Yi + U[5], fz.algebraic, 0.1 * fld.opts.switch_tol)
     g1 = fld.grad(y1)
     V1 = fld.velocity(y1, g1, fz)
     dt_col = dt[:, None]
@@ -929,19 +943,6 @@ def _first_converged(fld: _Field, X: np.ndarray, psi: np.ndarray):
     return int(cand[ok[0]]) if ok.size else None
 
 
-def _regimes(fld: _Field, rows: np.ndarray, Y: np.ndarray, G: np.ndarray):
-    """Frozen regimes of the run rows ``rows`` at states Y as a list of
-    (field, rows, regime) groups: the rows whose sliding block cannot be
-    solved go to the fallback field as one group."""
-    fz, unsolvable = fld.regime(Y, G)
-    if not unsolvable.any():
-        return [(fld, rows, fz)]
-    groups = [(fld.fallback, rows[unsolvable], fld.fallback.regime(Y[unsolvable], G[unsolvable])[0])]
-    if not unsolvable.all():
-        groups.append((fld, rows[~unsolvable], fz.take(~unsolvable)))
-    return groups
-
-
 def _run(fld: _Field, X: np.ndarray, t_end: float, h: float, stop: bool, keep: bool):
     """Run every row of the (N, d) stack X on the RODAS4 core with located
     events.  Returns one Trajectory per row with ``keep``, else an
@@ -949,13 +950,14 @@ def _run(fld: _Field, X: np.ndarray, t_end: float, h: float, stop: bool, keep: b
 
     Each row has its own time, step size, next grid row, events,
     chattering guard and convergence stop (with ``stop``), so it takes the
-    steps of a run of that row alone.  Each step integrates the
-    frozen-regime field found at its start and ends at the row's first
-    regime change; rows that can have none (``may_change``) skip event
-    location.  While a row's sliding block cannot be solved, its steps of
-    at most h go through the boundary-layer field; each such episode is
-    recorded once, as SlideExit at index -1, in place of the layer's own
-    events, which still count toward the chattering guard.
+    steps of a run of that row alone.  Every loop iteration advances all
+    live rows by one step, each through the frozen regime found at its
+    start, and ends it at the row's first regime change; rows that can
+    have none (``may_change``) skip event location.  While a row's sliding
+    block cannot be solved (``fallback``), its steps are of at most h; each
+    such episode is recorded once, as SlideExit at index -1, in place of
+    the boundary layer's own events, which still count toward the
+    chattering guard.
     """
     box, costs, cfg, opts = fld.box, fld.costs, fld.cfg, fld.opts
     times = _nominal_grid(t_end, h)
@@ -983,79 +985,77 @@ def _run(fld: _Field, X: np.ndarray, t_end: float, h: float, stop: bool, keep: b
     Y = X.copy()
     G = fld.grad(Y)
     t = np.zeros(N)
-    H = np.empty(N)
-    groups = _regimes(fld, np.arange(N), Y, G)
-    for stepper, rows, fz in groups:
-        H[rows] = _initial_step(stepper, Y[rows], G[rows], fz, np.full(rows.size, t_end))
-        record(rows, 0, Y[rows], fz.bits())
-    while groups:
-        for stepper, rows, fz in groups:
-            y0, g0, t0, first = Y[rows], G[rows], t[rows], filled[rows]
-            fell = stepper is not fld
-            limit = np.minimum(t_end - t0, h) if fell else t_end - t0
-            st = _ros_advance(stepper, y0, g0, fz, H[rows], limit, t0, h)
-            hits = {}
-            for i in np.flatnonzero(stepper.may_change(st.y1, fz)):
-                found = _locate_events(stepper, y0, g0, fz, st, i)
-                if found is not None:
-                    hits[i] = found
-            hit = np.zeros(rows.size, dtype=bool)
-            s_end = np.ones(rows.size)
-            for i, (s, _, _) in hits.items():
-                hit[i], s_end[i] = True, s
-            at_end = ~hit & (st.dt >= t_end - t0)
-            t_next = np.where(at_end, t_end, t0 + s_end * st.dt)
-            stop_row = np.where(at_end, n_rows, np.searchsorted(times, t_next, side="right"))
-            wrote = stop_row > first
-            if wrote.any():
-                which, k, Xg, clip = _grid_rows(box, times, t0, y0, st, first, stop_row, s_end)
-                Xg = stepper.project(Xg, fz.active[which], 10.0 * opts.switch_tol)
-                record(rows[which], k, Xg, fz.bits()[which] if keep else None)
-                np.maximum.at(max_clip, rows[which], clip)
-                since_row[rows[wrote]] = 0
-                filled[rows] = np.maximum(first, stop_row)
-            if stop:  # a step ending in an event records it first
-                for i in np.flatnonzero(wrote & ~hit):
-                    j = _first_converged(fld, Xg[which == i], psis[rows[i], first[i]:stop_row[i]])
-                    if j is not None:
-                        filled[rows[i]] = first[i] + j + 1
-                        converged[rows[i]] = True
-            done = converged[rows]
+    rows = np.arange(N)
+    fz = fld.regime(Y, G)
+    H = _initial_step(fld, Y, G, fz, np.full(N, t_end))
+    record(rows, 0, Y, fz.bits())
+    while rows.size:
+        y0, g0, t0, first = Y[rows], G[rows], t[rows], filled[rows]
+        fell = fz.fallback
+        limit = np.where(fell, np.minimum(t_end - t0, h), t_end - t0) if fz.falls else t_end - t0
+        st = _ros_advance(fld, y0, g0, fz, H[rows], limit, t0, h)
+        hits = {}
+        for i in np.flatnonzero(fld.may_change(st.y1, fz)):
+            found = _locate_events(fld, y0, g0, fz, st, i)
+            if found is not None:
+                hits[i] = found
+        hit = np.zeros(rows.size, dtype=bool)
+        s_end = np.ones(rows.size)
+        for i, (s, _, _) in hits.items():
+            hit[i], s_end[i] = True, s
+        at_end = ~hit & (st.dt >= t_end - t0)
+        t_next = np.where(at_end, t_end, t0 + s_end * st.dt)
+        stop_row = np.where(at_end, n_rows, np.searchsorted(times, t_next, side="right"))
+        wrote = stop_row > first
+        if wrote.any():
+            which, k, Xg, clip = _grid_rows(box, times, t0, y0, st, first, stop_row, s_end)
+            Xg = fld.project(Xg, fz.algebraic[which], 10.0 * opts.switch_tol)
+            record(rows[which], k, Xg, fz.bits()[which] if keep else None)
+            np.maximum.at(max_clip, rows[which], clip)
+            since_row[rows[wrote]] = 0
+            filled[rows] = np.maximum(first, stop_row)
+        if stop:  # a step ending in an event records it first
+            for i in np.flatnonzero(wrote & ~hit):
+                j = _first_converged(fld, Xg[which == i], psis[rows[i], first[i]:stop_row[i]])
+                if j is not None:
+                    filled[rows[i]] = first[i] + j + 1
+                    converged[rows[i]] = True
+        done = converged[rows]
 
-            # the next step starts at the event state, or else at the end
-            # state clipped to the box
-            Y1 = box.clip(st.y1)
-            clip = np.where(hit | done, 0.0, np.abs(Y1 - st.y1).max(axis=1))
-            max_clip[rows] = np.maximum(max_clip[rows], clip)
-            for i, (_, x_e, _) in hits.items():
-                Y1[i] = x_e
-            moved = hit | (clip > 0.0)
-            G1 = st.g1
-            if moved.any():
-                G1[moved] = fld.grad(Y1[moved])
-            Y[rows], G[rows], H[rows], t[rows] = Y1, G1, st.h_next, t_next
+        # the next step starts at the event state, or else at the end
+        # state clipped to the box
+        Y1 = box.clip(st.y1)
+        clip = np.where(hit | done, 0.0, np.abs(Y1 - st.y1).max(axis=1))
+        max_clip[rows] = np.maximum(max_clip[rows], clip)
+        for i, (_, x_e, _) in hits.items():
+            Y1[i] = x_e
+        moved = hit | (clip > 0.0)
+        G1 = st.g1
+        if moved.any():
+            G1[moved] = fld.grad(Y1[moved])
+        Y[rows], G[rows], H[rows], t[rows] = Y1, G1, st.h_next, t_next
 
-            new = {i: found for i, (_, _, found) in hits.items()}
-            for i, found in new.items():
-                since_row[rows[i]] += len(found)
-            if fell:
-                # one record per fallback episode in place of the layer's own
-                # events, which still count toward the chattering guard
-                new = {i: [(SLIDE_EXIT, -1)] for i in np.flatnonzero(~done & ~fell_before[rows])}
-                since_row[rows[list(new)]] += 1
-            fell_before[rows] = fell
-            for i, pairs in new.items():
-                events[rows[i]] += [EventRecord(time=float(t_next[i]), kind=kind, index=j) for kind, j in pairs]
-            over = np.flatnonzero(since_row[rows] > _MAX_EVENTS)
-            if over.size:
-                te = float(t_next[over[0]])
-                raise StepFailureError(
-                    f"more than {_MAX_EVENTS} events within one nominal step "
-                    f"at t={te:.6g}: likely chattering",
-                    te,
-                )
-        live = np.flatnonzero((filled < n_rows) & ~converged)
-        groups = _regimes(fld, live, Y[live], G[live]) if live.size else []
+        for i, (_, _, found) in hits.items():
+            since_row[rows[i]] += len(found)
+        new = {i: found for i, (_, _, found) in hits.items() if not fell[i]}
+        if fz.falls:  # one record per fallback episode in place of the layer's own events
+            episode = np.flatnonzero(fell & ~done & ~fell_before[rows])
+            since_row[rows[episode]] += 1
+            new.update((i, [(SLIDE_EXIT, -1)]) for i in episode)
+        fell_before[rows] = fell
+        for i, pairs in new.items():
+            events[rows[i]] += [EventRecord(time=float(t_next[i]), kind=kind, index=j) for kind, j in pairs]
+        over = np.flatnonzero(since_row[rows] > _MAX_EVENTS)
+        if over.size:
+            te = float(t_next[over[0]])
+            raise StepFailureError(
+                f"more than {_MAX_EVENTS} events within one nominal step "
+                f"at t={te:.6g}: likely chattering",
+                te,
+            )
+        rows = np.flatnonzero((filled < n_rows) & ~converged)
+        if rows.size:
+            fz = fld.regime(Y[rows], G[rows])
 
     if not keep:
         return EnsembleResult(times=times, final_states=Y, R_values=Rs, Psi_values=psis,

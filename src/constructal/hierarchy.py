@@ -2,7 +2,8 @@
 
 The architectural state collects the per-level aspect ratios ``r_1..r_p``
 and the branching numbers ``n_2..n_p``.  Areas follow the assembly
-recursion ``A_1 = A1``, ``A_i = n_i A_{i-1}``; flows are ``m_i = gamma A_i``.
+recursion ``A_1 = A1``, ``A_i = n_i A_{i-1}``; the flow a level carries is
+proportional to its area, and costs are per unit of flow.
 
 The per-unit-flow cost of level ``i`` is
 
@@ -116,7 +117,6 @@ def bejan_prefactors(costs: TransportCosts) -> tuple[np.ndarray, np.ndarray]:
 class AssemblyConfig:
     """Geometry prefactors, branching penalties and admissible bounds."""
 
-    gamma: float
     A1: float
     alpha: tuple[float, ...]
     beta: tuple[float, ...]
@@ -129,11 +129,9 @@ class AssemblyConfig:
         object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
         object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
         object.__setattr__(self, "kappa", tuple(float(k) for k in self.kappa))
-        scalars = (self.gamma, self.A1, self.r_lo, self.r_hi, self.n_hi)
+        scalars = (self.A1, self.r_lo, self.r_hi, self.n_hi)
         if not all(math.isfinite(v) for v in scalars + self.alpha + self.beta + self.kappa):
             raise ConfigError("assembly parameters and box bounds must be finite")
-        if self.gamma <= 0.0:
-            raise ConfigError("gamma must be positive")
         if self.A1 <= 0.0:
             raise ConfigError("A1 must be positive")
         if len(self.alpha) != len(self.beta):
@@ -157,7 +155,6 @@ class AssemblyConfig:
     def bejan(
         cls,
         costs: TransportCosts,
-        gamma: float = 1.0,
         A1: float = 1.0,
         kappa: tuple[float, ...] | None = None,
         r_lo: float = 0.05,
@@ -168,7 +165,6 @@ class AssemblyConfig:
         if kappa is None:
             kappa = (1.0,) * (costs.p - 1)
         cfg = cls(
-            gamma=gamma,
             A1=A1,
             alpha=tuple(alpha),
             beta=tuple(beta),

@@ -1,5 +1,6 @@
 import argparse
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -32,7 +33,6 @@ def canonical_data(**overrides):
     data = {
         "costs.K": [1.0, 0.5, 0.25, 0.125],
         "assembly.A1": 1.0,
-        "assembly.gamma": 1.0,
         "assembly.kappa": [1.0, 1.0],
         "mode.kind": "projected_gradient",
         "mode.mobility": 1.0,
@@ -233,6 +233,15 @@ class TestCliSimulate:
         write_config(canonical_data(**{"run.t_end": -1.0}), cfgp)
         out = tmp_path / "fresh"
         assert main(["simulate", "--config", str(cfgp), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_assembly_gamma_is_an_unknown_key(self, tmp_path, capsys):
+        # the areal generation rate scaled only the flows, which no output reads
+        cfgp = tmp_path / "gamma.cfg"
+        write_config(canonical_data(**{"assembly.gamma": 1.0}), cfgp)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfgp), "--out", str(out)]) == 2
+        assert "unknown key" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -479,6 +488,60 @@ class TestConfigFuzz:
             except ConfigError:
                 continue
             assert isinstance(rc, RunConfig)
+
+
+SHIPPED = sorted(p.stem for p in (REPO / "configs").glob("*.cfg"))
+
+
+@st.composite
+def box_states(draw, d: int):
+    """A state in the shipped box, [0.05, 4] on the ratios and [1, 64] on
+    the branching numbers: mostly interior, now and then on a face or just
+    past the upper one."""
+    p = (d + 1) // 2
+    bounds = [(0.05, 4.0)] * p + [(1.0, 64.0)] * (p - 1)
+    return [draw(st.one_of(st.floats(lo, hi), st.floats(lo, hi), st.floats(lo, hi),
+                           st.sampled_from([lo, hi, 1.01 * hi]))) for lo, hi in bounds]
+
+
+@st.composite
+def cli_runs(draw):
+    """A subcommand on a shipped config with a short horizon and a small
+    sample count, some values redrawn from ranges that reach past their
+    bounds."""
+    name = draw(st.sampled_from(SHIPPED))
+    data = parse_config_text((REPO / "configs" / f"{name}.cfg").read_text(encoding="utf-8"))
+    data["run.t_end"] = draw(st.sampled_from([0.005, 0.05, 0.3, 1.0]))
+    data["run.h"] = draw(st.sampled_from([1e-3, 4e-3, 4e-3, 0.02]))
+    data["sampling.count"] = draw(st.integers(min_value=1, max_value=64))
+    for key in ("run.x0", "run.x1"):
+        if draw(st.booleans()):
+            data[key] = draw(box_states(len(data["run.x0"])))
+    if draw(st.booleans()):
+        data["sampling.rel_halfwidth"] = draw(st.floats(min_value=1e-6, max_value=20.0))
+    if draw(st.booleans()):
+        data["mode.gradient"] = "coupled"
+    if data["mode.kind"] == "sign_descent" and draw(st.booleans()):
+        data["mode.epsilon"] = draw(st.floats(min_value=1e-9, max_value=1.0))
+    command = draw(st.sampled_from(["table", "simulate", "certify", "converge"]))
+    return command, data
+
+
+class TestCliFuzz:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(run=cli_runs())
+    def test_runs_keep_the_exit_contract(self, tmp_path_factory, run):
+        command, data = run
+        base = tmp_path_factory.mktemp("cli")
+        write_config(data, base / "run.cfg")
+        out = base / "out"
+        code = main([command, "--config", str(base / "run.cfg"), "--out", str(out)])
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert not out.exists()
+        for report in out.glob("*") if out.exists() else ():
+            # alpha_hat = inf is the documented value when no interval qualifies
+            assert not re.search(r"\bnan\b", report.read_text(encoding="utf-8"), re.IGNORECASE), report.name
 
 
 class TestImportCost:

@@ -365,22 +365,22 @@ class TestEnsemble:
 
     def test_fallback_and_solvable_rows_step_in_one_run(self, costs, cfg, box, x_star, monkeypatch):
         # row 0 starts on every manifold with its block rejected, row 1 on
-        # none: their first step already goes through two groups, one on
-        # the boundary layer and one on equivalent control
+        # none: their first step already holds one boundary-layer row and
+        # one equivalent-control row in a single regime
         monkeypatch.setattr(dynamics, "_COND_MAX", 0.5)
-        real, formed = dynamics._regimes, []
+        real, formed = dynamics._SlideField.regime, []
 
-        def regimes(fld, rows, Y, G):
-            groups = real(fld, rows, Y, G)
-            formed.append([(stepper is fld, r.tolist()) for stepper, r, _ in groups])
-            return groups
+        def regime(fld, Y, G):
+            fz = real(fld, Y, G)
+            formed.append(fz.fallback.tolist())
+            return fz
 
-        monkeypatch.setattr(dynamics, "_regimes", regimes)
+        monkeypatch.setattr(dynamics._SlideField, "regime", regime)
         mode = SignDescent(sliding="equivalent_control")
         opts = IntegrationOptions(stop_on_convergence=False)
         X0 = np.array([x_star.vector(), GENERIC_X0])
         res = integrate_ensemble(mode, costs, cfg, box, X0, 0.4, 1e-3, opts)
-        assert formed[0] == [(False, [0]), (True, [1])]
+        assert formed[0] == [True, False]
         for i in range(2):
             single = integrate(mode, costs, cfg, box, X0[i], 0.4, 1e-3, opts)
             assert np.array_equal(res.final_states[i], single.final_state)

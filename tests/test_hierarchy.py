@@ -106,7 +106,7 @@ class TestOptima:
 
     def test_general_prefactors_sqrt_rule(self, costs):
         cfg = AssemblyConfig(
-            gamma=1.0, A1=1.0, alpha=(1.0, 1.0, 1.0), beta=(1.0, 1.0, 1.0), kappa=(1.0, 1.0)
+            A1=1.0, alpha=(1.0, 1.0, 1.0), beta=(1.0, 1.0, 1.0), kappa=(1.0, 1.0)
         )
         K = costs.as_array()
         expected = np.sqrt(K[1:] / K[:-1])
@@ -167,12 +167,6 @@ class TestResistance:
         cfg = AssemblyConfig.bejan(costs)
         val = hm.resistance_vec(costs, cfg, np.array([1.0]))
         assert val == pytest.approx(0.25 + 0.25, abs=1e-14)
-
-    def test_gamma_does_not_enter(self, costs):
-        cfg1 = AssemblyConfig.bejan(costs, gamma=1.0)
-        cfg2 = AssemblyConfig.bejan(costs, gamma=2.0)
-        x = np.array([0.9, 0.6, 0.4, 5.0, 20.0])
-        assert hm.resistance_vec(costs, cfg1, x) == hm.resistance_vec(costs, cfg2, x)
 
 
 class TestGradient:
