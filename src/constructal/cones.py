@@ -50,7 +50,7 @@ class Box:
         return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
 
     def clip(self, x) -> np.ndarray:
-        return np.clip(np.asarray(x, dtype=float), self.lo, self.hi)
+        return np.asarray(x, dtype=float).clip(self.lo, self.hi)
 
     def active_lower(self, x, tol: float = BOUNDARY_TOL) -> np.ndarray:
         return np.asarray(x, dtype=float) <= self.lo + tol

@@ -326,7 +326,9 @@ class _Frozen:
     of d_j R that set the saturated velocities (0 where none does).
     ``fallback`` marks the rows of equivalent control whose sliding block
     cannot be solved: they hold the boundary-layer regime.  ``dae`` and
-    ``falls`` tell whether any row has algebraic coordinates or falls back.
+    ``falls`` tell whether any row has algebraic coordinates or falls back;
+    ``plain`` that every coordinate of every row is active, none held on a
+    face and none algebraic, so that f = coef * grad R and M = I.
     """
 
     frozen: np.ndarray    # (N, d) bool
@@ -342,6 +344,7 @@ class _Frozen:
         self.algebraic = self.mass == 0.0
         self.dae = bool(self.algebraic.any())
         self.falls = bool(self.fallback.any())
+        self.plain = not self.dae and bool(self.active.all()) and not self.frozen.any()
 
     def planes(self) -> tuple[np.ndarray, ...]:
         """The (N, d) arrays, in field order."""
@@ -398,7 +401,7 @@ class _Field:
         return hm.grad_jacobian(self.costs, self.cfg, Y, self.gmode)
 
     def rhs(self, G: np.ndarray, fz: _Frozen) -> np.ndarray:
-        return np.where(fz.active, fz.coef * G, fz.const)
+        return fz.coef * G if fz.plain else np.where(fz.active, fz.coef * G, fz.const)
 
     def velocity(self, Y: np.ndarray, G: np.ndarray, fz: _Frozen) -> np.ndarray:
         """State velocity y': f, with the equivalent control
@@ -408,7 +411,7 @@ class _Field:
 
     def jacobian(self, Y: np.ndarray, fz: _Frozen) -> np.ndarray:
         J = fz.coef[..., None] * self.hess(Y)
-        return np.where(fz.active[:, :, None] & ~fz.frozen[:, None, :], J, 0.0)
+        return J if fz.plain else np.where(fz.active[:, :, None] & ~fz.frozen[:, None, :], J, 0.0)
 
     def project(self, Y: np.ndarray, algebraic: np.ndarray, tol: float) -> np.ndarray:
         """States put back on their sliding manifolds: one Newton correction
@@ -465,15 +468,15 @@ class _PGField(_Field):
 
     def regime(self, Y: np.ndarray, G: np.ndarray) -> _Frozen:
         frozen = outward(self.box, Y, self.neg_mob * G, self.opts.boundary_tol)
-        zeros = np.zeros_like(Y)
-        return _Frozen(frozen, ~frozen, np.zeros_like(frozen), zeros, np.tile(self.neg_mob, (len(Y), 1)),
-                       zeros, np.ones_like(Y), np.zeros(len(Y), dtype=bool))
+        zeros = np.zeros(Y.shape)
+        return _Frozen(frozen, ~frozen, np.zeros(Y.shape, dtype=bool), zeros, zeros + self.neg_mob,
+                       zeros, zeros + 1.0, np.zeros(Y.shape[0], dtype=bool))
 
     def may_change(self, Y1: np.ndarray, fz: _Frozen) -> np.ndarray:
         """Only face monitors here: rows with a face-held coordinate, or
         with an end state not strictly inside the box."""
-        inside = np.all((Y1 > self.box.lo) & (Y1 < self.box.hi), axis=1)
-        return fz.frozen.any(axis=1) | ~inside
+        inside = np.logical_and.reduce((Y1 > self.box.lo) & (Y1 < self.box.hi), axis=1)
+        return np.logical_or.reduce(fz.frozen, axis=1) | ~inside
 
 
 class _LayerField(_Field):
@@ -490,8 +493,9 @@ class _LayerField(_Field):
         signs = np.sign(np.where(sliding, 0.0, G))
         frozen = outward(self.box, Y, -self.scale * np.clip(G / eps, -1.0, 1.0), self.opts.boundary_tol)
         const = np.where(frozen, 0.0, -self.scale * signs)
-        return _Frozen(frozen, sliding & ~frozen, sliding, signs, np.tile(self.coef, (len(Y), 1)), const,
-                       np.ones_like(Y), np.zeros(len(Y), dtype=bool))
+        ones = np.ones(Y.shape)
+        return _Frozen(frozen, sliding & ~frozen, sliding, signs, ones * self.coef, const,
+                       ones, np.zeros(Y.shape[0], dtype=bool))
 
     def monitors(self, y0: np.ndarray, y1: np.ndarray, fz: _Frozen) -> list[_Monitor]:
         """Face monitors plus layer exit (inside) and entry (saturated)."""
@@ -658,6 +662,21 @@ def velocity(mode: DynamicsMode, costs, cfg, box: Box, x, options: IntegrationOp
 # step size.  Under sign descent a coordinate enters its boundary layer at
 # full speed, so every component is bounded; a velocity change within the
 # rounding of rate * |y| counts as none.
+#
+# Per-step cost.  A run steps (1, 5) stacks, where each NumPy call costs
+# more than its arithmetic, so the step loop gathers, scatters and stacks
+# no rows: _run holds only the live rows in its stacks and cuts them when
+# a row finishes; _ros_advance keeps the first attempt's arrays when every
+# row passes it and gathers only the rejected rows for their retries; the
+# values that depend on the start state alone (|diag J|, the slowest rate)
+# are formed once per step; and a regime with every coordinate free
+# (``_Frozen.plain``) skips the masks of f and J.  The float operations
+# and their order are an invariant: every trajectory, report and ensemble
+# stays bit for bit the same, so a change here may drop calls but not
+# reorder arithmetic.  There is no scalar path for N = 1: it would be a
+# second path to keep equal to this one, and Python's float power rounds
+# differently from NumPy's (about 5 % of random r ** 1.5 differ in the
+# last bit).
 _ROS_GAMMA = 0.25
 _ROS_A = (
     (1.544,),
@@ -706,13 +725,12 @@ def _grid_rows(box: Box, times, t0, Y0, st: _Step, first, stop, s_cap):
     off its dense output (at most at fraction s_cap[i]) and clipped to the
     box.  Returns (step row of each grid row, k, states, clip of each)."""
     counts = np.maximum(stop - first, 0)
-    which = np.repeat(np.arange(first.size), counts)
-    k = np.arange(which.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    k += np.repeat(first, counts)
+    which = np.arange(first.size).repeat(counts)
+    k = np.arange(which.size) - (counts.cumsum() - counts)[which] + first[which]
     s = np.minimum((times[k] - t0[which]) / st.dt[which], s_cap[which])[:, None]
     X = np.where(s == 1.0, st.y1[which], _dense_eval(Y0[which], st.dense[:, which], s))
     Xc = box.clip(X)
-    return which, k, Xc, np.abs(Xc - X).max(axis=1)
+    return which, k, Xc, np.maximum.reduce(np.abs(Xc - X), axis=1)
 
 
 def _inverse(W: np.ndarray) -> np.ndarray:
@@ -729,25 +747,41 @@ def _inverse(W: np.ndarray) -> np.ndarray:
         return out
 
 
-def _ros_attempt(fld: _Field, Y, F0, V0, J, fz: _Frozen, dt, h: float):
+def _ros_attempt(fld: _Field, Y, F0, V0, J, noise_rate, fast, fz: _Frozen, dt, h: float):
     """One RODAS4 step per row; returns (y1, g1, dense, err).
 
-    F0 is f(Y), V0 the velocity y' at Y and h the output interval, which
-    sets the velocity-change bound of steps shorter than h.  err is the
-    larger of the error estimate over the error scale and the fourth power
-    of the velocity-change ratio, so that both are accepted at err <= 1
-    and steer the step size with the same exponent.  It is inf wherever a
-    stage or the result is not finite.
+    F0 is f(Y), V0 the velocity y' at Y, J the Jacobian and h the output
+    interval, which sets the velocity-change bound of steps shorter than
+    h.  ``noise_rate`` (rounding times |diag J|) and ``fast`` (the
+    components exempt from the bound, or None) depend on the start state
+    alone, so a retry reuses them.  err is the larger of the error
+    estimate over the error scale and the fourth power of the
+    velocity-change ratio, so that both are accepted at err <= 1 and steer
+    the step size with the same exponent.  It is inf wherever a stage or
+    the result is not finite.
     """
-    W_inv = _inverse(np.eye(Y.shape[1]) * fz.mass[:, None, :] / (dt * _ROS_GAMMA)[:, None, None] - J)
+    n, d = Y.shape
+    W = np.zeros(J.shape)
+    W.reshape(n, d * d)[:, :: d + 1] = fz.mass / (dt * _ROS_GAMMA)[:, None]
+    W -= J
+    W_inv = _inverse(W)
     inv_dt = (1.0 / dt)[:, None]
     U = [(W_inv @ F0[..., None])[..., 0]]
     for a_row, c_row in zip(_ROS_A, _ROS_C):
-        Yi = Y + sum(a * u for a, u in zip(a_row, U))
+        # stage sums in stage order from the first term: a zero sum may
+        # differ in sign from 0 + sum, which changes no state (nonzero plus
+        # zero) and no error norm (absolute values)
+        ua, uc = a_row[0] * U[0], c_row[0] * U[0]
+        for a, c, u in zip(a_row[1:], c_row[1:], U[1:]):
+            ua += a * u
+            uc += c * u
+        Yi = Y + ua
         Fi = fld.rhs(fld.grad(Yi), fz)
-        corr = inv_dt * sum(c * u for c, u in zip(c_row, U))
-        U.append((W_inv @ (Fi + fz.mass * corr)[..., None])[..., 0])
-    y1 = fld.project(Yi + U[5], fz.algebraic, 0.1 * fld.opts.switch_tol)
+        corr = inv_dt * uc
+        U.append((W_inv @ (Fi + (fz.mass * corr if fz.dae else corr))[..., None])[..., 0])
+    y1 = Yi + U[5]
+    if fz.dae:
+        y1 = fld.project(y1, fz.algebraic, 0.1 * fld.opts.switch_tol)
     g1 = fld.grad(y1)
     V1 = fld.velocity(y1, g1, fz)
     dt_col = dt[:, None]
@@ -757,23 +791,23 @@ def _ros_attempt(fld: _Field, Y, F0, V0, J, fz: _Frozen, dt, h: float):
     a = dt_col * V0
     b = (0.5 * dt_col * dt_col) * (J @ V0[..., None])[..., 0]
     b_cubic = 3.0 * step - 2.0 * a - dt_col * V1
-    cubic = (np.abs(b - b_cubic) > np.abs(step) + scale) | (fz.mass == 0.0)
+    cubic = np.abs(b - b_cubic) > np.abs(step) + scale
+    if fz.dae:
+        cubic |= fz.algebraic
     b = np.where(cubic, b_cubic, b)
     r1 = step - a - b
     r2 = dt_col * V1 - a - 2.0 * b
     e = r2 - 3.0 * r1
-    dense = np.stack([a, b, r1 - e, e])
-    err = np.max(np.abs(U[5]) / scale, axis=1)
-    rate = np.abs(np.diagonal(J, axis1=1, axis2=2))
-    noise = (_ROUNDING * rate) * size
+    dense = np.empty((4, n, d))
+    dense[0], dense[1], dense[2], dense[3] = a, b, r1 - e, e
+    err = np.maximum.reduce(np.abs(U[5]) / scale, axis=1)
     allowed = (_VELOCITY_CHANGE * np.maximum(1.0, h / dt))[:, None]
     resolved = allowed * np.maximum(np.abs(V0), np.abs(V1)) + _ATOL * inv_dt
-    bend = np.abs(V1 - V0) / np.maximum(resolved, noise)
-    if fld.slaved_fast:
-        slowest = np.min(np.where(rate > 0.0, rate, np.inf), axis=1, keepdims=True)
-        bend[rate * _VELOCITY_CHANGE > slowest] = 0.0
-    err = np.maximum(err, np.max(bend, axis=1) ** 4)
-    err[~(np.isfinite(err) & np.isfinite(y1).all(axis=1))] = np.inf
+    bend = np.abs(V1 - V0) / np.maximum(resolved, noise_rate * size)
+    if fast is not None:
+        bend[fast] = 0.0
+    err = np.maximum(err, np.maximum.reduce(bend, axis=1) ** 4)
+    err[~(np.isfinite(err) & np.logical_and.reduce(np.isfinite(y1), axis=1))] = np.inf
     return y1, g1, dense, err
 
 
@@ -785,41 +819,42 @@ def _ros_advance(fld: _Field, Y, G, fz: _Frozen, H, limit, t, h: float) -> _Step
     current time and h the output interval.  Each row has its own step
     size and error norm: a rejected row retries with a smaller step while
     the accepted rows wait, so no row's steps depend on another row.  A
-    row whose step underflows raises StepFailureError.
+    row whose step underflows raises StepFailureError.  When every row
+    passes its first attempt, that attempt's arrays are the step.
     """
     with np.errstate(all="ignore"):
         F0 = fld.rhs(G, fz)
         V0 = fld.velocity(Y, G, fz)
         J = fld.jacobian(Y, fz)
+        rate = np.abs(J.diagonal(axis1=1, axis2=2))
+        fast = None
+        if fld.slaved_fast:
+            slowest = np.minimum.reduce(np.where(rate > 0.0, rate, np.inf), axis=1, keepdims=True)
+            fast = rate * _VELOCITY_CHANGE > slowest
+        noise_rate = _ROUNDING * rate
         dt = np.minimum(H, limit)
-        capped = dt < H
-        fac_max = np.full(dt.size, _FAC_MAX)
-        y1 = np.empty_like(Y)
-        g1 = np.empty_like(Y)
-        dense = np.empty((4,) + Y.shape)
-        h_next = np.empty_like(dt)
-        todo = np.arange(dt.size)
-        while todo.size:
-            part = fz if todo.size == dt.size else fz.take(todo)
-            yt, gt, dn, err = _ros_attempt(fld, Y[todo], F0[todo], V0[todo], J[todo], part, dt[todo], h)
-            fac = np.clip(_SAFETY * err ** -0.25, _FAC_MIN, fac_max[todo])
-            ok = err <= 1.0
-            acc, rej = todo[ok], todo[~ok]
-            y1[acc] = yt[ok]
-            g1[acc] = gt[ok]
-            dense[:, acc] = dn[:, ok]
-            grown = dt[acc] * fac[ok]
-            h_next[acc] = np.where(capped[acc], np.maximum(grown, H[acc]), grown)
-            dt[rej] *= fac[~ok]
-            fac_max[rej] = 1.0
-            capped[rej] = False
+        y1, g1, dense, err = _ros_attempt(fld, Y, F0, V0, J, noise_rate, fast, fz, dt, h)
+        fac = np.minimum(np.maximum(_SAFETY * err ** -0.25, _FAC_MIN), _FAC_MAX)
+        grown = dt * fac
+        h_next = np.where(dt < H, np.maximum(grown, H), grown)
+        rej = (err > 1.0).nonzero()[0]
+        fac = fac[rej]
+        while rej.size:  # retries take no step cap and never grow the step
+            dt[rej] *= fac
             tiny = ~(dt[rej] >= 1e-15 * np.maximum(1.0, np.abs(t[rej])))  # NaN counts as tiny
-            if np.any(tiny):
+            if tiny.any():
                 raise StepFailureError(
                     "substep size underflow (field too stiff or non-finite)",
                     float(t[rej][tiny][0]),
                 )
-            todo = rej
+            yt, gt, dn, err = _ros_attempt(fld, Y[rej], F0[rej], V0[rej], J[rej], noise_rate[rej],
+                                           None if fast is None else fast[rej], fz.take(rej), dt[rej], h)
+            fac = np.minimum(np.maximum(_SAFETY * err ** -0.25, _FAC_MIN), 1.0)
+            ok = err <= 1.0
+            acc = rej[ok]
+            y1[acc], g1[acc], dense[:, acc] = yt[ok], gt[ok], dn[:, ok]
+            h_next[acc] = dt[acc] * fac[ok]
+            rej, fac = rej[~ok], fac[~ok]
     return _Step(y1=y1, g1=g1, dt=dt, h_next=h_next, dense=dense)
 
 
@@ -934,7 +969,7 @@ def _first_converged(fld: _Field, X: np.ndarray, psi: np.ndarray):
     """Index of the first row with imbalance and decoupled KKT residual
     both within the convergence tolerance, or None."""
     tol = fld.opts.converge_tol
-    cand = np.flatnonzero(psi <= tol)
+    cand = (psi <= tol).nonzero()[0]
     if cand.size == 0:
         return None
     g = hm.gradient_vec(fld.costs, fld.cfg, X[cand], "decoupled")
@@ -957,7 +992,9 @@ def _run(fld: _Field, X: np.ndarray, t_end: float, h: float, stop: bool, keep: b
     block cannot be solved (``fallback``), its steps are of at most h; each
     such episode is recorded once, as SlideExit at index -1, in place of
     the boundary layer's own events, which still count toward the
-    chattering guard.
+    chattering guard.  The per-row stacks hold the live rows only (``ids``
+    maps them to rows of X), so they are cut when a row finishes and
+    never gathered or scattered per step.
     """
     box, costs, cfg, opts = fld.box, fld.costs, fld.cfg, fld.opts
     times = _nominal_grid(t_end, h)
@@ -968,11 +1005,11 @@ def _run(fld: _Field, X: np.ndarray, t_end: float, h: float, stop: bool, keep: b
     Rs = None if keep else np.empty((N, n_rows))  # a trajectory's R is taken from its states
     psis = np.empty((N, n_rows))
     events: list[list[EventRecord]] = [[] for _ in range(N)]
-    filled = np.ones(N, dtype=np.int64)
-    since_row = np.zeros(N, dtype=np.int64)
     converged = np.zeros(N, dtype=bool)
-    fell_before = np.zeros(N, dtype=bool)
-    max_clip = np.zeros(N)
+    # each row's last state, grid rows filled and largest clip, written as it finishes
+    final = np.empty_like(X)
+    rows_filled = np.empty(N, dtype=np.int64)
+    max_clip = np.empty(N)
 
     def record(rows, k, Xg, bits):
         if keep:
@@ -982,70 +1019,80 @@ def _run(fld: _Field, X: np.ndarray, t_end: float, h: float, stop: bool, keep: b
             Rs[rows, k] = hm.resistance_lyapunov_vec(costs, cfg, Xg, fld.gmode)
         psis[rows, k] = hm.imbalance_vec(costs, cfg, Xg)
 
+    # the live rows: their rows of X, states, gradients, step sizes, times,
+    # next grid rows, events since the last grid row, fallback flags and
+    # largest clips
+    ids = np.arange(N)
     Y = X.copy()
     G = fld.grad(Y)
     t = np.zeros(N)
-    rows = np.arange(N)
+    filled = np.ones(N, dtype=np.int64)
+    since_row = np.zeros(N, dtype=np.int64)
+    fell_before = np.zeros(N, dtype=bool)
+    clipped = np.zeros(N)
     fz = fld.regime(Y, G)
     H = _initial_step(fld, Y, G, fz, np.full(N, t_end))
-    record(rows, 0, Y, fz.bits())
-    while rows.size:
-        y0, g0, t0, first = Y[rows], G[rows], t[rows], filled[rows]
+    record(ids, 0, Y, fz.bits())
+    while ids.size:
+        n = ids.size
         fell = fz.fallback
-        limit = np.where(fell, np.minimum(t_end - t0, h), t_end - t0) if fz.falls else t_end - t0
-        st = _ros_advance(fld, y0, g0, fz, H[rows], limit, t0, h)
+        limit = np.where(fell, np.minimum(t_end - t, h), t_end - t) if fz.falls else t_end - t
+        st = _ros_advance(fld, Y, G, fz, H, limit, t, h)
         hits = {}
-        for i in np.flatnonzero(fld.may_change(st.y1, fz)):
-            found = _locate_events(fld, y0, g0, fz, st, i)
+        for i in fld.may_change(st.y1, fz).nonzero()[0]:
+            found = _locate_events(fld, Y, G, fz, st, i)
             if found is not None:
                 hits[i] = found
-        hit = np.zeros(rows.size, dtype=bool)
-        s_end = np.ones(rows.size)
+        hit = np.zeros(n, dtype=bool)
+        s_end = np.ones(n)
         for i, (s, _, _) in hits.items():
             hit[i], s_end[i] = True, s
-        at_end = ~hit & (st.dt >= t_end - t0)
-        t_next = np.where(at_end, t_end, t0 + s_end * st.dt)
-        stop_row = np.where(at_end, n_rows, np.searchsorted(times, t_next, side="right"))
+        at_end = ~hit & (st.dt >= t_end - t)
+        t_next = np.where(at_end, t_end, t + s_end * st.dt)
+        stop_row = np.where(at_end, n_rows, times.searchsorted(t_next, side="right"))
+        first = filled
         wrote = stop_row > first
         if wrote.any():
-            which, k, Xg, clip = _grid_rows(box, times, t0, y0, st, first, stop_row, s_end)
-            Xg = fld.project(Xg, fz.algebraic[which], 10.0 * opts.switch_tol)
-            record(rows[which], k, Xg, fz.bits()[which] if keep else None)
-            np.maximum.at(max_clip, rows[which], clip)
-            since_row[rows[wrote]] = 0
-            filled[rows] = np.maximum(first, stop_row)
+            which, k, Xg, clip = _grid_rows(box, times, t, Y, st, first, stop_row, s_end)
+            if fz.dae:
+                Xg = fld.project(Xg, fz.algebraic[which], 10.0 * opts.switch_tol)
+            record(ids[which], k, Xg, fz.bits()[which] if keep else None)
+            np.maximum.at(clipped, which, clip)
+            since_row[wrote] = 0
+            filled = np.maximum(first, stop_row)
+        done = np.zeros(n, dtype=bool)
         if stop:  # a step ending in an event records it first
-            for i in np.flatnonzero(wrote & ~hit):
-                j = _first_converged(fld, Xg[which == i], psis[rows[i], first[i]:stop_row[i]])
+            for i in (wrote & ~hit).nonzero()[0]:
+                j = _first_converged(fld, Xg[which == i], psis[ids[i], first[i]:stop_row[i]])
                 if j is not None:
-                    filled[rows[i]] = first[i] + j + 1
-                    converged[rows[i]] = True
-        done = converged[rows]
+                    filled[i] = first[i] + j + 1
+                    done[i] = True
+            converged[ids[done]] = True
 
         # the next step starts at the event state, or else at the end
         # state clipped to the box
         Y1 = box.clip(st.y1)
-        clip = np.where(hit | done, 0.0, np.abs(Y1 - st.y1).max(axis=1))
-        max_clip[rows] = np.maximum(max_clip[rows], clip)
+        clip = np.where(hit | done, 0.0, np.maximum.reduce(np.abs(Y1 - st.y1), axis=1))
+        clipped = np.maximum(clipped, clip)
         for i, (_, x_e, _) in hits.items():
             Y1[i] = x_e
         moved = hit | (clip > 0.0)
         G1 = st.g1
         if moved.any():
             G1[moved] = fld.grad(Y1[moved])
-        Y[rows], G[rows], H[rows], t[rows] = Y1, G1, st.h_next, t_next
+        Y, G, H, t = Y1, G1, st.h_next, t_next
 
         for i, (_, _, found) in hits.items():
-            since_row[rows[i]] += len(found)
+            since_row[i] += len(found)
         new = {i: found for i, (_, _, found) in hits.items() if not fell[i]}
         if fz.falls:  # one record per fallback episode in place of the layer's own events
-            episode = np.flatnonzero(fell & ~done & ~fell_before[rows])
-            since_row[rows[episode]] += 1
+            episode = (fell & ~done & ~fell_before).nonzero()[0]
+            since_row[episode] += 1
             new.update((i, [(SLIDE_EXIT, -1)]) for i in episode)
-        fell_before[rows] = fell
+        fell_before = fell
         for i, pairs in new.items():
-            events[rows[i]] += [EventRecord(time=float(t_next[i]), kind=kind, index=j) for kind, j in pairs]
-        over = np.flatnonzero(since_row[rows] > _MAX_EVENTS)
+            events[ids[i]] += [EventRecord(time=float(t_next[i]), kind=kind, index=j) for kind, j in pairs]
+        over = (since_row > _MAX_EVENTS).nonzero()[0]
         if over.size:
             te = float(t_next[over[0]])
             raise StepFailureError(
@@ -1053,15 +1100,21 @@ def _run(fld: _Field, X: np.ndarray, t_end: float, h: float, stop: bool, keep: b
                 f"at t={te:.6g}: likely chattering",
                 te,
             )
-        rows = np.flatnonzero((filled < n_rows) & ~converged)
-        if rows.size:
-            fz = fld.regime(Y[rows], G[rows])
+        live = (filled < n_rows) & ~done
+        if not live.all():
+            gone = ~live
+            left = ids[gone]
+            final[left], rows_filled[left], max_clip[left] = Y[gone], filled[gone], clipped[gone]
+            ids, Y, G, H, t, filled, since_row, fell_before, clipped = (
+                a[live] for a in (ids, Y, G, H, t, filled, since_row, fell_before, clipped))
+        if ids.size:
+            fz = fld.regime(Y, G)
 
     if not keep:
-        return EnsembleResult(times=times, final_states=Y, R_values=Rs, Psi_values=psis,
+        return EnsembleResult(times=times, final_states=final, R_values=Rs, Psi_values=psis,
                               max_clip=float(np.max(max_clip)))
     out = []
-    for i, n in enumerate(filled):
+    for i, n in enumerate(rows_filled):
         kept = [e for e in events[i] if e.time <= times[n - 1]]
         rows = np.maximum(np.searchsorted(times[:n], [e.time for e in kept], side="left"), 1)
         step_events = [""] * n

@@ -229,7 +229,7 @@ def check_optimum_in_box(costs: TransportCosts, cfg: AssemblyConfig) -> None:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=128)
-def _model_consts(costs: TransportCosts, cfg: AssemblyConfig):
+def _build_consts(costs: TransportCosts, cfg: AssemblyConfig):
     """Per-model constants of the formulas, bound once per (costs, cfg)."""
     K = costs.as_array()
     aK = np.asarray(cfg.alpha) * K[:-1]
@@ -241,6 +241,21 @@ def _model_consts(costs: TransportCosts, cfg: AssemblyConfig):
     for a in consts:
         a.flags.writeable = False
     return (costs.p,) + consts
+
+
+_last_consts = (None, None, None)
+
+
+def _model_consts(costs: TransportCosts, cfg: AssemblyConfig):
+    """:func:`_build_consts` of (costs, cfg).  The last pair asked for is
+    held by identity, so the calls of one run hash neither dataclass."""
+    global _last_consts
+    last = _last_consts
+    if last[0] is costs and last[1] is cfg:
+        return last[2]
+    consts = _build_consts(costs, cfg)
+    _last_consts = (costs, cfg, consts)
+    return consts
 
 
 def _checked_state(X, p: int) -> np.ndarray:
@@ -267,15 +282,28 @@ def _as_vector(x, p: int) -> np.ndarray:
 def areas_from_n(cfg: AssemblyConfig, n: np.ndarray) -> np.ndarray:
     """A_1 = A1, A_i = n_i A_{i-1}; shape (..., p-1) -> (..., p)."""
     n = np.asarray(n, dtype=float)
-    return cfg.A1 * np.concatenate([np.ones(n.shape[:-1] + (1,)), np.cumprod(n, axis=-1)], axis=-1)
+    return _areas(cfg.A1, n, np.empty(n.shape[:-1] + (n.shape[-1] + 1,)))
+
+
+def _areas(A1: float, n: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """The areas of the branching numbers n (..., p-1), written into A (..., p)."""
+    A[..., 0] = 1.0
+    np.multiply.accumulate(n, axis=-1, out=A[..., 1:])
+    A *= A1
+    return A
+
+
+def _suffix_sums(T: np.ndarray) -> np.ndarray:
+    """S_i = sum_{j>=i} T_j along the last axis, accumulated from the end."""
+    return np.add.accumulate(T[..., ::-1], axis=-1)[..., ::-1]
 
 
 def resistance_vec(costs: TransportCosts, cfg: AssemblyConfig, X: np.ndarray) -> np.ndarray:
     p, aK, bK, kappa, n_opt, _, _ = _model_consts(costs, cfg)
     r, n = split_state(X, p)
     A = areas_from_n(cfg, n)
-    access = np.sum(A ** 1.5 * (aK * r + bK / r), axis=-1)
-    return access + 0.5 * np.sum(kappa * (n - n_opt) ** 2, axis=-1)
+    access = np.add.reduce(A ** 1.5 * (aK * r + bK / r), axis=-1)
+    return access + 0.5 * np.add.reduce(kappa * (n - n_opt) ** 2, axis=-1)
 
 
 def gradient_vec(
@@ -290,20 +318,22 @@ def gradient_vec(
     if mode not in ("decoupled", "coupled"):
         raise DomainError(f"unknown gradient mode {mode!r}")
     p, aK, bK, kappa, n_opt, _, _ = _model_consts(costs, cfg)
-    r, n = split_state(X, p)
-    A32 = areas_from_n(cfg, n) ** 1.5
+    X = _checked_state(X, p)
+    r, n = X[..., :p], X[..., p:]
+    out = np.empty(X.shape)
+    A32 = _areas(cfg.A1, n, out[..., :p]) ** 1.5   # the r-block holds the areas until the end
     gn = kappa * (n - n_opt)
     if mode == "coupled":
-        T = A32 * (aK * r + bK / r)
-        S = np.flip(np.cumsum(np.flip(T, axis=-1), axis=-1), axis=-1)
-        gn = gn + 1.5 * S[..., 1:] / n
-    return np.concatenate([A32 * (aK - bK / r ** 2), gn], axis=-1)
+        gn = gn + 1.5 * _suffix_sums(A32 * (aK * r + bK / r))[..., 1:] / n
+    out[..., p:] = gn
+    out[..., :p] = A32 * (aK - bK / r ** 2)
+    return out
 
 
 def imbalance_vec(costs: TransportCosts, cfg: AssemblyConfig, X: np.ndarray) -> np.ndarray:
     p, _, _, _, _, x_opt, _ = _model_consts(costs, cfg)
     d = _checked_state(X, p) - x_opt
-    return np.sum(d * d, axis=-1)
+    return np.add.reduce(d * d, axis=-1)
 
 
 def resistance_lyapunov_vec(
@@ -322,8 +352,29 @@ def resistance_lyapunov_vec(
         return resistance_vec(costs, cfg, X)
     p, aK, bK, kappa, n_opt, _, wA = _model_consts(costs, cfg)
     r, n = split_state(X, p)
-    access = np.sum(wA * (aK * r + bK / r), axis=-1)
-    return access + 0.5 * np.sum(kappa * (n - n_opt) ** 2, axis=-1)
+    access = np.add.reduce(wA * (aK * r + bK / r), axis=-1)
+    return access + 0.5 * np.add.reduce(kappa * (n - n_opt) ** 2, axis=-1)
+
+
+@lru_cache(maxsize=32)
+def _jacobian_pattern(p: int):
+    """Read-only index arrays of the entries of the gradient Jacobian at p
+    levels, in flat coordinates (r-block 0..p-1, n-block p..2p-2):
+
+    - the r-diagonal;
+    - (i, m), m < i: row r_{i+1}, column n_{m+2};
+    - the n-diagonal;
+    - (i, j), i < j: row n_{i+2}, column r_{j+1} (coupled);
+    - (i, k, top), i != k: row n_{i+2}, column n_{k+2}, reading the suffix
+      sum at top = max(i, k) + 1 (coupled).
+    """
+    diag_r, diag_n = np.arange(p), p + np.arange(p - 1)
+    rn, nr = np.tril_indices(p, -1), np.triu_indices(p, 1)
+    nn_i, nn_k = np.nonzero(~np.eye(p - 1, dtype=bool))
+    nn = (nn_i, nn_k, np.maximum(nn_i, nn_k) + 1)
+    for a in (diag_r, diag_n, *rn, *nr, *nn):
+        a.flags.writeable = False
+    return diag_r, rn, diag_n, nr, nn
 
 
 def grad_jacobian(
@@ -344,26 +395,18 @@ def grad_jacobian(
     A32 = A * np.sqrt(A)
     c1 = aK - bK / (r * r)
     d = 2 * p - 1
+    diag_r, (i, m), diag_n, nr, nn = _jacobian_pattern(p)
     J = np.zeros(r.shape[:-1] + (d, d))
-    for i in range(p):
-        J[..., i, i] = A32[..., i] * 2.0 * bK[i] / r[..., i] ** 3
-        for j in range(1, i + 1):                        # n_j with level j+1 <= i+1
-            J[..., i, p + j - 1] = 1.5 * (A32[..., i] / n[..., j - 1]) * c1[..., i]
-    for i in range(p - 1):
-        J[..., p + i, p + i] = kappa[i]
+    J[..., diag_r, diag_r] = A32 * 2.0 * bK / r ** 3
+    J[..., i, p + m] = 1.5 * (A32[..., i] / n[..., m]) * c1[..., i]   # n_{m+2} with level m+2 <= i+1
+    J[..., diag_n, diag_n] = kappa
     if mode == "coupled":
-        T = A32 * (aK * r + bK / r)
-        S = np.flip(np.cumsum(np.flip(T, axis=-1), axis=-1), axis=-1)  # S_i = sum_{j>=i} T_j
-        for i in range(p - 1):                           # row n_{i+2}
-            ni = n[..., i]
-            for j in range(i + 1, p):                    # column r_{j+1}
-                J[..., p + i, j] = 1.5 * (A32[..., j] / ni) * c1[..., j]
-            for k in range(p - 1):                       # column n_{k+2}
-                top = max(i, k) + 1
-                if k == i:
-                    J[..., p + i, p + k] += 0.75 * S[..., top] / (ni * ni)
-                else:
-                    J[..., p + i, p + k] = 2.25 * S[..., top] / (ni * n[..., k])
+        S = _suffix_sums(A32 * (aK * r + bK / r))        # S_i = sum_{j>=i} T_j
+        i, j = nr
+        J[..., p + i, j] = 1.5 * (A32[..., j] / n[..., i]) * c1[..., j]
+        J[..., diag_n, diag_n] += 0.75 * S[..., 1:] / (n * n)
+        i, k, top = nn
+        J[..., p + i, p + k] = 2.25 * S[..., top] / (n[..., i] * n[..., k])
     return J
 
 

@@ -142,9 +142,9 @@ class TestCertification:
             analysis.certify_contraction(SignDescent(), costs, cfg, box)
         with pytest.raises(DomainError):
             analysis.certify_contraction(pg_mode, costs, cfg, box, count=0)
-        with pytest.raises(DomainError, match="sample count"):
+        with pytest.raises(DomainError, match=r"sample count must be in \[1, 10000000\]"):
             # one past the sample bound: rejected before anything is drawn
-            analysis.certify_contraction(pg_mode, costs, cfg, box, count=2**30 + 1)
+            analysis.certify_contraction(pg_mode, costs, cfg, box, count=analysis.SAMPLE_LIMIT + 1)
 
 
 class TestStructuralBound:

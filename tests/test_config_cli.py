@@ -111,9 +111,11 @@ class TestValidation:
             build_run_config(canonical_data(**{"sampling.count": 0}))
 
     def test_sampling_count_past_sobol_period(self):
-        build_run_config(canonical_data(**{"sampling.count": 2**30}))
+        # the bound is SAMPLE_LIMIT = 10**7 (about 30 s of certificate), far
+        # below the 2**30 at which the sampler would lose precision
+        build_run_config(canonical_data(**{"sampling.count": 10**7}))
         with pytest.raises(ConfigError, match="sampling.count"):
-            build_run_config(canonical_data(**{"sampling.count": 2**30 + 1}))
+            build_run_config(canonical_data(**{"sampling.count": 10**7 + 1}))
 
     def test_subbox_needs_both_bounds(self):
         with pytest.raises(ConfigError, match="subbox"):
@@ -274,7 +276,9 @@ class TestCliCertify:
     @pytest.mark.parametrize(
         "overrides",
         [
-            # one past the sample bound; rejected at load, so nothing is allocated
+            # one past the sample bound, and far past it; rejected at load,
+            # so nothing is allocated
+            pytest.param({"sampling.count": 10000001}, id="count=10**7+1"),
             pytest.param({"sampling.count": 1073741825}, id="count=2**30+1"),
         ],
     )

@@ -242,6 +242,77 @@ class TestGradient:
         assert g[3] > 0.0 and g[4] > 0.0
 
 
+# Reference bodies of the model formulas as written with np.concatenate
+# and per-element loops; the shipped bodies must match them bit for bit.
+
+def _reference_areas(cfg, n):
+    n = np.asarray(n, dtype=float)
+    return cfg.A1 * np.concatenate([np.ones(n.shape[:-1] + (1,)), np.cumprod(n, axis=-1)], axis=-1)
+
+
+def _reference_consts(costs, cfg):
+    K = costs.as_array()
+    return (costs.p, np.asarray(cfg.alpha) * K[:-1], np.asarray(cfg.beta) * K[1:],
+            np.asarray(cfg.kappa, dtype=float), hm.optimal_branching(costs))
+
+
+def _reference_gradient(costs, cfg, X, mode):
+    p, aK, bK, kappa, n_opt = _reference_consts(costs, cfg)
+    r, n = X[..., :p], X[..., p:]
+    A32 = _reference_areas(cfg, n) ** 1.5
+    gn = kappa * (n - n_opt)
+    if mode == "coupled":
+        T = A32 * (aK * r + bK / r)
+        S = np.flip(np.cumsum(np.flip(T, axis=-1), axis=-1), axis=-1)
+        gn = gn + 1.5 * S[..., 1:] / n
+    return np.concatenate([A32 * (aK - bK / r ** 2), gn], axis=-1)
+
+
+def _reference_jacobian(costs, cfg, x, mode):
+    p, aK, bK, kappa, _ = _reference_consts(costs, cfg)
+    r, n = x[..., :p], x[..., p:]
+    A = _reference_areas(cfg, n)
+    A32 = A * np.sqrt(A)
+    c1 = aK - bK / (r * r)
+    d = 2 * p - 1
+    J = np.zeros(r.shape[:-1] + (d, d))
+    for i in range(p):
+        J[..., i, i] = A32[..., i] * 2.0 * bK[i] / r[..., i] ** 3
+        for j in range(1, i + 1):
+            J[..., i, p + j - 1] = 1.5 * (A32[..., i] / n[..., j - 1]) * c1[..., i]
+    for i in range(p - 1):
+        J[..., p + i, p + i] = kappa[i]
+    if mode == "coupled":
+        T = A32 * (aK * r + bK / r)
+        S = np.flip(np.cumsum(np.flip(T, axis=-1), axis=-1), axis=-1)
+        for i in range(p - 1):
+            ni = n[..., i]
+            for j in range(i + 1, p):
+                J[..., p + i, j] = 1.5 * (A32[..., j] / ni) * c1[..., j]
+            for k in range(p - 1):
+                top = max(i, k) + 1
+                if k == i:
+                    J[..., p + i, p + k] += 0.75 * S[..., top] / (ni * ni)
+                else:
+                    J[..., p + i, p + k] = 2.25 * S[..., top] / (ni * n[..., k])
+    return J
+
+
+@pytest.mark.parametrize("p", range(1, 9))
+@pytest.mark.parametrize("mode", ["decoupled", "coupled"])
+def test_formula_bodies_match_reference_bit_for_bit(p, mode):
+    rng = np.random.default_rng(200 + p)
+    costs = random_ladder(rng, p)
+    cfg = AssemblyConfig.bejan(costs, A1=rng.uniform(0.5, 4.0))
+    box = hm.state_box(costs, cfg)
+    for shape in ((), (1,), (64,)):
+        X = rng.uniform(box.lo, box.hi, shape + (2 * p - 1,))
+        n = X[..., p:]
+        assert np.array_equal(hm.areas_from_n(cfg, n), _reference_areas(cfg, n))
+        assert np.array_equal(hm.gradient_vec(costs, cfg, X, mode), _reference_gradient(costs, cfg, X, mode))
+        assert np.array_equal(hm.grad_jacobian(costs, cfg, X, mode), _reference_jacobian(costs, cfg, X, mode))
+
+
 WRONG_DIMENSION_CALLS = {
     "resistance_vec": lambda c, f, m, X: hm.resistance_vec(c, f, X),
     "resistance_lyapunov_vec": lambda c, f, m, X: hm.resistance_lyapunov_vec(c, f, X),
