@@ -33,15 +33,16 @@ SAMPLE_LIMIT = 10**7  # about 30 s at d = 5; below it, k * alpha keeps at least 
 CERT_CHUNK = 2**14  # samples whose Jacobians are held at once
 
 
-def matrix_measure(A) -> float:
-    """Euclidean matrix measure: largest eigenvalue of the symmetric part."""
+def matrix_measure(A):
+    """Largest eigenvalue of the symmetric part, of a matrix or of each matrix of a stack."""
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DomainError("matrix measure needs a square matrix")
-    if not np.all(np.isfinite(A)):
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
+        raise DomainError("matrix measure needs square matrices")
+    # min and max see NaN and +-inf without a boolean temporary the size of A
+    if A.size and not (np.isfinite(A.min()) and np.isfinite(A.max())):
         raise DomainError("matrix measure needs finite entries")
-    sym = 0.5 * (A + A.T)
-    return float(np.linalg.eigvalsh(sym)[-1])
+    mu = np.linalg.eigvalsh(0.5 * (A + A.swapaxes(-1, -2)))[..., -1]
+    return float(mu) if A.ndim == 2 else mu
 
 
 def jacobian(mode: ProjectedGradient, costs, cfg, x) -> np.ndarray:
@@ -114,7 +115,6 @@ class DissipationReport:
     alpha_hat: float
     violations: int
     psi_integral: float
-    r_final: float
     r_gap: float
     samples: int
 
@@ -173,7 +173,7 @@ def certify_contraction(
             X = lo + _kronecker(d, seed, start, min(count, start + CERT_CHUNK)) * (hi - lo)
             Dg = hm.grad_jacobian(costs, cfg, X, mode.gradient_mode)
             J = -mode.mobility_vector(d)[:, None] * Dg
-            mus = np.linalg.eigvalsh(0.5 * (J + J.swapaxes(1, 2)))[:, -1]
+            mus = matrix_measure(J)
             lams = np.linalg.eigvalsh(0.5 * (Dg + Dg.swapaxes(1, 2)))[:, 0]
             yield X, mus, lams
 
@@ -242,7 +242,6 @@ def dissipation_report(traj: Trajectory, r_star: float) -> DissipationReport:
         alpha_hat=alpha_hat,
         violations=violations,
         psi_integral=psi_integral,
-        r_final=float(R[-1]),
         r_gap=abs(float(R[-1]) - r_star),
         samples=int(t.size),
     )
@@ -352,19 +351,13 @@ def grid_oracle(costs, cfg) -> OracleTable:
 
     A = hm.areas_from_n(cfg, n_loc)
     grid = np.linspace(cfg.r_lo, cfg.r_hi, 100_000)
-    K = costs.as_array()
-    alpha = np.asarray(cfg.alpha)
-    beta = np.asarray(cfg.beta)
     r_loc = []
     costs_min = []
     for i in range(1, p + 1):
-        vals = math.sqrt(A[i - 1]) * (
-            alpha[i - 1] * K[i - 1] * grid + beta[i - 1] * K[i] / grid
-        )
-        k = int(np.argmin(vals))
+        f = lambda r, i=i: hm.level_cost(costs, cfg, i, float(A[i - 1]), r)
+        k = int(np.argmin(f(grid)))
         lo = grid[max(0, k - 1)]
         hi = grid[min(grid.size - 1, k + 1)]
-        f = lambda r, i=i: hm.level_cost(costs, cfg, i, float(A[i - 1]), r)
         r_best = golden_section(f, lo, hi)
         r_loc.append(r_best)
         costs_min.append(f(r_best))

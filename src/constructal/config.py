@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -19,13 +19,7 @@ import numpy as np
 from . import hierarchy as hm
 from .analysis import SAMPLE_LIMIT
 from .cones import Box
-from .dynamics import (
-    BOUNDARY_LAYER,
-    DynamicsMode,
-    IntegrationOptions,
-    ProjectedGradient,
-    SignDescent,
-)
+from .dynamics import DynamicsMode, IntegrationOptions, ProjectedGradient, SignDescent
 from .errors import ConfigError, DomainError
 
 __all__ = ["KEYS", "RunConfig", "parse_config_text", "load_config", "format_value", "write_config"]
@@ -74,6 +68,10 @@ def _speed(key: str, v):
     return _numbers(key, v)
 
 
+# the declared field defaults of the dataclasses that own the box, mode and tolerance keys
+_BOX, _PG, _SD, _TOL = ({f.name: f.default for f in fields(c)}
+                        for c in (hm.AssemblyConfig, ProjectedGradient, SignDescent, IntegrationOptions))
+
 # key -> (converter, default); None: no default (costs.K is required)
 KEYS = {
     "costs.K": (_numbers, None),
@@ -81,25 +79,25 @@ KEYS = {
     "assembly.kappa": (_numbers, None),
     "assembly.alpha": (_numbers, None),
     "assembly.beta": (_numbers, None),
-    "box.r_lo": (_positive, 0.05),
-    "box.r_hi": (_positive, 4.0),
-    "box.n_hi": (_positive, 64.0),
+    "box.r_lo": (_positive, _BOX["r_lo"]),
+    "box.r_hi": (_positive, _BOX["r_hi"]),
+    "box.n_hi": (_positive, _BOX["n_hi"]),
     "mode.kind": (_word, "projected_gradient"),
-    "mode.gradient": (_word, "decoupled"),
-    "mode.mobility": (_speed, 1.0),
-    "mode.sliding": (_word, BOUNDARY_LAYER),
-    "mode.epsilon": (_positive, 1e-4),
-    "mode.eta": (_speed, 1.0),
-    "mode.zeta": (_speed, 1.0),
+    "mode.gradient": (_word, _PG["gradient_mode"]),
+    "mode.mobility": (_speed, _PG["mobility"]),
+    "mode.sliding": (_word, _SD["sliding"]),
+    "mode.epsilon": (_positive, _SD["epsilon"]),
+    "mode.eta": (_speed, _SD["eta"]),
+    "mode.zeta": (_speed, _SD["zeta"]),
     "run.h": (_positive, 1e-3),
     "run.t_end": (_positive, None),
     "run.x0": (_numbers, None),
     "run.x1": (_numbers, None),
     "run.seed": (_integer(0), 0),
-    "tol.switch": (_positive, 1e-9),
-    "tol.boundary": (_positive, 1e-9),
-    "tol.event": (_positive, 1e-10),
-    "tol.converge": (_positive, 1e-10),
+    "tol.switch": (_positive, _TOL["switch_tol"]),
+    "tol.boundary": (_positive, _TOL["boundary_tol"]),
+    "tol.event": (_positive, _TOL["event_tol"]),
+    "tol.converge": (_positive, _TOL["converge_tol"]),
     "sampling.count": (_integer(1, SAMPLE_LIMIT), 10_000),
     "sampling.rel_halfwidth": (_positive, 0.1),
     "sampling.subbox_lo": (_numbers, None),

@@ -228,34 +228,26 @@ def check_optimum_in_box(costs: TransportCosts, cfg: AssemblyConfig) -> None:
 # through one body
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=128)
-def _build_consts(costs: TransportCosts, cfg: AssemblyConfig):
-    """Per-model constants of the formulas, bound once per (costs, cfg)."""
+_last_consts = (None, None, None)
+
+
+def _model_consts(costs: TransportCosts, cfg: AssemblyConfig):
+    """Per-model constants of the formulas, read-only.  The last (costs, cfg)
+    pair is held by identity, so the calls of one run build them once."""
+    global _last_consts
+    if _last_consts[0] is costs and _last_consts[1] is cfg:
+        return _last_consts[2]
     K = costs.as_array()
     aK = np.asarray(cfg.alpha) * K[:-1]
     bK = np.asarray(cfg.beta) * K[1:]
     n_opt = optimal_branching(costs)
     x_opt = np.concatenate([optimal_ratios(costs, cfg), n_opt])
     wA = areas_from_n(cfg, n_opt) ** 1.5
-    consts = (aK, bK, np.asarray(cfg.kappa, dtype=float), n_opt, x_opt, wA)
-    for a in consts:
+    arrays = (aK, bK, np.asarray(cfg.kappa, dtype=float), n_opt, x_opt, wA)
+    for a in arrays:
         a.flags.writeable = False
-    return (costs.p,) + consts
-
-
-_last_consts = (None, None, None)
-
-
-def _model_consts(costs: TransportCosts, cfg: AssemblyConfig):
-    """:func:`_build_consts` of (costs, cfg).  The last pair asked for is
-    held by identity, so the calls of one run hash neither dataclass."""
-    global _last_consts
-    last = _last_consts
-    if last[0] is costs and last[1] is cfg:
-        return last[2]
-    consts = _build_consts(costs, cfg)
-    _last_consts = (costs, cfg, consts)
-    return consts
+    _last_consts = (costs, cfg, (costs.p,) + arrays)
+    return _last_consts[2]
 
 
 def _checked_state(X, p: int) -> np.ndarray:
@@ -263,12 +255,6 @@ def _checked_state(X, p: int) -> np.ndarray:
     if X.shape[-1:] != (2 * p - 1,):
         raise DomainError(f"state has shape {X.shape}, expected (..., {2 * p - 1})")
     return X
-
-
-def split_state(X, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(r, n) blocks of a state or stack whose last axis is 2p-1."""
-    X = _checked_state(X, p)
-    return X[..., :p], X[..., p:]
 
 
 def _as_vector(x, p: int) -> np.ndarray:
@@ -299,11 +285,8 @@ def _suffix_sums(T: np.ndarray) -> np.ndarray:
 
 
 def resistance_vec(costs: TransportCosts, cfg: AssemblyConfig, X: np.ndarray) -> np.ndarray:
-    p, aK, bK, kappa, n_opt, _, _ = _model_consts(costs, cfg)
-    r, n = split_state(X, p)
-    A = areas_from_n(cfg, n)
-    access = np.add.reduce(A ** 1.5 * (aK * r + bK / r), axis=-1)
-    return access + 0.5 * np.add.reduce(kappa * (n - n_opt) ** 2, axis=-1)
+    """Total resistance R(x), the coupled-mode resistance_lyapunov_vec."""
+    return resistance_lyapunov_vec(costs, cfg, X, "coupled")
 
 
 def gradient_vec(
@@ -348,11 +331,11 @@ def resistance_lyapunov_vec(
     reference areas of the optimal assembly instead.  Both coincide at the
     optimum and anywhere on the optimal-branching manifold.
     """
-    if mode == "coupled":
-        return resistance_vec(costs, cfg, X)
     p, aK, bK, kappa, n_opt, _, wA = _model_consts(costs, cfg)
-    r, n = split_state(X, p)
-    access = np.add.reduce(wA * (aK * r + bK / r), axis=-1)
+    X = _checked_state(X, p)
+    r, n = X[..., :p], X[..., p:]
+    w = areas_from_n(cfg, n) ** 1.5 if mode == "coupled" else wA
+    access = np.add.reduce(w * (aK * r + bK / r), axis=-1)
     return access + 0.5 * np.add.reduce(kappa * (n - n_opt) ** 2, axis=-1)
 
 
@@ -390,7 +373,8 @@ def grad_jacobian(
     if mode not in ("decoupled", "coupled"):
         raise DomainError(f"unknown gradient mode {mode!r}")
     p, aK, bK, kappa, _, _, _ = _model_consts(costs, cfg)
-    r, n = split_state(x, p)
+    x = _checked_state(x, p)
+    r, n = x[..., :p], x[..., p:]
     A = areas_from_n(cfg, n)
     A32 = A * np.sqrt(A)
     c1 = aK - bK / (r * r)
@@ -414,11 +398,11 @@ def grad_jacobian(
 # per-level costs and the analytic optimum
 # ---------------------------------------------------------------------------
 
-def level_cost(costs: TransportCosts, cfg: AssemblyConfig, i: int, A_i: float, r_i: float) -> float:
-    """Per-unit-flow cost of level i (1-based) at area A_i and ratio r_i."""
+def level_cost(costs: TransportCosts, cfg: AssemblyConfig, i: int, A_i: float, r_i):
+    """Per-unit-flow cost of level i (1-based) at area A_i and ratio (or ratios) r_i."""
     if not 1 <= i <= costs.p:
         raise DomainError(f"level {i} outside 1..{costs.p}")
-    if A_i <= 0 or r_i <= 0:
+    if A_i <= 0 or np.any(r_i <= 0):
         raise DomainError("level_cost needs positive area and ratio")
     K = costs.K
     a = cfg.alpha[i - 1] * K[i - 1]

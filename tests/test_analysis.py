@@ -36,6 +36,22 @@ class TestMatrixMeasure:
         with pytest.raises(DomainError):
             analysis.matrix_measure([[np.nan, 0.0], [0.0, 1.0]])
 
+    def test_stack_equals_per_matrix_values(self, costs, cfg):
+        rng = np.random.default_rng(53)
+        J = -hm.grad_jacobian(costs, cfg, interior_states(rng, 64), "decoupled")
+        assert J.shape == (64, 5, 5)
+        mus = analysis.matrix_measure(J)
+        assert mus.shape == (64,)
+        assert np.array_equal(mus, [analysis.matrix_measure(A) for A in J])
+
+    def test_stack_rejects_bad_input(self):
+        with pytest.raises(DomainError):
+            analysis.matrix_measure(np.ones((2, 3, 4)))
+        S = np.tile(-np.eye(5), (8, 1, 1))
+        S[5, 1, 3] = np.inf
+        with pytest.raises(DomainError):
+            analysis.matrix_measure(S)
+
     def test_convex_subadditivity_sampled(self, costs, cfg):
         rng = np.random.default_rng(47)
         X = interior_states(rng, 40)
@@ -297,6 +313,7 @@ class TestGridOracle:
             i = int(rng.integers(1, 4))
             A = float(rng.uniform(0.5, 100.0))
             r = np.sort(rng.uniform(cfg.r_lo, cfg.r_hi, 3))
-            vals = [hm.level_cost(costs, cfg, i, A, rr) for rr in r]
+            vals = hm.level_cost(costs, cfg, i, A, r)
+            assert np.array_equal(vals, [hm.level_cost(costs, cfg, i, A, float(rr)) for rr in r])
             lam = (r[1] - r[0]) / (r[2] - r[0])
             assert vals[1] <= (1 - lam) * vals[0] + lam * vals[2] + 1e-12

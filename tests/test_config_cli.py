@@ -21,7 +21,7 @@ from constructal.config import (
     parse_config_text,
     write_config,
 )
-from constructal.dynamics import ProjectedGradient, SignDescent
+from constructal.dynamics import IntegrationOptions, ProjectedGradient, SignDescent
 from constructal.errors import ConfigError
 
 REPO = Path(__file__).resolve().parents[1]
@@ -124,6 +124,16 @@ class TestValidation:
     def test_alpha_beta_must_pair(self):
         with pytest.raises(ConfigError, match="alpha"):
             build_run_config(canonical_data(**{"assembly.alpha": [0.3, 0.5, 0.5]}))
+
+    def test_defaults_are_those_of_the_owning_classes(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("costs.K = [1.0, 0.5, 0.25, 0.125]\n", encoding="utf-8")
+        rc = load_config(path)
+        assert rc.options == IntegrationOptions()
+        assert rc.mode == ProjectedGradient()
+        assert (rc.cfg.r_lo, rc.cfg.r_hi, rc.cfg.n_hi) == (0.05, 4.0, 64.0)
+        path.write_text("costs.K = [1.0, 0.5, 0.25, 0.125]\nmode.kind = sign_descent\n", encoding="utf-8")
+        assert load_config(path).mode == SignDescent()
 
     def test_sign_descent_built(self):
         rc = build_run_config(

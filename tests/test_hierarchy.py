@@ -84,6 +84,8 @@ class TestLevelCost:
             hm.level_cost(costs, cfg, 1, -1.0, 1.0)
         with pytest.raises(DomainError):
             hm.level_cost(costs, cfg, 2, 1.0, 0.0)
+        with pytest.raises(DomainError):
+            hm.level_cost(costs, cfg, 2, 1.0, np.array([0.5, 1.0, 0.0]))
 
     @settings(max_examples=60, deadline=None)
     @given(s=st.floats(min_value=0.05, max_value=20.0), level=st.integers(min_value=1, max_value=3))
@@ -268,6 +270,22 @@ def _reference_gradient(costs, cfg, X, mode):
     return np.concatenate([A32 * (aK - bK / r ** 2), gn], axis=-1)
 
 
+def _reference_resistance(costs, cfg, X):
+    p, aK, bK, kappa, n_opt = _reference_consts(costs, cfg)
+    r, n = X[..., :p], X[..., p:]
+    A = _reference_areas(cfg, n)
+    access = np.add.reduce(A ** 1.5 * (aK * r + bK / r), axis=-1)
+    return access + 0.5 * np.add.reduce(kappa * (n - n_opt) ** 2, axis=-1)
+
+
+def _reference_lyapunov_decoupled(costs, cfg, X):
+    p, aK, bK, kappa, n_opt = _reference_consts(costs, cfg)
+    r, n = X[..., :p], X[..., p:]
+    wA = _reference_areas(cfg, n_opt) ** 1.5
+    access = np.add.reduce(wA * (aK * r + bK / r), axis=-1)
+    return access + 0.5 * np.add.reduce(kappa * (n - n_opt) ** 2, axis=-1)
+
+
 def _reference_jacobian(costs, cfg, x, mode):
     p, aK, bK, kappa, _ = _reference_consts(costs, cfg)
     r, n = x[..., :p], x[..., p:]
@@ -311,6 +329,10 @@ def test_formula_bodies_match_reference_bit_for_bit(p, mode):
         assert np.array_equal(hm.areas_from_n(cfg, n), _reference_areas(cfg, n))
         assert np.array_equal(hm.gradient_vec(costs, cfg, X, mode), _reference_gradient(costs, cfg, X, mode))
         assert np.array_equal(hm.grad_jacobian(costs, cfg, X, mode), _reference_jacobian(costs, cfg, X, mode))
+        R = _reference_resistance(costs, cfg, X)
+        lyapunov = R if mode == "coupled" else _reference_lyapunov_decoupled(costs, cfg, X)
+        assert np.array_equal(hm.resistance_vec(costs, cfg, X), R)
+        assert np.array_equal(hm.resistance_lyapunov_vec(costs, cfg, X, mode), lyapunov)
 
 
 WRONG_DIMENSION_CALLS = {
