@@ -3,7 +3,8 @@
 Subpackages: :mod:`constructal.hierarchy` (closed-form area-to-point
 resistance model), :mod:`constructal.cones` (box cones and Moreau
 decomposition), :mod:`constructal.dynamics` (sign-descent and projected
-gradient integration with sliding and events), :mod:`constructal.analysis`
+gradient integration with sliding and events), :mod:`constructal.stepping`
+(its RODAS4 stepping core), :mod:`constructal.analysis`
 (contraction certificates, dissipation reports, search oracles) and
 :mod:`constructal.cli` (batch subcommands).
 """

@@ -30,7 +30,7 @@ __all__ = [
 PSI_FLOOR = 1e-8
 CERT_SLACK = 1e-8
 SAMPLE_LIMIT = 10**7  # about 30 s at d = 5; below it, k * alpha keeps at least 29 fractional bits
-CERT_CHUNK = 2**14  # samples whose Jacobians are held at once
+CERT_CHUNK = 2**10  # samples whose Jacobians are held at once
 
 
 def matrix_measure(A):

@@ -35,7 +35,8 @@ on the change of velocity per output interval h set the step size: a step
 of h or longer may change the velocity by a fixed fraction of itself, a
 shorter step dt by h/dt times that fraction, so a transient that settles
 within a grid interval is left to error control.  A continuous dense
-output fills the grid rows a step covers.
+output fills the grid rows a step covers.  The steps, the dense output
+and the location of events on it are in :mod:`constructal.stepping`.
 Regime changes (box-face contact and release, boundary-layer entry and
 exit, switching-manifold crossings and sliding exit) are located by
 bisection on the dense output, in the event-driven style of Piiroinen &
@@ -54,6 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -61,6 +63,7 @@ import numpy as np
 from . import hierarchy as hm
 from .cones import Box, outward, tangent_project_batch
 from .errors import DomainError, SingularSlidingError, StepFailureError
+from .stepping import _grid_rows, _initial_step, _locate_events, _ros_advance
 
 __all__ = [
     "ProjectedGradient",
@@ -88,6 +91,8 @@ BOUNDARY_RELEASE = "BoundaryRelease"
 
 _COND_MAX = 1e12  # a sliding block beyond this condition number steps on the boundary layer
 _MAX_EVENTS = 64  # more located events in one nominal step raise the chattering guard
+_GRID_BLOCK = 4096  # queued grid rows filled by one _grid_rows call
+_SCREEN_ROOM = 2.0**-40  # rounding allowance of the Psi screen, per unit of the box's magnitude
 
 
 def _positive_finite(v: float) -> bool:
@@ -353,6 +358,7 @@ class _Frozen:
     def take(self, rows) -> _Frozen:
         return _Frozen(*(a[rows] for a in self.planes()), self.fallback[rows])
 
+    @cached_property
     def bits(self) -> np.ndarray:
         """Regime mask of each row: sliding and face-held coordinates."""
         return (self.frozen | self.sliding) @ (1 << np.arange(self.frozen.shape[1], dtype=np.int64))
@@ -465,12 +471,21 @@ class _PGField(_Field):
     def __init__(self, mode: ProjectedGradient, costs, cfg, box: Box, opts: IntegrationOptions):
         super().__init__(mode, costs, cfg, box, opts, mode.mobility_vector(box.dim))
         self.neg_mob = -self.scale
+        self.free = None  # the last regime with no face-held coordinate
 
     def regime(self, Y: np.ndarray, G: np.ndarray) -> _Frozen:
+        """A regime with no face-held coordinate depends on the row count
+        alone, so the last one is returned again."""
         frozen = outward(self.box, Y, self.neg_mob * G, self.opts.boundary_tol)
+        held = frozen.any()
+        if not held and self.free is not None and len(self.free.frozen) == len(Y):
+            return self.free
         zeros = np.zeros(Y.shape)
-        return _Frozen(frozen, ~frozen, np.zeros(Y.shape, dtype=bool), zeros, zeros + self.neg_mob,
-                       zeros, zeros + 1.0, np.zeros(Y.shape[0], dtype=bool))
+        fz = _Frozen(frozen, ~frozen, np.zeros(Y.shape, dtype=bool), zeros, zeros + self.neg_mob,
+                     zeros, zeros + 1.0, np.zeros(Y.shape[0], dtype=bool))
+        if not held:
+            self.free = fz
+        return fz
 
     def may_change(self, Y1: np.ndarray, fz: _Frozen) -> np.ndarray:
         """Only face monitors here: rows with a face-held coordinate, or
@@ -619,339 +634,6 @@ def velocity(mode: DynamicsMode, costs, cfg, box: Box, x, options: IntegrationOp
     return v, regime
 
 
-# ---------------------------------------------------------------------------
-# the stiff dense-output stepping core on (N, d) stacks
-# ---------------------------------------------------------------------------
-
-# RODAS4 (Hairer & Wanner, Solving ODEs II, Sec. IV.7) in the transformed
-# variables of its reference code.  With W = M/(dt*gamma) - J the stage
-# increments solve
-#     W u_i = f(y + sum_j a_ij u_j) + M sum_j (c_ij/dt) u_j,   i = 1..6.
-# The sixth stage point is the embedded third-order solution and the
-# fourth-order solution is that point plus u_6, so u_6 is the error
-# estimate.  The method is stiffly accurate, so with M singular it solves
-# index-1 DAEs (Sec. VI.4): algebraic rows are Newton-corrected by every
-# stage.
-#
-# Dense output: the quartic in s in [0, 1] that matches y0, dt y'(0) and
-# dt^2 J y'(0) (the second derivative of the autonomous flow) at s = 0 and
-# y1, dt y'(1) at s = 1.  This Hermite-Birkhoff interpolant has local error
-# O(dt^5), one order better than the method's own dense formula; it needs
-# no extra model evaluation, since f(y1) starts the next step anyway.  It
-# falls back to the cubic Hermite interpolant (no second derivative) on
-# algebraic rows, where J y' is not the second derivative, and wherever the
-# two differ by more than the step moves: for a stiff component J y'(0)
-# magnifies any velocity not yet on its slow manifold.
-#
-# Velocity-change bound, set per output interval h: on slow components
-# (diagonal Jacobian rate within a factor 1/_VELOCITY_CHANGE of the
-# slowest), a step of length dt >= h may change the velocity by at most
-# _VELOCITY_CHANGE of itself and a shorter step by _VELOCITY_CHANGE * h/dt
-# of itself, plus _ATOL per unit time so that a velocity at rounding level
-# holds nothing back.  Error control relative to |y| lets the steps grow
-# without limit as the state nears its equilibrium, until grid rows stop
-# resolving the exponential tail that the dissipation audit and the rate
-# fits read; the bound keeps a fixed number of steps per e-folding of the
-# slow motion once that motion is slow on the scale of h.  Below h the
-# bound loosens with the step; from dt = _VELOCITY_CHANGE * h down it
-# allows any change that keeps the velocity's sign.  So a transient that
-# settles within a grid interval, such as a coordinate relaxing into its
-# boundary layer at rate gain/eps times the curvature, is left to error
-# control.  Under a gradient flow (``slaved_fast``) faster components
-# relax onto the slow manifold and are left to error control at every
-# step size.  Under sign descent a coordinate enters its boundary layer at
-# full speed, so every component is bounded; a velocity change within the
-# rounding of rate * |y| counts as none.
-#
-# Per-step cost.  A run steps (1, 5) stacks, where each NumPy call costs
-# more than its arithmetic, so the step loop gathers, scatters and stacks
-# no rows: _run holds only the live rows in its stacks and cuts them when
-# a row finishes; _ros_advance keeps the first attempt's arrays when every
-# row passes it and gathers only the rejected rows for their retries; the
-# values that depend on the start state alone (|diag J|, the slowest rate)
-# are formed once per step; and a regime with every coordinate free
-# (``_Frozen.plain``) skips the masks of f and J.  The float operations
-# and their order are an invariant: every trajectory, report and ensemble
-# stays bit for bit the same, so a change here may drop calls but not
-# reorder arithmetic.  There is no scalar path for N = 1: it would be a
-# second path to keep equal to this one, and Python's float power rounds
-# differently from NumPy's (about 5 % of random r ** 1.5 differ in the
-# last bit).
-_ROS_GAMMA = 0.25
-_ROS_A = (
-    (1.544,),
-    (0.9466785280815826, 0.2557011698983284),
-    (3.314825187068521, 2.896124015972201, 0.9986419139977817),
-    (1.221224509226641, 6.019134481288629, 12.53708332932087, -0.687886036105895),
-    (1.221224509226641, 6.019134481288629, 12.53708332932087, -0.687886036105895, 1.0),
-)
-_ROS_C = (
-    (-5.6688,),
-    (-2.430093356833875, -0.2063599157091915),
-    (-0.1073529058151375, -9.594562251023355, -20.47028614809616),
-    (7.496443313967647, -10.24680431464352, -33.99990352819905, 11.7089089320616),
-    (8.083246795921522, -7.981132988064893, -31.52159432874371, 16.3193054312314,
-     -6.058818238834054),
-)
-_ROUNDING = 8.0 * np.finfo(float).eps
-_SAFETY = 0.9
-# substep error scale: _ATOL + _RTOL * max(1, |y|)
-_RTOL = 1e-9
-_ATOL = 1e-12
-_VELOCITY_CHANGE = 0.04
-_FAC_MIN = 0.2
-_FAC_MAX = 6.0
-
-
-@dataclass
-class _Step:
-    """Accepted RODAS4 steps, one per row."""
-
-    y1: np.ndarray      # (N, d) end states
-    g1: np.ndarray      # (N, d) raw gradients at y1
-    dt: np.ndarray      # (N,) step sizes taken
-    h_next: np.ndarray  # (N,) proposed next step sizes
-    dense: np.ndarray   # (4, N, d): coefficients of s, s^2, s^3, s^4
-
-
-def _dense_eval(y0: np.ndarray, dense, s: np.ndarray) -> np.ndarray:
-    """Dense output at fractions s (shape (M, 1)) of the step from y0."""
-    a, b, c, e = dense
-    return y0 + s * (a + s * (b + s * (c + s * e)))
-
-
-def _grid_rows(box: Box, times, t0, Y0, st: _Step, first, stop, s_cap):
-    """Grid rows first[i] <= k < stop[i] covered by each row's step, read
-    off its dense output (at most at fraction s_cap[i]) and clipped to the
-    box.  Returns (step row of each grid row, k, states, clip of each)."""
-    counts = np.maximum(stop - first, 0)
-    which = np.arange(first.size).repeat(counts)
-    k = np.arange(which.size) - (counts.cumsum() - counts)[which] + first[which]
-    s = np.minimum((times[k] - t0[which]) / st.dt[which], s_cap[which])[:, None]
-    X = np.where(s == 1.0, st.y1[which], _dense_eval(Y0[which], st.dense[:, which], s))
-    Xc = box.clip(X)
-    return which, k, Xc, np.maximum.reduce(np.abs(Xc - X), axis=1)
-
-
-def _inverse(W: np.ndarray) -> np.ndarray:
-    """Row-wise inverses of a (N, d, d) stack; a singular row yields NaN."""
-    try:
-        return np.linalg.inv(W)
-    except np.linalg.LinAlgError:
-        out = np.full_like(W, np.nan)
-        for i in range(W.shape[0]):
-            try:
-                out[i] = np.linalg.inv(W[i])
-            except np.linalg.LinAlgError:
-                pass
-        return out
-
-
-def _ros_attempt(fld: _Field, Y, F0, V0, J, noise_rate, fast, fz: _Frozen, dt, h: float):
-    """One RODAS4 step per row; returns (y1, g1, dense, err).
-
-    F0 is f(Y), V0 the velocity y' at Y, J the Jacobian and h the output
-    interval, which sets the velocity-change bound of steps shorter than
-    h.  ``noise_rate`` (rounding times |diag J|) and ``fast`` (the
-    components exempt from the bound, or None) depend on the start state
-    alone, so a retry reuses them.  err is the larger of the error
-    estimate over the error scale and the fourth power of the
-    velocity-change ratio, so that both are accepted at err <= 1 and steer
-    the step size with the same exponent.  It is inf wherever a stage or
-    the result is not finite.
-    """
-    n, d = Y.shape
-    W = np.zeros(J.shape)
-    W.reshape(n, d * d)[:, :: d + 1] = fz.mass / (dt * _ROS_GAMMA)[:, None]
-    W -= J
-    W_inv = _inverse(W)
-    inv_dt = (1.0 / dt)[:, None]
-    U = [(W_inv @ F0[..., None])[..., 0]]
-    for a_row, c_row in zip(_ROS_A, _ROS_C):
-        # stage sums in stage order from the first term: a zero sum may
-        # differ in sign from 0 + sum, which changes no state (nonzero plus
-        # zero) and no error norm (absolute values)
-        ua, uc = a_row[0] * U[0], c_row[0] * U[0]
-        for a, c, u in zip(a_row[1:], c_row[1:], U[1:]):
-            ua += a * u
-            uc += c * u
-        Yi = Y + ua
-        Fi = fld.rhs(fld.grad(Yi), fz)
-        corr = inv_dt * uc
-        U.append((W_inv @ (Fi + (fz.mass * corr if fz.dae else corr))[..., None])[..., 0])
-    y1 = Yi + U[5]
-    if fz.dae:
-        y1 = fld.project(y1, fz.algebraic, 0.1 * fld.opts.switch_tol)
-    g1 = fld.grad(y1)
-    V1 = fld.velocity(y1, g1, fz)
-    dt_col = dt[:, None]
-    step = y1 - Y
-    size = np.maximum(1.0, np.maximum(np.abs(Y), np.abs(y1)))
-    scale = _ATOL + _RTOL * size
-    a = dt_col * V0
-    b = (0.5 * dt_col * dt_col) * (J @ V0[..., None])[..., 0]
-    b_cubic = 3.0 * step - 2.0 * a - dt_col * V1
-    cubic = np.abs(b - b_cubic) > np.abs(step) + scale
-    if fz.dae:
-        cubic |= fz.algebraic
-    b = np.where(cubic, b_cubic, b)
-    r1 = step - a - b
-    r2 = dt_col * V1 - a - 2.0 * b
-    e = r2 - 3.0 * r1
-    dense = np.empty((4, n, d))
-    dense[0], dense[1], dense[2], dense[3] = a, b, r1 - e, e
-    err = np.maximum.reduce(np.abs(U[5]) / scale, axis=1)
-    allowed = (_VELOCITY_CHANGE * np.maximum(1.0, h / dt))[:, None]
-    resolved = allowed * np.maximum(np.abs(V0), np.abs(V1)) + _ATOL * inv_dt
-    bend = np.abs(V1 - V0) / np.maximum(resolved, noise_rate * size)
-    if fast is not None:
-        bend[fast] = 0.0
-    err = np.maximum(err, np.maximum.reduce(bend, axis=1) ** 4)
-    err[~(np.isfinite(err) & np.logical_and.reduce(np.isfinite(y1), axis=1))] = np.inf
-    return y1, g1, dense, err
-
-
-def _ros_advance(fld: _Field, Y, G, fz: _Frozen, H, limit, t, h: float) -> _Step:
-    """Advance every row of Y by one accepted RODAS4 step.
-
-    G is the raw gradient at Y, fz the frozen-regime field, H the
-    preferred step sizes, ``limit`` the remaining time of each row, t its
-    current time and h the output interval.  Each row has its own step
-    size and error norm: a rejected row retries with a smaller step while
-    the accepted rows wait, so no row's steps depend on another row.  A
-    row whose step underflows raises StepFailureError.  When every row
-    passes its first attempt, that attempt's arrays are the step.
-    """
-    with np.errstate(all="ignore"):
-        F0 = fld.rhs(G, fz)
-        V0 = fld.velocity(Y, G, fz)
-        J = fld.jacobian(Y, fz)
-        rate = np.abs(J.diagonal(axis1=1, axis2=2))
-        fast = None
-        if fld.slaved_fast:
-            slowest = np.minimum.reduce(np.where(rate > 0.0, rate, np.inf), axis=1, keepdims=True)
-            fast = rate * _VELOCITY_CHANGE > slowest
-        noise_rate = _ROUNDING * rate
-        dt = np.minimum(H, limit)
-        y1, g1, dense, err = _ros_attempt(fld, Y, F0, V0, J, noise_rate, fast, fz, dt, h)
-        fac = np.minimum(np.maximum(_SAFETY * err ** -0.25, _FAC_MIN), _FAC_MAX)
-        grown = dt * fac
-        h_next = np.where(dt < H, np.maximum(grown, H), grown)
-        rej = (err > 1.0).nonzero()[0]
-        fac = fac[rej]
-        while rej.size:  # retries take no step cap and never grow the step
-            dt[rej] *= fac
-            tiny = ~(dt[rej] >= 1e-15 * np.maximum(1.0, np.abs(t[rej])))  # NaN counts as tiny
-            if tiny.any():
-                raise StepFailureError(
-                    "substep size underflow (field too stiff or non-finite)",
-                    float(t[rej][tiny][0]),
-                )
-            yt, gt, dn, err = _ros_attempt(fld, Y[rej], F0[rej], V0[rej], J[rej], noise_rate[rej],
-                                           None if fast is None else fast[rej], fz.take(rej), dt[rej], h)
-            fac = np.minimum(np.maximum(_SAFETY * err ** -0.25, _FAC_MIN), 1.0)
-            ok = err <= 1.0
-            acc = rej[ok]
-            y1[acc], g1[acc], dense[:, acc] = yt[ok], gt[ok], dn[:, ok]
-            h_next[acc] = dt[acc] * fac[ok]
-            rej, fac = rej[~ok], fac[~ok]
-    return _Step(y1=y1, g1=g1, dt=dt, h_next=h_next, dense=dense)
-
-
-def _initial_step(fld: _Field, Y, G, fz: _Frozen, span) -> np.ndarray:
-    """Starting step size per row for an order-4 pair (Hairer, Norsett &
-    Wanner, Solving ODEs I, Sec. II.4); one extra field evaluation."""
-    with np.errstate(all="ignore"):
-        F0 = fld.velocity(Y, G, fz)
-        y_max = np.abs(Y).max(axis=1)
-        scale = _ATOL + _RTOL * np.maximum(1.0, y_max)
-        d0 = y_max / scale
-        d1 = np.abs(F0).max(axis=1) / scale
-        h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
-        h0 = np.minimum(h0, span)
-        Y1 = Y + h0[:, None] * F0
-        F1 = fld.velocity(Y1, fld.grad(Y1), fz)
-        d2 = np.abs(F1 - F0).max(axis=1) / scale / h0
-        dm = np.maximum(d1, d2)
-        h1 = np.where(dm <= 1e-15, np.maximum(1e-6, 1e-3 * h0), (0.01 / dm) ** 0.2)
-        h = np.minimum(np.minimum(100.0 * h0, h1), span)
-    # a non-finite field leaves the choice to the controller's rejections
-    return np.where(np.isfinite(h) & (h > 0.0), h, np.minimum(1e-6, span))
-
-
-def _bisect_fraction(phi, event_tol: float) -> float:
-    """First root of phi on [0, 1] (phi(0) > 0 >= phi(1)) by bisection.
-
-    Returns a fraction on the crossed side (phi <= 0), as close to the
-    root as the value tolerance allows, so that the regime re-evaluated
-    there sees the transition.
-    """
-    a, b = 0.0, 1.0
-    for _ in range(200):
-        m = 0.5 * (a + b)
-        fm = phi(m)
-        if fm > 0.0:
-            a = m
-        else:
-            b = m
-            if -fm <= event_tol:
-                break
-        if b - a <= 64.0 * np.finfo(float).eps:
-            break
-    return b
-
-
-def _locate_events(fld: _Field, Y0, G0, fz: _Frozen, st: _Step, row: int):
-    """Regime changes within the accepted step of one row of a stack.
-
-    Returns None, or (s, x_e, events) with s the step fraction of the
-    earliest transition, x_e the state there (contact coordinates snapped
-    to their face) and events the (kind, index) pairs that occur at s.
-    Box-face contact is located first: the frozen-regime flow beyond a
-    face is not the model's, so the other monitors are read only up to
-    the earliest contact.  A monitor that ends inside its band without a
-    sign change fires at that end.
-    """
-    y0, g0, y1, g1, dense = Y0[row], G0[row], st.y1[row], st.g1[row], st.dense[:, row]
-    fz = fz if len(Y0) == 1 else fz.take([row])
-    live = [m for m in fld.monitors(y0, y1, fz) if m.phi(y0, g0) > m.band]
-    if not live:
-        return None
-
-    def state_at(s: float) -> np.ndarray:
-        if s == 1.0:
-            return y1.copy()
-        return _dense_eval(y0, dense, np.array([[s]]))[0]
-
-    def fraction(m: _Monitor, s_end: float) -> float:
-        def at(u: float) -> float:
-            x = state_at(u * s_end)
-            return m.phi(x, None if m.face is not None else fld.grad(x[None])[0])
-
-        return s_end * _bisect_fraction(at, fld.opts.event_tol)
-
-    located = [(fraction(m, 1.0), i) for i, m in enumerate(live)
-               if m.face is not None and m.phi(y1, g1) <= 0.0]
-    s_end, x_end, g_end = 1.0, y1, g1
-    if located:
-        s_end = min(located)[0]
-        x_end = state_at(s_end)
-        g_end = fld.grad(x_end[None])[0]
-    for i, m in enumerate(live):
-        if m.face is None and m.phi(x_end, g_end) <= m.band:
-            located.append((s_end if m.phi(x_end, g_end) > 0.0 else fraction(m, s_end), i))
-    if not located:
-        return None
-    s, first = min(located)
-    x_e = state_at(s)
-    g_e = fld.grad(x_e[None])[0]
-    fired = [first] + [i for _, i in located if i != first and live[i].phi(x_e, g_e) <= live[i].band]
-    for i in fired:
-        if live[i].face is not None:
-            x_e[live[i].j] = live[i].face
-    return s, x_e, [fld.classify(live[i].label, live[i].j, x_e, fz) for i in fired]
-
-
 def nominal_rows(t_end: float, h: float) -> float:
     """Rows of the output grid to t_end at interval h: the start and
     max(1, ceil(t_end/h)) steps; inf when t_end/h overflows."""
@@ -963,6 +645,40 @@ def _nominal_grid(t_end: float, h: float) -> np.ndarray:
     """Output times 0, h, 2h, ..., the last step cut to end at t_end."""
     t0 = np.arange(nominal_rows(t_end, h) - 1) * h
     return np.concatenate([[0.0], t0 + np.minimum(h, t_end - t0)])
+
+
+# Grid rows are filled per block of steps, not per step: _run queues each
+# step's start, dense coefficients, end and grid-row range and fills about
+# _GRID_BLOCK grid rows with one _grid_rows call, and the rest at the end
+# of the run.  Each grid row's arithmetic is its own, so the values are
+# those of one call per step.  A step is filled at once only when it has
+# algebraic rows (its grid states are projected onto their manifolds) or
+# when the run stops on convergence and the Psi screen (_psi_screen)
+# cannot rule out a grid row with Psi <= 2 converge_tol: only a row with
+# Psi <= converge_tol can stop the run.  The screen bounds |x_j - x*_j|
+# over s in [0, 1] from below by |y0_j - x*_j| - sum_k |c_kj|, which
+# holds for the clipped state too: clipping onto the box, which holds y0,
+# moves no coordinate farther from y0.  Where that bound is positive,
+# sum_k |c_kj| < 2B for B the magnitude of the box and x*, and the
+# rounding of the dense output (Horner's scheme, about 8u sum_k |c_kj|,
+# u = 2^-53), of y0 + p(s), of the end state read at s = 1 and of the
+# bound itself is a few tens of u*B; the screen takes off _SCREEN_ROOM * B
+# = 2^13 u*B.  Rounding is monotone, so float lower bounds on every
+# |x_j - x*_j| bound the computed Psi from below.
+
+
+def _psi_screen(costs, cfg, box: Box):
+    """``floor(Y0, dense)``: a lower bound of the computed Psi = |x - x*|^2
+    of every grid row that _grid_rows reads off the steps from the rows of
+    Y0 with (N, 4, d) dense coefficients (see the notes above)."""
+    x_opt = hm._model_consts(costs, cfg)[5]  # the x* of hm.imbalance_vec
+    room = _SCREEN_ROOM * np.maximum(box.hi, x_opt)  # states and x* are positive
+
+    def floor(Y0, dense):
+        L = np.fmax(np.abs(Y0 - x_opt) - np.add.reduce(np.abs(dense), axis=1) - room, 0.0)
+        return np.add.reduce(L * L, axis=1)
+
+    return floor
 
 
 def _first_converged(fld: _Field, X: np.ndarray, psi: np.ndarray):
@@ -994,7 +710,10 @@ def _run(fld: _Field, X: np.ndarray, t_end: float, h: float, stop: bool, keep: b
     the boundary layer's own events, which still count toward the
     chattering guard.  The per-row stacks hold the live rows only (``ids``
     maps them to rows of X), so they are cut when a row finishes and
-    never gathered or scattered per step.
+    never gathered or scattered per step.  A step's grid rows are queued
+    and filled with those of other steps, about _GRID_BLOCK at a time, and
+    at once only where a DAE projection or the convergence stop needs them
+    (see the notes before _psi_screen).
     """
     box, costs, cfg, opts = fld.box, fld.costs, fld.cfg, fld.opts
     times = _nominal_grid(t_end, h)
@@ -1006,10 +725,11 @@ def _run(fld: _Field, X: np.ndarray, t_end: float, h: float, stop: bool, keep: b
     psis = np.empty((N, n_rows))
     events: list[list[EventRecord]] = [[] for _ in range(N)]
     converged = np.zeros(N, dtype=bool)
-    # each row's last state, grid rows filled and largest clip, written as it finishes
+    # each row's last state and grid rows filled, written as it finishes
     final = np.empty_like(X)
     rows_filled = np.empty(N, dtype=np.int64)
-    max_clip = np.empty(N)
+    max_clip = np.zeros(N)
+    psi_floor = _psi_screen(costs, cfg, box) if stop else None
 
     def record(rows, k, Xg, bits):
         if keep:
@@ -1019,9 +739,29 @@ def _run(fld: _Field, X: np.ndarray, t_end: float, h: float, stop: bool, keep: b
             Rs[rows, k] = hm.resistance_lyapunov_vec(costs, cfg, Xg, fld.gmode)
         psis[rows, k] = hm.imbalance_vec(costs, cfg, Xg)
 
+    def fill(rows, t0, Y0, dt, dense, y1, first, stop_row, s_cap, bits, algebraic=None):
+        """Record the grid rows of steps of the rows ``rows`` of X (see
+        _grid_rows), projected onto their sliding manifolds with
+        ``algebraic``, and fold their clips into max_clip."""
+        which, k, Xg, clip = _grid_rows(box, times, t0, Y0, dt, dense, y1, first, stop_row, s_cap)
+        if algebraic is not None:
+            Xg = fld.project(Xg, algebraic[which], 10.0 * opts.switch_tol)
+        rows = rows[which]
+        record(rows, k, Xg, bits[which])
+        np.maximum.at(max_clip, rows, clip)
+        return which, Xg
+
+    queue = []  # fill's arguments of the steps whose grid rows wait
+    queued = 0  # and their number of grid rows
+
+    def flush():
+        if queue:
+            fill(*map(np.concatenate, zip(*queue)))
+            queue.clear()
+
     # the live rows: their rows of X, states, gradients, step sizes, times,
     # next grid rows, events since the last grid row, fallback flags and
-    # largest clips
+    # largest clips of their end states (fill folds in those of grid rows)
     ids = np.arange(N)
     Y = X.copy()
     G = fld.grad(Y)
@@ -1032,7 +772,7 @@ def _run(fld: _Field, X: np.ndarray, t_end: float, h: float, stop: bool, keep: b
     clipped = np.zeros(N)
     fz = fld.regime(Y, G)
     H = _initial_step(fld, Y, G, fz, np.full(N, t_end))
-    record(ids, 0, Y, fz.bits())
+    record(ids, 0, Y, fz.bits)
     while ids.size:
         n = ids.size
         fell = fz.fallback
@@ -1052,22 +792,28 @@ def _run(fld: _Field, X: np.ndarray, t_end: float, h: float, stop: bool, keep: b
         stop_row = np.where(at_end, n_rows, times.searchsorted(t_next, side="right"))
         first = filled
         wrote = stop_row > first
+        done = np.zeros(n, dtype=bool)
         if wrote.any():
-            which, k, Xg, clip = _grid_rows(box, times, t, Y, st, first, stop_row, s_end)
-            if fz.dae:
-                Xg = fld.project(Xg, fz.algebraic[which], 10.0 * opts.switch_tol)
-            record(ids[which], k, Xg, fz.bits()[which] if keep else None)
-            np.maximum.at(clipped, which, clip)
             since_row[wrote] = 0
             filled = np.maximum(first, stop_row)
-        done = np.zeros(n, dtype=bool)
-        if stop:  # a step ending in an event records it first
-            for i in (wrote & ~hit).nonzero()[0]:
-                j = _first_converged(fld, Xg[which == i], psis[ids[i], first[i]:stop_row[i]])
-                if j is not None:
-                    filled[i] = first[i] + j + 1
-                    done[i] = True
-            converged[ids[done]] = True
+            step = (ids, t, Y, st.dt, st.dense, st.y1, first, stop_row, s_end, fz.bits)
+            # the rows that may stop converged; a step ending in an event records it first
+            check = (wrote & ~hit).nonzero()[0] if stop else ()
+            if fz.dae or len(check) and np.logical_or.reduce(
+                    psi_floor(Y[check], st.dense[check]) <= 2.0 * opts.converge_tol):  # fill it now
+                which, Xg = fill(*step, fz.algebraic if fz.dae else None)
+                for i in check:
+                    j = _first_converged(fld, Xg[which == i], psis[ids[i], first[i]:stop_row[i]])
+                    if j is not None:
+                        filled[i] = first[i] + j + 1
+                        done[i] = True
+                converged[ids[done]] = True
+            else:
+                queue.append(step)
+                queued += np.add.reduce(filled - first)
+                if queued >= _GRID_BLOCK:
+                    flush()
+                    queued = 0
 
         # the next step starts at the event state, or else at the end
         # state clipped to the box
@@ -1104,11 +850,13 @@ def _run(fld: _Field, X: np.ndarray, t_end: float, h: float, stop: bool, keep: b
         if not live.all():
             gone = ~live
             left = ids[gone]
-            final[left], rows_filled[left], max_clip[left] = Y[gone], filled[gone], clipped[gone]
+            final[left], rows_filled[left] = Y[gone], filled[gone]
+            max_clip[left] = np.maximum(max_clip[left], clipped[gone])
             ids, Y, G, H, t, filled, since_row, fell_before, clipped = (
                 a[live] for a in (ids, Y, G, H, t, filled, since_row, fell_before, clipped))
         if ids.size:
             fz = fld.regime(Y, G)
+    flush()
 
     if not keep:
         return EnsembleResult(times=times, final_states=final, R_values=Rs, Psi_values=psis,

@@ -157,22 +157,16 @@ class AssemblyConfig:
         costs: TransportCosts,
         A1: float = 1.0,
         kappa: tuple[float, ...] | None = None,
-        r_lo: float = 0.05,
-        r_hi: float = 4.0,
-        n_hi: float = 64.0,
+        **bounds: float,
     ) -> "AssemblyConfig":
+        """Bejan's prefactors for the ladder (:func:`bejan_prefactors`), unit
+        branching penalties unless ``kappa`` is given, and the box bounds
+        ``r_lo``, ``r_hi`` and ``n_hi`` given in ``bounds``, else the fields'
+        defaults.  The optimum must lie in the box."""
         alpha, beta = bejan_prefactors(costs)
         if kappa is None:
             kappa = (1.0,) * (costs.p - 1)
-        cfg = cls(
-            A1=A1,
-            alpha=tuple(alpha),
-            beta=tuple(beta),
-            kappa=tuple(kappa),
-            r_lo=r_lo,
-            r_hi=r_hi,
-            n_hi=n_hi,
-        )
+        cfg = cls(A1=A1, alpha=tuple(alpha), beta=tuple(beta), kappa=tuple(kappa), **bounds)
         check_optimum_in_box(costs, cfg)
         return cfg
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -139,7 +141,7 @@ class TestCertification:
 
     @pytest.mark.parametrize("gradient_mode", ["decoupled", "coupled"])
     def test_chunked_evaluation_matches_one_shot(self, costs, cfg, box, gradient_mode, monkeypatch):
-        # 4,096 samples fit in one chunk; chunks of 3 split them into 1,366,
+        # 4,096 samples are four chunks of 1,024; chunks of 3 split them into 1,366,
         # and the coupled certificate's eight witnesses (every sample breaks
         # its bound) are gathered from three chunks of the second pass
         mode = ProjectedGradient(mobility=1.0, gradient_mode=gradient_mode)
@@ -150,6 +152,19 @@ class TestCertification:
         assert chunked.worst_mu == whole.worst_mu
         assert chunked.witnesses == whole.witnesses
         assert len(whole.witnesses) == (0 if gradient_mode == "decoupled" else 8)
+
+    def test_certificate_memory_is_bounded_by_its_chunk(self, costs, cfg, box, pg_mode):
+        # 10,000 samples in chunks of 1,024: the Jacobian stacks and their
+        # eigenvalue work of one chunk, not of every sample, are held at once
+        # (7.2 MB traced with chunks of 2**14)
+        analysis.certify_contraction(pg_mode, costs, cfg, box, count=100, seed=0)  # warm caches
+        tracemalloc.start()
+        try:
+            analysis.certify_contraction(pg_mode, costs, cfg, box, count=10_000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
     def test_rejects_sign_descent_and_bad_count(self, costs, cfg, box, pg_mode):
         from constructal import SignDescent

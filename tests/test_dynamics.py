@@ -18,7 +18,7 @@ from constructal import (
     two_trajectory_run,
     velocity,
 )
-from constructal import dynamics
+from constructal import dynamics, stepping
 from constructal import hierarchy as hm
 from constructal.config import load_config
 from constructal.errors import DomainError, SingularSlidingError, StepFailureError
@@ -401,6 +401,140 @@ class TestModeValidation:
         with pytest.raises(DomainError):
             ProjectedGradient(gradient_mode="sideways")
 
+
+
+def assert_same_trajectory(a, b):
+    for name in ("times", "states", "R_values", "Psi_values", "regime_masks"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.events == b.events
+    assert a.step_events == b.step_events
+    assert a.status == b.status
+    assert a.max_clip == b.max_clip
+
+
+def grid_blocks(monkeypatch, run):
+    """run() with the grid rows filled after every step, and with them
+    filled once at the end of the run (where no step needs them at once)."""
+    out = []
+    for block in (1, 10**9):
+        monkeypatch.setattr(dynamics, "_GRID_BLOCK", block)
+        out.append(run())
+    return out
+
+
+class TestGridBlocks:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        p=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        near=st.floats(-15.0, 0.0),
+        reach=st.floats(-16.0, 1.0),
+        miss=st.floats(-17.0, -1.0),
+    )
+    def test_psi_screen_rules_out_no_step_it_should_not(self, p, seed, near, reach, miss):
+        # steps from in-box starts 10**near (relative) from x*, some
+        # coordinates on a face.  Half the steps move 10**reach (relative),
+        # their dense coefficients formed as the core forms them, and a
+        # quarter of their coordinates end past a face.  The other half
+        # head straight for x*, every coefficient of a coordinate of one
+        # sign, and end within 10**miss (relative) of it.  The screen's
+        # floor is at most the Psi of every clipped grid row read off a
+        # step, so a step with a grid row of Psi <= tol is never ruled out
+        # (floor <= tol < 2 tol).
+        rng = np.random.default_rng(seed)
+        costs = random_ladder(rng, p)
+        cfg = AssemblyConfig.bejan(costs)
+        box = state_box(costs, cfg)
+        x_opt = optimum_state(costs, cfg).vector()
+        n, d = 16, box.dim
+        Y0 = box.clip(x_opt * (1.0 + 10.0**near * rng.standard_normal((n, d))))
+        face = rng.random((n, d))
+        Y0 = np.where(face < 0.1, box.lo, np.where(face < 0.2, box.hi, Y0))
+        move = 10.0**reach * x_opt * rng.standard_normal((n, d))
+        past = rng.random((n, d)) < 0.25
+        move = np.where(past, np.where(move > 0, box.hi, box.lo) - Y0 + move, move)
+        a, b, w = (10.0**reach * x_opt * rng.standard_normal((n, d)) for _ in range(3))
+        r1 = move - a - b
+        e = (w - a - 2.0 * b) - 3.0 * r1
+        dense = np.stack([a, b, r1 - e, e], axis=1)
+        y1 = Y0 + move
+        aimed = np.arange(n) < n // 2
+        parts = rng.random((n // 2, 4, d))
+        gap = (x_opt - Y0[aimed]) * (1.0 + 10.0**miss * rng.standard_normal((n // 2, d)))
+        dense[aimed] = parts / parts.sum(axis=1, keepdims=True) * gap[:, None]
+        y1[aimed] = Y0[aimed] + dense[aimed].sum(axis=1)
+        times = np.concatenate([[0.0], np.sort(rng.random(30)), [1.0]])
+        s_cap = np.where(rng.random(n) < 0.5, 1.0, rng.random(n))
+        which, _, Xg, _ = stepping._grid_rows(box, times, np.zeros(n), Y0, np.ones(n), dense, y1,
+                                              np.ones(n, dtype=np.int64), np.full(n, times.size), s_cap)
+        lowest = np.full(n, np.inf)
+        np.minimum.at(lowest, which, hm.imbalance_vec(costs, cfg, Xg))
+        assert np.all(dynamics._psi_screen(costs, cfg, box)(Y0, dense) <= lowest)
+
+    @pytest.mark.parametrize("case", ["converging", "face", "layer", "sliding", "fallback"])
+    def test_single_runs_do_not_depend_on_the_block(self, case, costs, cfg, box, pg_mode, monkeypatch):
+        eqc = SignDescent(sliding="equivalent_control")
+        x_face = np.array([1.0, 0.5, 0.5, 3.0, 3.0])
+        run, tag = {
+            "converging": (lambda: integrate(pg_mode, costs, cfg, box, GENERIC_X0, 30.0, 1e-3), "converged"),
+            "face": (lambda: integrate(ProjectedGradient(gradient_mode="coupled"), costs, cfg, box,
+                                       x_face, 2.0, 1e-3), "BoundaryContact:3"),
+            "layer": (lambda: integrate(SignDescent(), costs, cfg, box, GENERIC_X0, 2.0, 1e-3), "SlideEnter:0"),
+            "sliding": (lambda: integrate(eqc, costs, cfg, box, GENERIC_X0, 8.0, 1e-3), "converged"),
+            "fallback": (lambda: integrate(eqc, costs, cfg, box, GENERIC_X0, 0.4, 1e-3), "SlideExit:-1"),
+        }[case]
+        if case == "fallback":
+            monkeypatch.setattr(dynamics, "_COND_MAX", 0.5)
+        each, once = grid_blocks(monkeypatch, run)
+        assert_same_trajectory(each, once)
+        assert tag == once.status or any(tag in tags.split(";") for tags in once.step_events)
+
+    def test_paired_runs_and_ensembles_do_not_depend_on_the_block(self, costs, cfg, box, pg_mode,
+                                                                  x_star, monkeypatch):
+        monkeypatch.setattr(dynamics, "_COND_MAX", 0.5)
+        X0 = np.array([GENERIC_X0, [3.0, 2.5, 2.5, 30.0, 40.0], x_star.vector(), [1.0, 0.5, 0.5, 3.0, 3.0]])
+        for mode in (pg_mode, ProjectedGradient(gradient_mode="coupled"), SignDescent(),
+                     SignDescent(sliding="equivalent_control")):
+            pair_each, pair_once = grid_blocks(
+                monkeypatch, lambda: two_trajectory_run(mode, costs, cfg, box, X0[0], X0[3], 0.5, 1e-3))
+            assert_same_trajectory(pair_each.first, pair_once.first)
+            assert_same_trajectory(pair_each.second, pair_once.second)
+            assert np.array_equal(pair_each.separation, pair_once.separation)
+            each, once = grid_blocks(monkeypatch, lambda: integrate_ensemble(mode, costs, cfg, box, X0, 0.5, 1e-3))
+            for name in ("times", "final_states", "R_values", "Psi_values"):
+                assert np.array_equal(getattr(each, name), getattr(once, name)), name
+            assert each.max_clip == once.max_clip
+
+    def test_grid_rows_are_filled_per_block(self, costs, cfg, box, pg_mode, monkeypatch):
+        # the canonical run fills 21,540 grid rows over 899 steps; only the
+        # steps near its convergence stop are filled at once
+        calls, grid_rows = 0, dynamics._grid_rows
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return grid_rows(*args)
+
+        monkeypatch.setattr(dynamics, "_grid_rows", counted)
+        traj = integrate(pg_mode, costs, cfg, box, GENERIC_X0, 30.0, 1e-3)
+        assert traj.converged and traj.times.size == 21540
+        assert calls <= 30
+
+    def test_inverse_is_numpy_inverse_with_nan_for_singular_rows(self):
+        rng = np.random.default_rng(16)
+        W = rng.standard_normal((64, 5, 5))
+        W[7] = 0.0
+        W[21, 3] = W[21, 1]  # two equal rows
+        W[40, :, 2] = 0.0
+        singular = np.isin(np.arange(64), [7, 21, 40])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(W)
+        with np.errstate(all="ignore"):  # as in _ros_advance
+            out = stepping._inverse(W)
+            regular = stepping._inverse(W[~singular])
+        assert np.all(np.isnan(out[singular]))
+        assert np.array_equal(out[~singular], np.linalg.inv(W[~singular]))
+        assert np.array_equal(regular, np.linalg.inv(W[~singular]))
 
 
 def radau_reference(mode, costs, cfg, x0, times, frozen=()):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -418,3 +419,20 @@ class TestConfigValidation:
     def test_kappa_positive(self, costs):
         with pytest.raises(ConfigError):
             AssemblyConfig.bejan(costs, kappa=(1.0, -1.0))
+
+    def test_bejan_box_bounds_are_the_field_defaults(self, costs):
+        defaults = {f.name: f.default for f in dataclasses.fields(AssemblyConfig)
+                    if f.default is not dataclasses.MISSING}
+        cfg = AssemblyConfig.bejan(costs)
+        assert {name: getattr(cfg, name) for name in defaults} == defaults == {
+            "r_lo": 0.05, "r_hi": 4.0, "n_hi": 64.0}
+
+        # one source: a class with other field defaults builds with them
+        @dataclasses.dataclass(frozen=True)
+        class Wide(AssemblyConfig):
+            r_hi: float = 5.0
+            n_hi: float = 80.0
+
+        wide = Wide.bejan(costs)
+        assert (wide.r_lo, wide.r_hi, wide.n_hi) == (0.05, 5.0, 80.0)
+        assert AssemblyConfig.bejan(costs, r_hi=5.0).r_hi == 5.0
