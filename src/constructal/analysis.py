@@ -9,6 +9,7 @@ import numpy as np
 
 from . import hierarchy as hm
 from .cones import Box
+from .config import SAMPLE_LIMIT
 from .dynamics import ProjectedGradient, Trajectory
 from .errors import DegenerateFitError, DomainError, TooFewSamplesError
 
@@ -29,7 +30,6 @@ __all__ = [
 
 PSI_FLOOR = 1e-8
 CERT_SLACK = 1e-8
-SAMPLE_LIMIT = 10**7  # about 30 s at d = 5; below it, k * alpha keeps at least 29 fractional bits
 CERT_CHUNK = 2**10  # samples whose Jacobians are held at once
 
 

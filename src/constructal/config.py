@@ -17,12 +17,16 @@ from pathlib import Path
 import numpy as np
 
 from . import hierarchy as hm
-from .analysis import SAMPLE_LIMIT
 from .cones import Box
 from .dynamics import DynamicsMode, IntegrationOptions, ProjectedGradient, SignDescent
 from .errors import ConfigError, DomainError
 
 __all__ = ["KEYS", "RunConfig", "parse_config_text", "load_config", "format_value", "write_config"]
+
+# largest certificate sample count (analysis.certify_contraction): about
+# 30 s at d = 5; below it, the sampler's k * alpha keeps at least 29
+# fractional bits
+SAMPLE_LIMIT = 10**7
 
 
 def _is_number(v) -> bool:

@@ -89,7 +89,7 @@ SLIDE_EXIT = "SlideExit"
 BOUNDARY_CONTACT = "BoundaryContact"
 BOUNDARY_RELEASE = "BoundaryRelease"
 
-_COND_MAX = 1e12  # a sliding block beyond this condition number steps on the boundary layer
+_COND_MAX = 1e12  # a sliding block beyond this condition (rows equilibrated) steps on the boundary layer
 _MAX_EVENTS = 64  # more located events in one nominal step raise the chattering guard
 _GRID_BLOCK = 4096  # queued grid rows filled by one _grid_rows call
 _SCREEN_ROOM = 2.0**-40  # rounding allowance of the Psi screen, per unit of the box's magnitude
@@ -241,6 +241,7 @@ class EnsembleResult:
     R_values: np.ndarray
     Psi_values: np.ndarray
     max_clip: float
+    events: list[list[EventRecord]]  # of each row
 
 
 # ---------------------------------------------------------------------------
@@ -288,14 +289,19 @@ def _clamp_and_drop(H: np.ndarray, S: np.ndarray, signs: np.ndarray, gains: np.n
     coordinate leaves S at its saturated velocity (its sign is set so that
     -gain*sign is that velocity).  Updates S and signs in place and returns
     the velocities and the mask of rows left unsolvable, with a block whose
-    condition number is beyond ``_COND_MAX``.
+    condition number is beyond ``_COND_MAX``.  The equations 0 = d_j R of
+    the block may be scaled freely, and their curvatures H_jj span many
+    decades on deep ladders, so the condition number is that of the block
+    with each row divided by its |H_jj|; the solve is unscaled.
     """
     V = -gains * signs
     unsolvable = np.zeros(len(S), dtype=bool)
     live = np.flatnonzero(S.any(axis=1))
     while live.size:
         for s, rows in _groups(S[live]):
-            unsolvable[live[rows]] = np.linalg.cond(H[np.ix_(live[rows], s, s)]) > _COND_MAX
+            block = H[np.ix_(live[rows], s, s)]
+            scale = np.abs(np.diagonal(block, axis1=-2, axis2=-1))[..., None]
+            unsolvable[live[rows]] = np.linalg.cond(block / scale) > _COND_MAX
         live = live[~unsolvable[live]]
         Vl = _equivalent_control(H[live], S[live], V[live])
         over = np.where(S[live], np.abs(Vl) / gains, -np.inf)
@@ -390,15 +396,27 @@ class _Field:
     (mobility or gains): the raw velocity of coordinate j has the sign of
     -d_j R, so a face-held coordinate is released when d_j R turns.
     ``slaved_fast`` exempts fast components from the velocity-change bound
-    (see the notes on the core).
+    (see the notes on the core).  ``faces_only`` tells that the law changes
+    regime only on the box faces: its monitors are the face monitors, and
+    at states off the face bands (see :meth:`near_face`) its regime is the
+    all-free one.
     """
 
     slaved_fast = False
+    faces_only = False
 
     def __init__(self, mode: DynamicsMode, costs, cfg, box: Box, opts: IntegrationOptions, scale):
         self.mode, self.costs, self.cfg, self.box, self.opts = mode, costs, cfg, box, opts
         self.gmode = mode.gradient_mode
         self.scale = scale
+        self.lo_band, self.hi_band = box.lo + opts.boundary_tol, box.hi - opts.boundary_tol
+
+    def near_face(self, Y: np.ndarray) -> bool:
+        """Whether a coordinate of the stack Y is within boundary_tol of a
+        face (in its face band) or past it.  Only such a coordinate can be
+        held on a face (:func:`cones.outward`), fire a face monitor or be
+        clipped."""
+        return not np.logical_and.reduce((Y > self.lo_band) & (Y < self.hi_band), axis=None)
 
     def grad(self, Y: np.ndarray) -> np.ndarray:
         return hm.gradient_vec(self.costs, self.cfg, Y, self.gmode)
@@ -442,7 +460,7 @@ class _Field:
         from y0 to y1: box-face release of held coordinates (the gradient
         turns) and contact of free ones that end the step past a face."""
         box = self.box
-        at_lo = y0 <= box.lo + self.opts.boundary_tol
+        at_lo = y0 <= self.lo_band
         free = ~fz.frozen[0]
         out = []
         for j in np.flatnonzero(fz.frozen[0]):
@@ -467,6 +485,7 @@ class _PGField(_Field):
     """
 
     slaved_fast = True
+    faces_only = True
 
     def __init__(self, mode: ProjectedGradient, costs, cfg, box: Box, opts: IntegrationOptions):
         super().__init__(mode, costs, cfg, box, opts, mode.mobility_vector(box.dim))
@@ -475,7 +494,9 @@ class _PGField(_Field):
 
     def regime(self, Y: np.ndarray, G: np.ndarray) -> _Frozen:
         """A regime with no face-held coordinate depends on the row count
-        alone, so the last one is returned again."""
+        alone, so the last one is returned again.  It is the regime at
+        every stack with no coordinate near a face, where _run does not
+        call this at all."""
         frozen = outward(self.box, Y, self.neg_mob * G, self.opts.boundary_tol)
         held = frozen.any()
         if not held and self.free is not None and len(self.free.frozen) == len(Y):
@@ -628,7 +649,7 @@ def velocity(mode: DynamicsMode, costs, cfg, box: Box, x, options: IntegrationOp
     fz = fld.regime(Y, G)
     v = fld.velocity(Y, G, fz)[0]
     held = fz.frozen[0]
-    lower = held & (xv <= box.lo + fld.opts.boundary_tol)
+    lower = held & (xv <= fld.lo_band)
     regime = Regime(sliding=_indices(fz.sliding[0]), lower=_indices(lower), upper=_indices(held & ~lower),
                     signs=tuple(int(s) for s in fz.signs[0]), velocity=v)
     return v, regime
@@ -704,16 +725,23 @@ def _run(fld: _Field, X: np.ndarray, t_end: float, h: float, stop: bool, keep: b
     steps of a run of that row alone.  Every loop iteration advances all
     live rows by one step, each through the frozen regime found at its
     start, and ends it at the row's first regime change; rows that can
-    have none (``may_change``) skip event location.  While a row's sliding
-    block cannot be solved (``fallback``), its steps are of at most h; each
-    such episode is recorded once, as SlideExit at index -1, in place of
-    the boundary layer's own events, which still count toward the
-    chattering guard.  The per-row stacks hold the live rows only (``ids``
-    maps them to rows of X), so they are cut when a row finishes and
-    never gathered or scattered per step.  A step's grid rows are queued
-    and filled with those of other steps, about _GRID_BLOCK at a time, and
-    at once only where a DAE projection or the convergence stop needs them
-    (see the notes before _psi_screen).
+    have none (``may_change``) skip event location.  An iteration is quiet
+    when no end state is near a face (``near_face``), no row hits an event
+    and none falls back: it then has nothing to clip, re-evaluate, record
+    or guard, and under a law that changes regime only on the faces
+    (``faces_only``, projected gradient) it locates no events and keeps
+    its all-free regime.  Every other iteration takes the full path, and
+    both give the same bits.
+
+    While a row's sliding block cannot be solved (``fallback``), its steps
+    are of at most h; each such episode is recorded once, as SlideExit at
+    index -1, in place of the boundary layer's own events, which still
+    count toward the chattering guard.  The per-row stacks hold the live
+    rows only (``ids`` maps them to rows of X), so they are cut when a row
+    finishes and never gathered or scattered per step.  A step's grid rows
+    are queued and filled with those of other steps, about _GRID_BLOCK at
+    a time, and at once only where a DAE projection or the convergence
+    stop needs them (see the notes before _psi_screen).
     """
     box, costs, cfg, opts = fld.box, fld.costs, fld.cfg, fld.opts
     times = _nominal_grid(t_end, h)
@@ -773,21 +801,29 @@ def _run(fld: _Field, X: np.ndarray, t_end: float, h: float, stop: bool, keep: b
     fz = fld.regime(Y, G)
     H = _initial_step(fld, Y, G, fz, np.full(N, t_end))
     record(ids, 0, Y, fz.bits)
+    ones = np.ones(N)  # the end fraction of steps that hit no event
     while ids.size:
         n = ids.size
         fell = fz.fallback
         limit = np.where(fell, np.minimum(t_end - t, h), t_end - t) if fz.falls else t_end - t
         st = _ros_advance(fld, Y, G, fz, H, limit, t, h)
+        near = fld.near_face(st.y1)
         hits = {}
-        for i in fld.may_change(st.y1, fz).nonzero()[0]:
-            found = _locate_events(fld, Y, G, fz, st, i)
-            if found is not None:
-                hits[i] = found
-        hit = np.zeros(n, dtype=bool)
-        s_end = np.ones(n)
-        for i, (s, _, _) in hits.items():
-            hit[i], s_end[i] = True, s
-        at_end = ~hit & (st.dt >= t_end - t)
+        if near or not fld.faces_only:
+            for i in fld.may_change(st.y1, fz).nonzero()[0]:
+                found = _locate_events(fld, Y, G, fz, st, i)
+                if found is not None:
+                    hits[i] = found
+        # a quiet iteration: no end state near a face, no event and no
+        # fallback, so there is nothing to clip, record or guard
+        quiet = not (near or hits or fz.falls)
+        if quiet:
+            s_end, at_end = ones[:n], st.dt >= t_end - t
+        else:
+            hit, s_end = np.zeros(n, dtype=bool), np.ones(n)
+            for i, (s, _, _) in hits.items():
+                hit[i], s_end[i] = True, s
+            at_end = ~hit & (st.dt >= t_end - t)
         t_next = np.where(at_end, t_end, t + s_end * st.dt)
         stop_row = np.where(at_end, n_rows, times.searchsorted(t_next, side="right"))
         first = filled
@@ -798,7 +834,7 @@ def _run(fld: _Field, X: np.ndarray, t_end: float, h: float, stop: bool, keep: b
             filled = np.maximum(first, stop_row)
             step = (ids, t, Y, st.dt, st.dense, st.y1, first, stop_row, s_end, fz.bits)
             # the rows that may stop converged; a step ending in an event records it first
-            check = (wrote & ~hit).nonzero()[0] if stop else ()
+            check = (wrote if quiet else wrote & ~hit).nonzero()[0] if stop else ()
             if fz.dae or len(check) and np.logical_or.reduce(
                     psi_floor(Y[check], st.dense[check]) <= 2.0 * opts.converge_tol):  # fill it now
                 which, Xg = fill(*step, fz.algebraic if fz.dae else None)
@@ -815,37 +851,39 @@ def _run(fld: _Field, X: np.ndarray, t_end: float, h: float, stop: bool, keep: b
                     flush()
                     queued = 0
 
-        # the next step starts at the event state, or else at the end
-        # state clipped to the box
-        Y1 = box.clip(st.y1)
-        clip = np.where(hit | done, 0.0, np.maximum.reduce(np.abs(Y1 - st.y1), axis=1))
-        clipped = np.maximum(clipped, clip)
-        for i, (_, x_e, _) in hits.items():
-            Y1[i] = x_e
-        moved = hit | (clip > 0.0)
-        G1 = st.g1
-        if moved.any():
-            G1[moved] = fld.grad(Y1[moved])
-        Y, G, H, t = Y1, G1, st.h_next, t_next
+        if quiet:
+            Y, G = st.y1, st.g1
+        else:
+            # the next step starts at the event state, or else at the end
+            # state clipped to the box
+            Y = box.clip(st.y1)
+            clip = np.where(hit | done, 0.0, np.maximum.reduce(np.abs(Y - st.y1), axis=1))
+            clipped = np.maximum(clipped, clip)
+            for i, (_, x_e, _) in hits.items():
+                Y[i] = x_e
+            moved = hit | (clip > 0.0)
+            G = st.g1
+            if moved.any():
+                G[moved] = fld.grad(Y[moved])
 
-        for i, (_, _, found) in hits.items():
-            since_row[i] += len(found)
-        new = {i: found for i, (_, _, found) in hits.items() if not fell[i]}
-        if fz.falls:  # one record per fallback episode in place of the layer's own events
-            episode = (fell & ~done & ~fell_before).nonzero()[0]
-            since_row[episode] += 1
-            new.update((i, [(SLIDE_EXIT, -1)]) for i in episode)
-        fell_before = fell
-        for i, pairs in new.items():
-            events[ids[i]] += [EventRecord(time=float(t_next[i]), kind=kind, index=j) for kind, j in pairs]
-        over = (since_row > _MAX_EVENTS).nonzero()[0]
-        if over.size:
-            te = float(t_next[over[0]])
-            raise StepFailureError(
-                f"more than {_MAX_EVENTS} events within one nominal step "
-                f"at t={te:.6g}: likely chattering",
-                te,
-            )
+            for i, (_, _, found) in hits.items():
+                since_row[i] += len(found)
+            new = {i: found for i, (_, _, found) in hits.items() if not fell[i]}
+            if fz.falls:  # one record per fallback episode in place of the layer's own events
+                episode = (fell & ~done & ~fell_before).nonzero()[0]
+                since_row[episode] += 1
+                new.update((i, [(SLIDE_EXIT, -1)]) for i in episode)
+            for i, pairs in new.items():
+                events[ids[i]] += [EventRecord(time=float(t_next[i]), kind=kind, index=j) for kind, j in pairs]
+            over = (since_row > _MAX_EVENTS).nonzero()[0]
+            if over.size:
+                te = float(t_next[over[0]])
+                raise StepFailureError(
+                    f"more than {_MAX_EVENTS} events within one nominal step "
+                    f"at t={te:.6g}: likely chattering",
+                    te,
+                )
+        H, t, fell_before = st.h_next, t_next, fell
         live = (filled < n_rows) & ~done
         if not live.all():
             gone = ~live
@@ -854,13 +892,14 @@ def _run(fld: _Field, X: np.ndarray, t_end: float, h: float, stop: bool, keep: b
             max_clip[left] = np.maximum(max_clip[left], clipped[gone])
             ids, Y, G, H, t, filled, since_row, fell_before, clipped = (
                 a[live] for a in (ids, Y, G, H, t, filled, since_row, fell_before, clipped))
-        if ids.size:
+        # a quiet step of projected gradient keeps the all-free regime
+        if ids.size and not (quiet and fld.faces_only and ids.size == n):
             fz = fld.regime(Y, G)
     flush()
 
     if not keep:
         return EnsembleResult(times=times, final_states=final, R_values=Rs, Psi_values=psis,
-                              max_clip=float(np.max(max_clip)))
+                              max_clip=float(np.max(max_clip)), events=events)
     out = []
     for i, n in enumerate(rows_filled):
         kept = [e for e in events[i] if e.time <= times[n - 1]]
@@ -956,7 +995,8 @@ def integrate_ensemble(
 
     Each row takes the steps and events of a single :func:`integrate` run
     from its state that does not stop on convergence.  Only the final
-    states and the R and Psi series on the nominal grid are kept.
+    states, the R and Psi series on the nominal grid and each row's events
+    are kept.
     """
     X = hm._checked_state(np.array(X0, dtype=float, ndmin=2), costs.p)
     return _integrate(mode, costs, cfg, box, X, t_end, h, options, False, keep=False)

@@ -578,6 +578,12 @@ class TestImportCost:
         # program imports scipy
         assert self.modules_after("import sys, constructal.cli", "scipy") == "[]"
 
+    def test_config_import_loads_no_analysis(self):
+        # loading a config (set-up, the ensemble operation) needs none of
+        # the certificate and report code
+        loaded = self.modules_after("import sys, constructal.config", "constructal")
+        assert "'constructal.config'" in loaded and "'constructal.analysis'" not in loaded
+
     def test_certify_and_converge_load_no_scipy(self, tmp_path):
         # the certificate's sampler is a closed form in NumPy
         runs = [("certify", CANONICAL), ("converge", BRANCHING)]

@@ -240,10 +240,11 @@ class TestIntegrate:
         assert err.value.time is not None
 
     def test_events_on_fallback_steps_reach_the_chattering_guard(self, monkeypatch):
-        # p = 7: r_7 slides with H_jj ~ 1.3e14, its block is too
-        # ill-conditioned and it falls back to the boundary layer, which is
-        # 1.5e-18 wide, narrower than one ulp of r_7; every fallback step
+        # p = 7: r_7 slides with H_jj ~ 1.3e14; a condition bound below 1
+        # rejects its block and it falls back to the boundary layer, which
+        # is 1.5e-18 wide, narrower than one ulp of r_7; every fallback step
         # locates the layer entry at once, so time stops advancing
+        monkeypatch.setattr(dynamics, "_COND_MAX", 0.5)
         rng = np.random.default_rng(1042)
         p = int(rng.integers(1, 9))
         gradient_mode = ("decoupled", "coupled")[rng.integers(2)]
@@ -344,6 +345,7 @@ class TestEnsemble:
             assert np.array_equal(res.final_states[i], single.final_state)
             assert np.array_equal(res.R_values[i], single.R_values)
             assert np.array_equal(res.Psi_values[i], single.Psi_values)
+            assert res.events[i] == single.events
 
     def test_unsolvable_sliding_row_falls_back_alone(self, costs, cfg, box, monkeypatch):
         # a condition bound below 1 rejects every sliding block: row 0
@@ -361,7 +363,23 @@ class TestEnsemble:
             assert np.array_equal(res.final_states[i], single.final_state)
             assert np.array_equal(res.R_values[i], single.R_values)
             assert np.array_equal(res.Psi_values[i], single.Psi_values)
+            assert res.events[i] == single.events
         assert fallbacks == [True, False]
+
+    def test_boundary_layer_rows_keep_their_events(self, costs, cfg, box, x_star):
+        # row 0 enters every layer, row 1 starts inside them, and row 2
+        # starts on the n_3 <= 64 face and enters the n_2 layer
+        mode = SignDescent()
+        opts = IntegrationOptions(stop_on_convergence=False)
+        X0 = np.array([GENERIC_X0, x_star.vector(), [1.0, 0.5, 0.5, 5.0, 64.0]])
+        res = integrate_ensemble(mode, costs, cfg, box, X0, 5.0, 1e-3, opts)
+        for i in range(3):
+            single = integrate(mode, costs, cfg, box, X0[i], 5.0, 1e-3, opts)
+            assert np.array_equal(res.final_states[i], single.final_state)
+            assert np.array_equal(res.R_values[i], single.R_values)
+            assert res.events[i] == single.events
+        assert [sorted((e.kind, e.index) for e in row) for row in res.events] == [
+            [("SlideEnter", j) for j in range(5)], [], [("SlideEnter", 3)]]
 
     def test_fallback_and_solvable_rows_step_in_one_run(self, costs, cfg, box, x_star, monkeypatch):
         # row 0 starts on every manifold with its block rejected, row 1 on
@@ -386,6 +404,7 @@ class TestEnsemble:
             assert np.array_equal(res.final_states[i], single.final_state)
             assert np.array_equal(res.R_values[i], single.R_values)
             assert np.array_equal(res.Psi_values[i], single.Psi_values)
+            assert res.events[i] == single.events
 
 
 class TestModeValidation:
@@ -535,6 +554,83 @@ class TestGridBlocks:
         assert np.all(np.isnan(out[singular]))
         assert np.array_equal(out[~singular], np.linalg.inv(W[~singular]))
         assert np.array_equal(regular, np.linalg.inv(W[~singular]))
+
+
+def full_path(monkeypatch, run):
+    """run(), and run() with every loop iteration on the full path (event
+    location, clipping, records, the chattering guard and a new regime)."""
+    quiet = run()
+    with monkeypatch.context() as m:
+        m.setattr(dynamics._Field, "near_face", lambda fld, Y: True)
+        return quiet, run()
+
+
+class TestQuietIterations:
+    @pytest.mark.parametrize("case", ["canonical", "face", "band"])
+    def test_single_runs_do_not_depend_on_the_quiet_path(self, case, costs, cfg, box, monkeypatch):
+        # "band": with a face band 1e-2 wide, n_2 ends a step inside it
+        # before it reaches the face, and is held there from that step on
+        rc = load_config(CONFIGS / "canonical.cfg")
+        coupled = ProjectedGradient(gradient_mode="coupled")
+        x_face = np.array([1.0, 0.5, 0.5, 3.0, 3.0])
+        run, check = {
+            "canonical": (lambda: integrate(rc.mode, rc.costs, rc.cfg, rc.box, rc.x0, rc.t_end, rc.h,
+                                            rc.options), lambda traj: traj.converged),
+            "face": (lambda: integrate(coupled, costs, cfg, box, x_face, 6.0, 1e-3),
+                     lambda traj: any("BoundaryContact:3" in t.split(";") for t in traj.step_events)),
+            "band": (lambda: integrate(coupled, costs, cfg, box, x_face, 6.0, 1e-3,
+                                       IntegrationOptions(boundary_tol=1e-2)),
+                     lambda traj: not traj.events and 1.0 < traj.final_state[3] < 1.01
+                     and traj.regime_masks[-1] == 1 << 3),
+        }[case]
+        quiet, full = full_path(monkeypatch, run)
+        assert_same_trajectory(quiet, full)
+        assert check(quiet)
+
+    def test_paired_runs_and_ensembles_do_not_depend_on_the_quiet_path(self, costs, cfg, box, x_star,
+                                                                       monkeypatch):
+        # row 3 starts on the n_2 >= 1 face; row 0 meets that face under
+        # coupled projected gradient, and with every sliding block rejected
+        # the equivalent-control rows fall back to the boundary layer
+        monkeypatch.setattr(dynamics, "_COND_MAX", 0.5)
+        X0 = np.array([GENERIC_X0, [3.0, 2.5, 2.5, 30.0, 40.0], x_star.vector(), [1.0, 0.5, 0.5, 1.0, 3.0]])
+        for mode in (ProjectedGradient(), ProjectedGradient(gradient_mode="coupled"), SignDescent(),
+                     SignDescent(sliding="equivalent_control")):
+            pair_quiet, pair_full = full_path(
+                monkeypatch, lambda: two_trajectory_run(mode, costs, cfg, box, X0[0], X0[3], 0.5, 1e-3))
+            assert_same_trajectory(pair_quiet.first, pair_full.first)
+            assert_same_trajectory(pair_quiet.second, pair_full.second)
+            assert np.array_equal(pair_quiet.separation, pair_full.separation)
+            quiet, full = full_path(
+                monkeypatch, lambda: integrate_ensemble(mode, costs, cfg, box, X0, 0.5, 1e-3))
+            for name in ("times", "final_states", "R_values", "Psi_values"):
+                assert np.array_equal(getattr(quiet, name), getattr(full, name)), name
+            assert quiet.max_clip == full.max_clip
+            assert quiet.events == full.events
+
+    def test_canonical_runs_locate_no_events(self, monkeypatch):
+        # no canonical end state comes near a face: the runs locate no
+        # events, test no row for them and form a regime only at the start
+        # and when rows finish
+        calls = {"_locate_events": 0, "may_change": 0, "regime": 0}
+        for owner, name in ((dynamics, "_locate_events"), (dynamics._PGField, "may_change"),
+                            (dynamics._PGField, "regime")):
+            def counted(*args, real=getattr(owner, name), name=name):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+        rc = load_config(CONFIGS / "canonical.cfg")
+        traj = integrate(rc.mode, rc.costs, rc.cfg, rc.box, rc.x0, rc.t_end, rc.h, rc.options)
+        assert traj.converged and calls == {"_locate_events": 0, "may_change": 0, "regime": 1}
+        # the benchmark's 64 seeded states: x* scaled by factors in [0.7, 1.3]
+        x_opt = optimum_state(rc.costs, rc.cfg).vector()
+        scale = 1.0 + np.random.default_rng([1, 2]).uniform(-0.3, 0.3, (64, x_opt.size))
+        X0 = np.clip(x_opt * scale, rc.box.lo, rc.box.hi)
+        res = integrate_ensemble(rc.mode, rc.costs, rc.cfg, rc.box, X0, 16.0, 4e-3, rc.options)
+        assert res.events == [[]] * len(X0)
+        assert calls["_locate_events"] == 0 and calls["may_change"] == 0
+        assert calls["regime"] <= 2 + len(X0)
 
 
 def radau_reference(mode, costs, cfg, x0, times, frozen=()):
@@ -807,6 +903,20 @@ class TestSlidingCore:
         assert traj.converged
         assert traj.event_counts() == {"SlideEnter": 2 * p - 1}
         assert np.max(np.abs(traj.final_state - opt)) <= 1e-9
+
+    @pytest.mark.parametrize("p", [9, 12, 16])
+    def test_equivalent_control_on_deep_halving_ladders(self, p):
+        # from p = 9, H_jj at x* spans more than _COND_MAX (1.1e12 at p = 9);
+        # the sliding blocks are well conditioned once their rows are
+        # divided by H_jj, so every coordinate slides onto x* instead of
+        # falling back to a boundary layer narrower than one ulp
+        costs = TransportCosts(K=tuple(0.5 ** i for i in range(p + 1)))
+        cfg = AssemblyConfig.bejan(costs)
+        box = state_box(costs, cfg)
+        opt = optimum_state(costs, cfg).vector()
+        mode = SignDescent(sliding="equivalent_control")
+        traj = integrate(mode, costs, cfg, box, box.clip(1.2 * opt), 30.0, 1e-2)
+        assert np.max(np.abs(traj.final_state - opt) / opt) <= 1e-12
 
     def test_boundary_layer_evaluation_ceiling(self, costs, cfg, box, x_star, monkeypatch):
         counts = count_model_calls(monkeypatch)
