@@ -18,6 +18,7 @@ import numpy as np
 from . import analysis, hierarchy as hm
 from .config import RunConfig, format_value, load_config, write_config
 from .dynamics import (
+    EVENT_KINDS,
     SignDescent,
     Trajectory,
     integrate,
@@ -156,7 +157,7 @@ def _summary_fields(rc: RunConfig, traj: Trajectory) -> list[tuple[str, object]]
         ("psi_integral", report.psi_integral),
         ("max_clip", traj.max_clip),
     ]
-    for kind in ("SwitchCross", "SlideEnter", "SlideExit", "BoundaryContact", "BoundaryRelease"):
+    for kind in EVENT_KINDS:
         fields.append((f"events.{kind}", counts.get(kind, 0)))
     return fields
 

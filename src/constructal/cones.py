@@ -1,7 +1,9 @@
 """Box tangent/normal cones, Moreau decomposition and stationarity residuals.
 
 The admissible set is always a coordinate box, so every cone is a product
-of half-lines and the Euclidean projections are componentwise clips.
+of half-lines and the Euclidean projections are componentwise clips.  The
+cone operations take a point x of shape (d,) or a stack of shape (..., d),
+with vectors of the same shape.
 """
 
 from __future__ import annotations
@@ -72,13 +74,16 @@ class ConeDecomposition:
     normal: np.ndarray
 
 
-def _check_membership(box: Box, x, tol: float = BOUNDARY_TOL) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (box.dim,):
-        raise DomainError(f"point has shape {x.shape}, box has dimension {box.dim}")
-    if not box.contains(x, tol):
-        raise DomainError(f"point {x.tolist()} outside the box beyond tolerance {tol}")
-    return x
+def _check_membership(box: Box, X, tol: float = BOUNDARY_TOL) -> np.ndarray:
+    """X as a float array of points (its rows, for a stack), each checked
+    to lie in the box within tol."""
+    X = np.asarray(X, dtype=float)
+    if X.shape[-1:] != (box.dim,):
+        raise DomainError(f"point has shape {X.shape}, box has dimension {box.dim}")
+    outside = ~np.all((X >= box.lo - tol) & (X <= box.hi + tol), axis=-1)
+    if outside.any():
+        raise DomainError(f"point {X[outside][0].tolist()} outside the box beyond tolerance {tol}")
+    return X
 
 
 def outward(box: Box, X, V, tol: float = BOUNDARY_TOL) -> np.ndarray:
@@ -90,17 +95,14 @@ def outward(box: Box, X, V, tol: float = BOUNDARY_TOL) -> np.ndarray:
 
 
 def tangent_project(box: Box, x, v, tol: float = BOUNDARY_TOL) -> np.ndarray:
-    """Euclidean projection of v onto the tangent cone of the box at x.
+    """Euclidean projection of v onto the tangent cone of the box at x, for
+    a point or a stack of points (each checked to lie in the box).
 
     Componentwise: outward components at active bounds are zeroed, all
     others pass through.  Idempotent by construction.
     """
-    return tangent_project_batch(box, _check_membership(box, x, tol), v, tol)
-
-
-def tangent_project_batch(box: Box, X: np.ndarray, V: np.ndarray, tol: float = BOUNDARY_TOL) -> np.ndarray:
-    """Vectorized tangent projection for (..., d) stacks (no membership check)."""
-    return np.where(outward(box, X, V, tol), 0.0, np.asarray(V, dtype=float))
+    x = _check_membership(box, x, tol)
+    return np.where(outward(box, x, v, tol), 0.0, np.asarray(v, dtype=float))
 
 
 def moreau_decompose(box: Box, x, v, tol: float = BOUNDARY_TOL) -> ConeDecomposition:
@@ -110,8 +112,9 @@ def moreau_decompose(box: Box, x, v, tol: float = BOUNDARY_TOL) -> ConeDecomposi
     return ConeDecomposition(tangent=tangent, normal=normal)
 
 
-def kkt_residual(box: Box, x, g, tol: float = BOUNDARY_TOL) -> float:
+def kkt_residual(box: Box, x, g, tol: float = BOUNDARY_TOL) -> float | np.ndarray:
     """Squared distance from 0 to g + N_K(x); zero exactly at constrained
-    stationary points.  For a box this is ||P_{T_K(x)}(-g)||^2."""
+    stationary points.  For a box this is ||P_{T_K(x)}(-g)||^2: a float for
+    a point, an array of one value per row for a stack of shape (..., d)."""
     t = tangent_project(box, x, -np.asarray(g, dtype=float), tol)
-    return float(t @ t)
+    return np.add.reduce(t * t, axis=-1)

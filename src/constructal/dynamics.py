@@ -22,8 +22,8 @@ sees nothing else of the law.  A regime is data (coefficients, constant
 velocities and the mass matrix of each row), so rows in different
 regimes advance in one batched step.  Every law forms its regimes on
 whole (N, d) stacks; equivalent control runs the clamp-and-drop
-iteration of the Filippov condition on all rows at once, solving
-together the rows that share a sliding set.
+iteration of the Filippov condition on all rows at once, with one
+batched solve of every row's sliding block.
 
 Coordinates held on a box face have zero velocity.  Projected gradient
 is stiff near the optimum (Jacobian eigenvalues from 0.5 to 1024 on the
@@ -61,7 +61,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import hierarchy as hm
-from .cones import Box, outward, tangent_project_batch
+from .cones import BOUNDARY_TOL, Box, kkt_residual, outward
 from .errors import DomainError, SingularSlidingError, StepFailureError
 from .stepping import _grid_rows, _initial_step, _locate_events, _ros_advance
 
@@ -83,11 +83,8 @@ __all__ = [
 EQUIVALENT_CONTROL = "equivalent_control"
 BOUNDARY_LAYER = "boundary_layer"
 
-SWITCH_CROSS = "SwitchCross"
-SLIDE_ENTER = "SlideEnter"
-SLIDE_EXIT = "SlideExit"
-BOUNDARY_CONTACT = "BoundaryContact"
-BOUNDARY_RELEASE = "BoundaryRelease"
+EVENT_KINDS = ("SwitchCross", "SlideEnter", "SlideExit", "BoundaryContact", "BoundaryRelease")
+SWITCH_CROSS, SLIDE_ENTER, SLIDE_EXIT, BOUNDARY_CONTACT, BOUNDARY_RELEASE = EVENT_KINDS
 
 _COND_MAX = 1e12  # a sliding block beyond this condition (rows equilibrated) steps on the boundary layer
 _MAX_EVENTS = 64  # more located events in one nominal step raise the chattering guard
@@ -175,7 +172,7 @@ class IntegrationOptions:
     bound and the chattering guard are fixed (``_COND_MAX``, ``_MAX_EVENTS``)."""
 
     switch_tol: float = 1e-9
-    boundary_tol: float = 1e-9
+    boundary_tol: float = BOUNDARY_TOL
     event_tol: float = 1e-10
     converge_tol: float = 1e-10
     stop_on_convergence: bool = True
@@ -255,24 +252,22 @@ def _on_manifold(G: np.ndarray, H: np.ndarray, tol: float) -> np.ndarray:
     return np.abs(G) <= tol * np.maximum(1.0, np.diagonal(H, axis1=-2, axis2=-1))
 
 
-def _groups(S: np.ndarray):
-    """(set, rows) of each distinct row of the (n, d) mask S."""
-    patterns, which = np.unique(S, axis=0, return_inverse=True)
-    for g, pattern in enumerate(patterns):
-        yield np.flatnonzero(pattern), np.flatnonzero(which == g)
+def _embedded(H: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Each row's sliding block H_SS embedded in the identity: the entries
+    of H where row and column are both in S, those of I elsewhere."""
+    return np.where(S[..., :, None] & S[..., None, :], H, np.eye(S.shape[-1]))
 
 
 def _solve_blocks(H: np.ndarray, S: np.ndarray, B: np.ndarray) -> np.ndarray:
     """z with H_SS z_S = B_S and zero off S on each row of the stacks H, S
-    and B, solved together for the rows that share a set S.  An exactly
-    singular block raises SingularSlidingError."""
-    Z = np.zeros_like(B)
-    for s, rows in _groups(S):
-        try:
-            Z[np.ix_(rows, s)] = np.linalg.solve(H[np.ix_(rows, s, s)], B[np.ix_(rows, s)][..., None])[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise SingularSlidingError(f"sliding block on coordinates {s.tolist()} is singular") from exc
-    return Z
+    and B, in one solve of the blocks embedded in the identity (the right
+    side 0 off S).  An exactly singular block raises SingularSlidingError."""
+    M = _embedded(H, S)
+    try:
+        return np.linalg.solve(M, np.where(S, B, 0.0)[..., None])[..., 0]
+    except np.linalg.LinAlgError as exc:
+        s = np.flatnonzero(S[np.argmin(np.abs(np.linalg.slogdet(M).sign))])  # a row with a zero pivot
+        raise SingularSlidingError(f"sliding block on coordinates {s.tolist()} is singular") from exc
 
 
 def _equivalent_control(H: np.ndarray, S: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -292,16 +287,16 @@ def _clamp_and_drop(H: np.ndarray, S: np.ndarray, signs: np.ndarray, gains: np.n
     condition number is beyond ``_COND_MAX``.  The equations 0 = d_j R of
     the block may be scaled freely, and their curvatures H_jj span many
     decades on deep ladders, so the condition number is that of the block
-    with each row divided by its |H_jj|; the solve is unscaled.
+    embedded in the identity (:func:`_embedded`) with each row divided by
+    its |diagonal entry|; the solve is unscaled.
     """
     V = -gains * signs
     unsolvable = np.zeros(len(S), dtype=bool)
     live = np.flatnonzero(S.any(axis=1))
     while live.size:
-        for s, rows in _groups(S[live]):
-            block = H[np.ix_(live[rows], s, s)]
-            scale = np.abs(np.diagonal(block, axis1=-2, axis2=-1))[..., None]
-            unsolvable[live[rows]] = np.linalg.cond(block / scale) > _COND_MAX
+        M = _embedded(H[live], S[live])
+        scale = np.abs(np.diagonal(M, axis1=-2, axis2=-1))[..., None]
+        unsolvable[live] = np.linalg.cond(M / scale) > _COND_MAX
         live = live[~unsolvable[live]]
         Vl = _equivalent_control(H[live], S[live], V[live])
         over = np.where(S[live], np.abs(Vl) / gains, -np.inf)
@@ -451,10 +446,6 @@ class _Field:
         Y[off] -= _solve_blocks(self.hess(Y[off]), algebraic[off], G[off])
         return Y
 
-    def may_change(self, Y1: np.ndarray, fz: _Frozen) -> np.ndarray:
-        """Rows whose step to Y1 has a monitor, and so may change regime."""
-        return np.ones(len(Y1), dtype=bool)
-
     def monitors(self, y0: np.ndarray, y1: np.ndarray, fz: _Frozen) -> list[_Monitor]:
         """Regime-change monitors of a frozen single-row regime for a step
         from y0 to y1: box-face release of held coordinates (the gradient
@@ -481,7 +472,9 @@ class _PGField(_Field):
     """Projected gradient: f = -mobility * grad R on free coordinates.
 
     A face-held coordinate has zero velocity and a zero Jacobian row and
-    column, so it stays exactly on the face.
+    column, so it stays exactly on the face.  Each ``regime`` call forms
+    the regime anew; _run keeps the one it has over quiet iterations,
+    where no coordinate is near a face and so none is held.
     """
 
     slaved_fast = True
@@ -490,29 +483,12 @@ class _PGField(_Field):
     def __init__(self, mode: ProjectedGradient, costs, cfg, box: Box, opts: IntegrationOptions):
         super().__init__(mode, costs, cfg, box, opts, mode.mobility_vector(box.dim))
         self.neg_mob = -self.scale
-        self.free = None  # the last regime with no face-held coordinate
 
     def regime(self, Y: np.ndarray, G: np.ndarray) -> _Frozen:
-        """A regime with no face-held coordinate depends on the row count
-        alone, so the last one is returned again.  It is the regime at
-        every stack with no coordinate near a face, where _run does not
-        call this at all."""
         frozen = outward(self.box, Y, self.neg_mob * G, self.opts.boundary_tol)
-        held = frozen.any()
-        if not held and self.free is not None and len(self.free.frozen) == len(Y):
-            return self.free
         zeros = np.zeros(Y.shape)
-        fz = _Frozen(frozen, ~frozen, np.zeros(Y.shape, dtype=bool), zeros, zeros + self.neg_mob,
-                     zeros, zeros + 1.0, np.zeros(Y.shape[0], dtype=bool))
-        if not held:
-            self.free = fz
-        return fz
-
-    def may_change(self, Y1: np.ndarray, fz: _Frozen) -> np.ndarray:
-        """Only face monitors here: rows with a face-held coordinate, or
-        with an end state not strictly inside the box."""
-        inside = np.logical_and.reduce((Y1 > self.box.lo) & (Y1 < self.box.hi), axis=1)
-        return np.logical_or.reduce(fz.frozen, axis=1) | ~inside
+        return _Frozen(frozen, ~frozen, np.zeros(Y.shape, dtype=bool), zeros, zeros + self.neg_mob,
+                       zeros, zeros + 1.0, np.zeros(Y.shape[0], dtype=bool))
 
 
 class _LayerField(_Field):
@@ -710,8 +686,7 @@ def _first_converged(fld: _Field, X: np.ndarray, psi: np.ndarray):
     if cand.size == 0:
         return None
     g = hm.gradient_vec(fld.costs, fld.cfg, X[cand], "decoupled")
-    t = tangent_project_batch(fld.box, X[cand], -g, fld.opts.boundary_tol)
-    ok = np.flatnonzero(np.sum(t * t, axis=1) <= tol)
+    ok = np.flatnonzero(kkt_residual(fld.box, X[cand], g, fld.opts.boundary_tol) <= tol)
     return int(cand[ok[0]]) if ok.size else None
 
 
@@ -724,14 +699,14 @@ def _run(fld: _Field, X: np.ndarray, t_end: float, h: float, stop: bool, keep: b
     chattering guard and convergence stop (with ``stop``), so it takes the
     steps of a run of that row alone.  Every loop iteration advances all
     live rows by one step, each through the frozen regime found at its
-    start, and ends it at the row's first regime change; rows that can
-    have none (``may_change``) skip event location.  An iteration is quiet
-    when no end state is near a face (``near_face``), no row hits an event
-    and none falls back: it then has nothing to clip, re-evaluate, record
-    or guard, and under a law that changes regime only on the faces
-    (``faces_only``, projected gradient) it locates no events and keeps
-    its all-free regime.  Every other iteration takes the full path, and
-    both give the same bits.
+    start, and ends it at the row's first regime change (a row with no
+    live monitor returns from ``_locate_events`` at once).  An iteration
+    is quiet when no end state is near a face (``near_face``), no row hits
+    an event and none falls back: it then has nothing to clip,
+    re-evaluate, record or guard, and under a law that changes regime only
+    on the faces (``faces_only``, projected gradient) it locates no events
+    and keeps its all-free regime.  Every other iteration takes the full
+    path, and both give the same bits.
 
     While a row's sliding block cannot be solved (``fallback``), its steps
     are of at most h; each such episode is recorded once, as SlideExit at
@@ -749,7 +724,7 @@ def _run(fld: _Field, X: np.ndarray, t_end: float, h: float, stop: bool, keep: b
     N = X.shape[0]
     states = np.empty((N, n_rows, X.shape[1])) if keep else None
     masks = np.zeros((N, n_rows), dtype=np.int64) if keep else None
-    Rs = None if keep else np.empty((N, n_rows))  # a trajectory's R is taken from its states
+    Rs = np.empty((N, n_rows))
     psis = np.empty((N, n_rows))
     events: list[list[EventRecord]] = [[] for _ in range(N)]
     converged = np.zeros(N, dtype=bool)
@@ -763,8 +738,7 @@ def _run(fld: _Field, X: np.ndarray, t_end: float, h: float, stop: bool, keep: b
         if keep:
             states[rows, k] = Xg
             masks[rows, k] = bits
-        else:
-            Rs[rows, k] = hm.resistance_lyapunov_vec(costs, cfg, Xg, fld.gmode)
+        Rs[rows, k] = hm.resistance_lyapunov_vec(costs, cfg, Xg, fld.gmode)
         psis[rows, k] = hm.imbalance_vec(costs, cfg, Xg)
 
     def fill(rows, t0, Y0, dt, dense, y1, first, stop_row, s_cap, bits, algebraic=None):
@@ -810,7 +784,7 @@ def _run(fld: _Field, X: np.ndarray, t_end: float, h: float, stop: bool, keep: b
         near = fld.near_face(st.y1)
         hits = {}
         if near or not fld.faces_only:
-            for i in fld.may_change(st.y1, fz).nonzero()[0]:
+            for i in range(n):
                 found = _locate_events(fld, Y, G, fz, st, i)
                 if found is not None:
                     hits[i] = found
@@ -911,7 +885,7 @@ def _run(fld: _Field, X: np.ndarray, t_end: float, h: float, stop: bool, keep: b
         out.append(Trajectory(
             times=times[:n],
             states=states[i, :n],
-            R_values=np.asarray(hm.resistance_lyapunov_vec(costs, cfg, states[i, :n], fld.gmode)),
+            R_values=Rs[i, :n],
             Psi_values=psis[i, :n],
             regime_masks=masks[i, :n],
             events=kept,

@@ -69,16 +69,17 @@ if TYPE_CHECKING:
 # passes it and gathers only the rejected rows for their retries; the
 # values that depend on the start state alone (|diag J|, the slowest
 # rate) are formed once per step; and a regime with every coordinate free
-# (``_Frozen.plain``) skips the masks of f and J; under projected gradient
-# such a regime depends on the row count alone and is formed once.  A
-# quiet iteration of the run loop (no end state near a face, which one
-# face-band test decides, no event and no fallback) skips clipping,
-# re-gradients, event records and the chattering guard, and under
-# projected gradient event location and the new regime too.  A canonical
-# step makes about 115 Python and C calls, 146 with every iteration on
-# the full path.  The float operations and their order are an invariant:
-# every trajectory, report and ensemble stays bit for bit the same, so a
-# change here may drop calls but not reorder arithmetic.  There is no
+# (``_Frozen.plain``) skips the masks of f and J.  A quiet iteration of
+# the run loop (no end state near a face, which one face-band test
+# decides, no event and no fallback) skips clipping, re-gradients, event
+# records and the chattering guard, and under projected gradient event
+# location and the new regime too: the all-free regime of the last
+# iteration is kept.  A canonical step makes about 115 Python and C
+# calls, 200 with every iteration on the full path, where every row is
+# searched for events and the regime is formed anew.  The float
+# operations and their order are an invariant: every trajectory, report
+# and ensemble stays bit for bit the same, so a change here may drop
+# calls but not reorder arithmetic.  There is no
 # scalar path for N = 1: it would be a second path to keep equal to this
 # one, and Python's float power rounds differently from NumPy's (about 5 %
 # of random r ** 1.5 differ in the last bit).
@@ -325,7 +326,7 @@ def _locate_events(fld: _Field, Y0, G0, fz: _Frozen, st: _Step, row: int):
     sign change fires at that end.
     """
     y0, g0, y1, g1, dense = Y0[row], G0[row], st.y1[row], st.g1[row], st.dense[row]
-    fz = fz if len(Y0) == 1 else fz.take([row])
+    fz = fz if len(Y0) == 1 else fz.take(slice(row, row + 1))
     live = [m for m in fld.monitors(y0, y1, fz) if m.phi(y0, g0) > m.band]
     if not live:
         return None

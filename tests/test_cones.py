@@ -122,6 +122,27 @@ class TestKKTResidual:
             if box.interior_point(x):
                 assert res == pytest.approx(float(g @ g), rel=1e-12)
 
+    @pytest.mark.parametrize("d", [1, 5, 15, 63])
+    def test_stack_gives_each_row_its_own_value(self, d):
+        rng = np.random.default_rng(d)
+        box = Box(lo=rng.uniform(0.0, 1.0, d), hi=rng.uniform(2.0, 50.0, d))
+        X = random_box_points(box, rng, 60).reshape(3, 20, d)
+        G = rng.normal(size=X.shape) * 10.0 ** rng.uniform(-6, 6, X.shape)
+        res = kkt_residual(box, X, G)
+        assert res.shape == (3, 20)
+        rows = list(zip(X.reshape(-1, d), G.reshape(-1, d)))
+        assert np.array_equal(res.ravel(), [kkt_residual(box, x, g) for x, g in rows])
+        T = tangent_project(box, X, G).reshape(-1, d)
+        assert np.array_equal(T, [tangent_project(box, x, g) for x, g in rows])
+
+    def test_stack_with_a_row_outside_the_box_raises(self, box):
+        X = random_box_points(box, np.random.default_rng(31), 20)
+        X[13, 2] = box.hi[2] + 1e-6
+        with pytest.raises(DomainError, match=r"outside the box"):
+            kkt_residual(box, X, np.ones_like(X))
+        with pytest.raises(DomainError, match=r"outside the box"):
+            tangent_project(box, X[None], np.ones_like(X[None]))
+
     def test_stationary_at_optimum(self, costs, cfg, box, x_star):
         g = hm.gradient_vec(costs, cfg, x_star.vector(), "decoupled")
         assert kkt_residual(box, x_star.vector(), g) <= 1e-12

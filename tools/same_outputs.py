@@ -5,14 +5,22 @@
 Extracts ``git archive REV`` to a temporary directory and runs, in that
 tree and in this one, the 16 CLI invocations (table, simulate, certify and
 converge on each of the four shipped configs: exit code, stdout, stderr and
-report files) and ``perfbench/ensemble_op.py`` on 64 seeded canonical
-states (x* scaled by factors in [0.7, 1.3], clipped to the box, t_end 16,
-h 4e-3).  Then ``diff -r`` compares the two result trees.  Exits 0 only
-when they are identical, and prints the differences otherwise.
+report files), ``perfbench/ensemble_op.py`` on 64 seeded canonical states
+(x* scaled by factors in [0.7, 1.3], clipped to the box, t_end 16, h 4e-3)
+and a seeded sweep (see :func:`sweep`).  Then ``diff -r`` compares the two
+result trees.  Exits 0 only when they are identical, and prints the
+differences and every sweep case that moved otherwise.  With REV = HEAD on
+a clean checkout, any difference is non-determinism.
+
+    python3 tools/same_outputs.py --sweep OUT
+
+writes the sweep's digests, computed with the package on PYTHONPATH, to
+OUT; the comparison runs it so in each tree.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
@@ -24,6 +32,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 COMMANDS = ("table", "simulate", "certify", "converge")
 ENSEMBLE = {"states": 64, "spread": 0.3, "t_end": 16.0, "h": 4e-3, "seed": 1}
+SWEEP = {"seeds": 40, "depths": 6, "faces": 0.3, "single": (3.0, 1e-2), "ensemble": (1.5, 1e-2), "rows": 4}
 
 
 def ensemble_states(path: Path) -> None:
@@ -39,6 +48,60 @@ def ensemble_states(path: Path) -> None:
     rng = np.random.default_rng([ENSEMBLE["seed"], 2])
     scale = 1.0 + rng.uniform(-ENSEMBLE["spread"], ENSEMBLE["spread"], (ENSEMBLE["states"], x_opt.size))
     path.write_text(json.dumps(np.clip(x_opt * scale, rc.box.lo, rc.box.hi).tolist()), encoding="utf-8")
+
+
+def sweep(path: Path) -> None:
+    """One digest line per case of the seeded sweep: for each seed s < 40 a
+    random ladder of depth p = 1 + s mod 6 (K_0 = 1, each next cost a
+    factor in [0.3, 0.9] below the last) and five states uniform in its
+    box, 30 % of whose coordinates are put on a face; then, under each law
+    (projected gradient, boundary-layer and equivalent-control sign
+    descent) in each gradient mode, a single run from the first state
+    (t_end 3, h 1e-2) and an ensemble of the other four (t_end 1.5,
+    h 1e-2).  A digest covers every array, the events, the status and
+    max_clip of the result, or the error a run raised."""
+    import numpy as np
+
+    from constructal import (AssemblyConfig, ProjectedGradient, SignDescent, TransportCosts, integrate,
+                             integrate_ensemble, state_box)
+    from constructal.errors import ConstructalError
+
+    def digest(result) -> str:
+        h = hashlib.sha256()
+        for name in ("times", "states", "final_states", "R_values", "Psi_values", "regime_masks"):
+            if hasattr(result, name):
+                h.update(np.ascontiguousarray(getattr(result, name)).tobytes())
+        tail = (getattr(result, "events", None), getattr(result, "status", None), result.max_clip)
+        h.update(repr(tail).encode())
+        return h.hexdigest()[:16]
+
+    def outcome(call) -> str:
+        try:
+            return digest(call())
+        except ConstructalError as exc:  # a failing case is an outcome too
+            return f"{type(exc).__name__}: {exc}".replace("\n", " ")
+
+    lines = []
+    for seed in range(SWEEP["seeds"]):
+        rng = np.random.default_rng(seed)
+        p = 1 + seed % SWEEP["depths"]
+        K = np.cumprod(np.concatenate([[1.0], rng.uniform(0.3, 0.9, p)]))
+        costs = TransportCosts(K=tuple(float(k) for k in K))
+        cfg = AssemblyConfig.bejan(costs)
+        box = state_box(costs, cfg)
+        X = box.lo + rng.random((1 + SWEEP["rows"], box.dim)) * (box.hi - box.lo)
+        face = rng.random(X.shape)
+        X = np.where(face < SWEEP["faces"] / 2, box.lo, np.where(face < SWEEP["faces"], box.hi, X))
+        for gmode in ("decoupled", "coupled"):
+            laws = {"projected_gradient": ProjectedGradient(gradient_mode=gmode),
+                    "boundary_layer": SignDescent(gradient_mode=gmode),
+                    "equivalent_control": SignDescent(sliding="equivalent_control", gradient_mode=gmode)}
+            for law, mode in laws.items():
+                single, ensemble = map(outcome, (
+                    lambda: integrate(mode, costs, cfg, box, X[0], *SWEEP["single"]),
+                    lambda: integrate_ensemble(mode, costs, cfg, box, X[1:], *SWEEP["ensemble"])))
+                lines.append(f"{law}-{gmode}-p{p}-s{seed} single {single} ensemble {ensemble}\n")
+    path.write_text("".join(lines), encoding="utf-8")
 
 
 def run(tree: Path, argv: list[str], result: Path) -> None:
@@ -63,9 +126,23 @@ def outputs(tree: Path, states: Path, result: Path) -> None:
     argv = ["perfbench/ensemble_op.py", "configs/canonical.cfg", str(states),
             repr(ENSEMBLE["t_end"]), repr(ENSEMBLE["h"]), str(target / "ensemble.txt")]
     run(tree, argv, target)
+    target = result / "sweep"
+    run(tree, [str(Path(__file__).resolve()), "--sweep", str(target / "sweep.txt")], target)
+
+
+def moved_cases(results: Path) -> list[str]:
+    """The sweep cases whose digests differ between the two trees."""
+    rev, tree = ((results / label / "sweep" / "sweep.txt") for label in ("rev", "tree"))
+    if not (rev.exists() and tree.exists()):
+        return []
+    pairs = zip(rev.read_text().splitlines(), tree.read_text().splitlines())
+    return [a.split()[0] for a, b in pairs if a != b]
 
 
 def main(argv: list[str]) -> int:
+    if len(argv) == 2 and argv[0] == "--sweep":
+        sweep(Path(argv[1]))
+        return 0
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 2
@@ -83,6 +160,8 @@ def main(argv: list[str]) -> int:
         diff = subprocess.run(["diff", "-r", "rev", "tree"], cwd=work / "results",
                               capture_output=True, text=True)
         print(diff.stdout + diff.stderr, end="")
+        for case in moved_cases(work / "results"):
+            print(f"sweep case moved: {case}")
         runs = sorted((work / "results" / "tree").iterdir())
         nonzero = [f"{r.name} {code}" for r in runs if (code := (r / "exit").read_text().strip()) != "0"]
         print(f"{argv[0]} and the working tree: {len(runs)} runs (nonzero exits in the tree: "
