@@ -1,9 +1,7 @@
 """Box tangent/normal cones, Moreau decomposition and stationarity residuals.
 
 The admissible set is always a coordinate box, so every cone is a product
-of half-lines and the Euclidean projections are componentwise clips.  The
-cone operations take a point x of shape (d,) or a stack of shape (..., d),
-with vectors of the same shape.
+of half-lines and the Euclidean projections are componentwise clips.
 """
 
 from __future__ import annotations
@@ -75,8 +73,6 @@ class ConeDecomposition:
 
 
 def _check_membership(box: Box, X, tol: float = BOUNDARY_TOL) -> np.ndarray:
-    """X as a float array of points (its rows, for a stack), each checked
-    to lie in the box within tol."""
     X = np.asarray(X, dtype=float)
     if X.shape[-1:] != (box.dim,):
         raise DomainError(f"point has shape {X.shape}, box has dimension {box.dim}")
