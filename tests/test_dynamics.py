@@ -182,7 +182,7 @@ class TestEmbeddedSlidingSolve:
     def test_unsolvable_rows_are_those_of_ill_conditioned_blocks(self, gradient_mode, cond_max, monkeypatch):
         # zero signs: no equivalent control saturates, so every row's
         # condition is read on its starting set S.  No random block here
-        # reaches the shipped bound; about one in eight passes 1e4
+        # reaches the shipped bound; roughly one in ten passes 1e4
         monkeypatch.setattr(dynamics, "_COND_MAX", cond_max)
         decided = []
         for p in range(1, 9):
@@ -212,17 +212,18 @@ class TestRecordedResistance:
         x_face = np.array([1.0, 0.5, 0.5, 3.0, 3.0])
         pair = two_trajectory_run(coupled, costs, cfg, box, GENERIC_X0, x_face, 2.0, 1e-3)
         runs = [
-            (rc.mode, integrate(rc.mode, rc.costs, rc.cfg, rc.box, rc.x0, rc.t_end, rc.h, rc.options)),
-            (coupled, integrate(coupled, costs, cfg, box, x_face, 6.0, 1e-3)),
-            (slide, integrate(slide, costs, cfg, box, GENERIC_X0, 8.0, 1e-3)),
-            (coupled, pair.first),
-            (coupled, pair.second),
+            (rc.costs, rc.cfg, rc.mode,
+             integrate(rc.mode, rc.costs, rc.cfg, rc.box, rc.x0, rc.t_end, rc.h, rc.options)),
+            (costs, cfg, coupled, integrate(coupled, costs, cfg, box, x_face, 6.0, 1e-3)),
+            (costs, cfg, slide, integrate(slide, costs, cfg, box, GENERIC_X0, 8.0, 1e-3)),
+            (costs, cfg, coupled, pair.first),
+            (costs, cfg, coupled, pair.second),
         ]
-        for mode, traj in runs:
-            R = hm.resistance_lyapunov_vec(costs, cfg, traj.states, mode.gradient_mode)
+        for c, f, mode, traj in runs:
+            R = hm.resistance_lyapunov_vec(c, f, traj.states, mode.gradient_mode)
             assert np.array_equal(traj.R_values, R)
         # each coupled run meets a face; the sliding run enters five slides
-        assert [traj.event_counts() for _, traj in runs[1:]] == [
+        assert [traj.event_counts() for *_, traj in runs[1:]] == [
             {"BoundaryContact": 1}, {"SlideEnter": 5}, {"BoundaryContact": 1}, {"BoundaryContact": 1}]
 
 
