@@ -21,7 +21,6 @@ __all__ = [
     "matrix_measure",
     "jacobian",
     "certify_contraction",
-    "structural_bound",
     "dissipation_report",
     "fit_rate",
     "grid_oracle",
@@ -55,14 +54,6 @@ def jacobian(mode: ProjectedGradient, costs, cfg, x) -> np.ndarray:
         raise DomainError("jacobian requires a box-interior state (smooth regime)")
     Dg = hm.grad_jacobian(costs, cfg, xv, mode.gradient_mode)
     return -mode.mobility_vector(xv.size)[:, None] * Dg
-
-
-def mode_hessian(mode: ProjectedGradient, costs, cfg, x) -> np.ndarray:
-    """Symmetrized Jacobian of the mode's gradient field (the true Hessian
-    in coupled mode)."""
-    xv = hm._as_vector(x, costs.p)
-    Dg = hm.grad_jacobian(costs, cfg, xv, mode.gradient_mode)
-    return 0.5 * (Dg + Dg.T)
 
 
 def _kronecker(d: int, seed: int, start: int, stop: int) -> np.ndarray:
@@ -142,10 +133,13 @@ def certify_contraction(
     (``_kronecker``), evaluates mu(J(x)) and the minimum eigenvalue of the
     mode Hessian at each, and passes iff the worst measure stays below
     -m * (min curvature) + slack with positive curvature throughout.
-    Sampler, count and seed are recorded so the certificate is
-    reproducible.  Samples are evaluated CERT_CHUNK at a time; a failing
-    certificate takes a second pass for its witnesses.  ``count`` is at
-    most SAMPLE_LIMIT = 10**7, about 30 s at d = 5 (about 3 us per sample).
+    With a scalar mobility m, sym(J) = -m sym(Dg), so mu(J) = -m lambda_min
+    at every sample: the margin is 0 up to rounding and the certificate
+    tests positive curvature alone; the measure bound has content only for
+    a per-coordinate mobility.  Sampler, count and seed are recorded so the
+    certificate is reproducible.  Samples are evaluated CERT_CHUNK at a
+    time; a failing certificate takes a second pass for its witnesses.
+    ``count`` is at most SAMPLE_LIMIT = 10**7 (about 3 us per sample at d = 5).
 
     ``subbox`` is an (lo, hi) pair of arrays; degenerate intervals (lo ==
     hi, pinning a coordinate) are allowed.  By default the sub-box spans
@@ -202,17 +196,6 @@ def certify_contraction(
         gradient_mode=mode.gradient_mode,
         witnesses=tuple(witnesses[:8]),
     )
-
-
-def structural_bound(mode: ProjectedGradient, costs, cfg, x, L_M: float) -> float:
-    """-m lambda_min(H(x)) + (L_M/2) ||grad R(x)||; for constant mobility
-    (L_M = 0) this upper-bounds the matrix measure of the Jacobian exactly."""
-    xv = hm._as_vector(x, costs.p)
-    m = float(np.min(mode.mobility))
-    H = mode_hessian(mode, costs, cfg, xv)
-    lam_min = float(np.linalg.eigvalsh(H)[0])
-    g = hm.gradient_vec(costs, cfg, xv, mode.gradient_mode)
-    return -m * lam_min + 0.5 * L_M * float(np.linalg.norm(g))
 
 
 def dissipation_report(traj: Trajectory, r_star: float) -> DissipationReport:

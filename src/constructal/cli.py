@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -99,14 +98,13 @@ def cmd_table(args) -> int:
 def _trajectory_csv(path: Path, traj: Trajectory, p: int) -> None:
     header = "t," + ",".join(_state_labels(p)) + ",R,Psi,regime_mask,event\n"
     rows = np.column_stack((traj.times, traj.states, traj.R_values, traj.Psi_values))
-    events = chain(traj.step_events, repeat(""))
     # streamed row by row: the whole table as Python floats, or as one
     # string, would hold several times the array's memory at once
     with path.open("w", encoding="utf-8", newline="\n") as f:
         f.write(header)
         f.writelines(
             f"{','.join(map(repr, row.tolist()))},{mask:x},{event}\n"
-            for row, mask, event in zip(rows, traj.regime_masks.tolist(), events)
+            for row, mask, event in zip(rows, traj.regime_masks.tolist(), traj.step_events)
         )
 
 

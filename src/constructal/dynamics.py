@@ -16,11 +16,10 @@ M y' = f(y) with a diagonal mass matrix M:
   set S (M_jj = 0 there), so the state slides exactly on the manifolds.
 
 Each law is one small class that owns ``regime`` (the frozen-regime
-field found at a state), ``monitors`` (the regime changes to watch over a
-step) and ``classify`` (the event a fired monitor stands for); the core
-sees nothing else of the law.  A regime is data (coefficients, constant
-velocities and the mass matrix of each row), so rows in different
-regimes advance in one batched step.  Every law forms its regimes on
+field found at a state) and ``monitors`` (the regime changes to watch over
+a step); the core sees nothing else of the law.  A regime is data
+(coefficients, constant velocities and the mass matrix of each row), so
+rows in different regimes advance in one batched step.  Every law forms its regimes on
 whole (N, d) stacks; equivalent control runs the clamp-and-drop
 iteration of the Filippov condition on all rows at once, with one
 batched solve of every row's sliding block.
@@ -41,9 +40,11 @@ Regime changes (box-face contact and release, boundary-layer entry and
 exit, switching-manifold crossings and sliding exit) are located by
 bisection on the dense output, in the event-driven style of Piiroinen &
 Kuznetsov (ACM TOMS 34(3), 2008), and the run restarts in the regime
-found at the event.  One run loop steps (N, d) stacks of any law:
-single runs are N = 1, paired runs N = 2 and ensembles N rows.  Every
-row has its own time, step size, error norm, events and regime.
+found at the event, which names the event: each coordinate whose regime
+it changes is logged (``_changes``).  One run loop steps (N, d) stacks
+of any law: single runs are N = 1, paired runs N = 2 and ensembles N
+rows.  Every row has its own time, step size, error norm, events and
+regime.
 
 The core is float-pure, so identical inputs give bit-identical
 trajectories.  Coordinate indices in events and masks are flat: 0..p-1
@@ -372,7 +373,6 @@ class _Monitor(NamedTuple):
     reads only x, and is located without the gradient, which is not
     defined past every face."""
 
-    label: str
     j: int
     face: float | None
     band: float
@@ -381,9 +381,9 @@ class _Monitor(NamedTuple):
 
 class _Field:
     """Model access and the frozen-regime field shared by the three laws;
-    each law adds its ``regime`` and may extend ``monitors`` and ``classify``.
+    each law adds its ``regime`` and may extend ``monitors``.
     ``regime(Y, G)`` returns the frozen regime of each row of the stack Y
-    as data (:class:`_Frozen`), which alone sets the field of a step.
+    as data (:class:`_Frozen`): it sets a step's field and names its events.
 
     A coordinate is held on a box face for a whole step when it starts the
     step on the face with an outward velocity (:func:`cones.outward`).
@@ -456,16 +456,12 @@ class _Field:
         out = []
         for j in np.flatnonzero(fz.frozen[0]):
             c = self.scale[j] if at_lo[j] else -self.scale[j]
-            out.append(_Monitor(BOUNDARY_RELEASE, j, None, 0.0, lambda x, g, j=j, c=c: c * g[j]))
+            out.append(_Monitor(j, None, 0.0, lambda x, g, j=j, c=c: c * g[j]))
         for j in np.flatnonzero(free & (y1 <= box.lo)):
-            out.append(_Monitor(BOUNDARY_CONTACT, j, box.lo[j], 0.0, lambda x, g, j=j: x[j] - box.lo[j]))
+            out.append(_Monitor(j, box.lo[j], 0.0, lambda x, g, j=j: x[j] - box.lo[j]))
         for j in np.flatnonzero(free & (y1 >= box.hi)):
-            out.append(_Monitor(BOUNDARY_CONTACT, j, box.hi[j], 0.0, lambda x, g, j=j: box.hi[j] - x[j]))
+            out.append(_Monitor(j, box.hi[j], 0.0, lambda x, g, j=j: box.hi[j] - x[j]))
         return out
-
-    def classify(self, label: str, j: int, x_e: np.ndarray, fz: _Frozen) -> tuple[str, int]:
-        """Event (kind, index) of a monitor that fired at x_e."""
-        return label, int(j)
 
 
 class _PGField(_Field):
@@ -515,10 +511,10 @@ class _LayerField(_Field):
         eps, sliding, signs = self.mode.epsilon, fz.sliding[0], fz.signs[0]
         for j in range(y0.size):
             if sliding[j]:
-                out.append(_Monitor(SLIDE_EXIT, j, None, 0.0, lambda x, g, j=j: eps - abs(g[j])))
+                out.append(_Monitor(j, None, 0.0, lambda x, g, j=j: eps - abs(g[j])))
             else:
                 s = signs[j]
-                out.append(_Monitor(SLIDE_ENTER, j, None, 0.0, lambda x, g, j=j, s=s: s * g[j] - eps))
+                out.append(_Monitor(j, None, 0.0, lambda x, g, j=j, s=s: s * g[j] - eps))
         return out
 
 
@@ -563,28 +559,24 @@ class _SlideField(_Field):
         signs = fz.signs[0]
         for j in np.flatnonzero(~fz.active[0] & ~fz.frozen[0]):
             s = signs[j]
-            out.append(_Monitor("switch", j, None, self.opts.switch_tol, lambda x, g, j=j, s=s: s * g[j]))
+            out.append(_Monitor(j, None, self.opts.switch_tol, lambda x, g, j=j, s=s: s * g[j]))
         S = np.flatnonzero(fz.active[0])
         if S.size:
             gains = self.scale[S]
-            out.append(_Monitor("slide_exit", -1, None, 0.0, lambda x, g: float(
+            out.append(_Monitor(-1, None, 0.0, lambda x, g: float(
                 np.min(gains - np.abs(self.velocity(x[None], g[None], fz)[0, S])))))
         return out
 
-    def classify(self, label: str, j: int, x_e: np.ndarray, fz: _Frozen) -> tuple[str, int]:
-        if label not in ("slide_exit", "switch"):
-            return label, int(j)
-        y = x_e[None]
-        g = self.grad(y)
-        if label == "slide_exit":
-            # the coordinate whose equivalent control saturates
-            S = np.flatnonzero(fz.active[0])
-            v = self.velocity(y, g, fz)[0]
-            return SLIDE_EXIT, int(S[np.argmin(self.scale[S] - np.abs(v[S]))])
-        # sliding entry iff the Filippov condition accepts the coordinate;
-        # an unsolvable block counts as entry and the next step falls back
-        at = self.regime(y, g)
-        return (SLIDE_ENTER if at.fallback[0] or at.sliding[0, j] else SWITCH_CROSS), int(j)
+
+def _changes(old: _Frozen, new: _Frozen) -> np.ndarray:
+    """The event kind of each coordinate whose regime differs from ``old`` to
+    ``new`` ("" elsewhere): BoundaryContact/Release where its face hold
+    changes, else SlideEnter/Exit where its sliding membership does, else
+    SwitchCross where its saturated sign does."""
+    return np.select(
+        [old.frozen != new.frozen, old.sliding != new.sliding, old.signs != new.signs],
+        [np.where(new.frozen, BOUNDARY_CONTACT, BOUNDARY_RELEASE), np.where(new.sliding, SLIDE_ENTER, SLIDE_EXIT),
+         SWITCH_CROSS], "")
 
 
 def _field(mode: DynamicsMode, costs, cfg, box: Box, opts: IntegrationOptions) -> _Field:
@@ -708,12 +700,14 @@ def _run(fld: _Field, X: np.ndarray, t_end: float, h: float, stop: bool, keep: b
     and keeps its all-free regime.  Every other iteration takes the full
     path, and both give the same bits.
 
+    A row that hits an event records each coordinate whose regime differs
+    between its step and the regime it restarts in (:func:`_changes`).
     While a row's sliding block cannot be solved (``fallback``), its steps
     are of at most h; each such episode is recorded once, as SlideExit at
-    index -1, in place of the boundary layer's own events, which still
-    count toward the chattering guard.  The per-row stacks hold the live
-    rows only (``ids`` maps them to rows of X), so they are cut when a row
-    finishes and never gathered or scattered per step.  A step's grid rows
+    index -1, in place of the boundary layer's own events, whose located
+    monitors still count toward the chattering guard.  The per-row stacks
+    hold the live rows only (``ids`` maps them to rows of X), so they are
+    cut when a row finishes and never gathered or scattered per step.  A step's grid rows
     are queued and filled with those of other steps, about _GRID_BLOCK at
     a time, and at once only where a DAE projection or the convergence
     stop needs them (see the notes before _psi_screen).
@@ -840,15 +834,13 @@ def _run(fld: _Field, X: np.ndarray, t_end: float, h: float, stop: bool, keep: b
             if moved.any():
                 G[moved] = fld.grad(Y[moved])
 
-            for i, (_, _, found) in hits.items():
-                since_row[i] += len(found)
-            new = {i: found for i, (_, _, found) in hits.items() if not fell[i]}
+            for i, (_, _, located) in hits.items():
+                since_row[i] += located
             if fz.falls:  # one record per fallback episode in place of the layer's own events
                 episode = (fell & ~done & ~fell_before).nonzero()[0]
                 since_row[episode] += 1
-                new.update((i, [(SLIDE_EXIT, -1)]) for i in episode)
-            for i, pairs in new.items():
-                events[ids[i]] += [EventRecord(time=float(t_next[i]), kind=kind, index=j) for kind, j in pairs]
+                for i in episode:
+                    events[ids[i]].append(EventRecord(time=float(t_next[i]), kind=SLIDE_EXIT, index=-1))
             over = (since_row > _MAX_EVENTS).nonzero()[0]
             if over.size:
                 te = float(t_next[over[0]])
@@ -858,6 +850,17 @@ def _run(fld: _Field, X: np.ndarray, t_end: float, h: float, stop: bool, keep: b
                     te,
                 )
         H, t, fell_before = st.h_next, t_next, fell
+        # the regime each row restarts in (a quiet step of projected
+        # gradient keeps its all-free one) names the events of its step
+        if not (quiet and fld.faces_only):
+            at = fld.regime(Y, G)
+            if hits:
+                kinds = _changes(fz, at)
+                for i in hits:
+                    if not fell[i]:
+                        events[ids[i]] += [EventRecord(time=float(t_next[i]), kind=str(kinds[i, j]), index=int(j))
+                                           for j in np.flatnonzero(kinds[i])]
+            fz = at
         live = (filled < n_rows) & ~done
         if not live.all():
             gone = ~live
@@ -866,9 +869,7 @@ def _run(fld: _Field, X: np.ndarray, t_end: float, h: float, stop: bool, keep: b
             max_clip[left] = np.maximum(max_clip[left], clipped[gone])
             ids, Y, G, H, t, filled, since_row, fell_before, clipped = (
                 a[live] for a in (ids, Y, G, H, t, filled, since_row, fell_before, clipped))
-        # a quiet step of projected gradient keeps the all-free regime
-        if ids.size and not (quiet and fld.faces_only and ids.size == n):
-            fz = fld.regime(Y, G)
+            fz = fz.take(live)
     flush()
 
     if not keep:

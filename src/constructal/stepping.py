@@ -3,8 +3,8 @@
 RODAS4 steps with a quartic dense output, the grid rows read off that
 output, and the regime changes located on it.  The core sees a law only
 through its frozen-regime field (``rhs``, ``grad``, ``velocity``,
-``jacobian``, ``project``, ``monitors`` and ``classify``; see
-:mod:`constructal.dynamics`), and ``dynamics._run`` is its caller.
+``jacobian``, ``project`` and ``monitors``; see :mod:`constructal.dynamics`),
+and ``dynamics._run`` is its caller.
 """
 
 from __future__ import annotations
@@ -317,9 +317,9 @@ def _bisect_fraction(phi, event_tol: float) -> float:
 def _locate_events(fld: _Field, Y0, G0, fz: _Frozen, st: _Step, row: int):
     """Regime changes within the accepted step of one row of a stack.
 
-    Returns None, or (s, x_e, events) with s the step fraction of the
+    Returns None, or (s, x_e, located) with s the step fraction of the
     earliest transition, x_e the state there (contact coordinates snapped
-    to their face) and events the (kind, index) pairs that occur at s.
+    to their face) and located the number of monitors that fire there.
     Box-face contact is located first: the frozen-regime flow beyond a
     face is not the model's, so the other monitors are read only up to
     the earliest contact.  A monitor that ends inside its band without a
@@ -362,4 +362,4 @@ def _locate_events(fld: _Field, Y0, G0, fz: _Frozen, st: _Step, row: int):
     for i in fired:
         if live[i].face is not None:
             x_e[live[i].j] = live[i].face
-    return s, x_e, [fld.classify(live[i].label, live[i].j, x_e, fz) for i in fired]
+    return s, x_e, len(fired)

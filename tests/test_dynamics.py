@@ -2,7 +2,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from constructal import (
@@ -899,6 +899,7 @@ class TestSlidingCore:
         ref = opt + np.sign(GENERIC_X0 - opt) * gains * np.maximum(reach - traj.times[:, None], 0.0)
         assert np.max(np.abs(traj.states - ref)) <= 1e-9
         assert [e.kind for e in traj.events] == ["SlideEnter"] * 5
+        assert [e.index for e in traj.events] == [2, 0, 1, 3, 4]  # r_1 and r_2 arrive together
         for e in traj.events:
             assert e.time == pytest.approx(reach[e.index], abs=1e-9)
 
@@ -1031,6 +1032,8 @@ class TestSlidingCore:
         epsilon=st.floats(1e-4, 1e-1),
         seed=st.integers(0, 2**32 - 1),
     )
+    @example(p=6, law="boundary_layer", gradient_mode="decoupled", epsilon=1e-4, seed=0)
+    @example(p=4, law="boundary_layer", gradient_mode="coupled", epsilon=1e-4, seed=2)
     def test_random_ladders_and_states(self, p, law, gradient_mode, epsilon, seed):
         costs, cfg, box, x0 = random_case(np.random.default_rng(seed), p)
         if law == "projected_gradient":
@@ -1047,3 +1050,9 @@ class TestSlidingCore:
         assert traj.max_clip <= 1e-12
         assert np.all(traj.states >= box.lo) and np.all(traj.states <= box.hi)
         assert dissipation_violations(traj) == 0
+        # each coordinate's sliding entries and exits alternate
+        last = {}
+        for e in traj.events:
+            if e.kind in ("SlideEnter", "SlideExit"):
+                assert last.get(e.index) != e.kind, (e, traj.events)
+                last[e.index] = e.kind

@@ -343,8 +343,6 @@ WRONG_DIMENSION_CALLS = {
     "gradient_vec": lambda c, f, m, X: hm.gradient_vec(c, f, X, "coupled"),
     "grad_jacobian": lambda c, f, m, X: hm.grad_jacobian(c, f, X),
     "analysis.jacobian": lambda c, f, m, X: analysis.jacobian(m, c, f, X),
-    "analysis.mode_hessian": lambda c, f, m, X: analysis.mode_hessian(m, c, f, X),
-    "analysis.structural_bound": lambda c, f, m, X: analysis.structural_bound(m, c, f, X, 0.0),
 }
 
 

@@ -9,8 +9,9 @@ report files), ``perfbench/ensemble_op.py`` on 64 seeded canonical states
 (x* scaled by factors in [0.7, 1.3], clipped to the box, t_end 16, h 4e-3)
 and a seeded sweep (see :func:`sweep`).  Then ``diff -r`` compares the two
 result trees.  Exits 0 only when they are identical, and prints the
-differences and every sweep case that moved otherwise.  With REV = HEAD on
-a clean checkout, any difference is non-determinism.
+differences and every sweep case that moved (its trajectories, its events
+or both) otherwise.  With REV = HEAD on a clean checkout, any difference
+is non-determinism.
 
     python3 tools/same_outputs.py --sweep OUT
 
@@ -58,28 +59,30 @@ def sweep(path: Path) -> None:
     (projected gradient, boundary-layer and equivalent-control sign
     descent) in each gradient mode, a single run from the first state
     (t_end 3, h 1e-2) and an ensemble of the other four (t_end 1.5,
-    h 1e-2).  A digest covers every array, the events, the status and
-    max_clip of the result, or the error a run raised."""
+    h 1e-2).  Each outcome is two digests, a tab apart: the trajectory's
+    (every array, the status and max_clip of the result) and the events',
+    or twice the error a run raised."""
     import numpy as np
 
     from constructal import (AssemblyConfig, ProjectedGradient, SignDescent, TransportCosts, integrate,
                              integrate_ensemble, state_box)
     from constructal.errors import ConstructalError
 
-    def digest(result) -> str:
+    def digests(result) -> str:
         h = hashlib.sha256()
         for name in ("times", "states", "final_states", "R_values", "Psi_values", "regime_masks"):
             if hasattr(result, name):
                 h.update(np.ascontiguousarray(getattr(result, name)).tobytes())
-        tail = (getattr(result, "events", None), getattr(result, "status", None), result.max_clip)
-        h.update(repr(tail).encode())
-        return h.hexdigest()[:16]
+        h.update(repr((getattr(result, "status", None), result.max_clip)).encode())
+        events = hashlib.sha256(repr(result.events).encode())
+        return f"{h.hexdigest()[:16]}\t{events.hexdigest()[:16]}"
 
     def outcome(call) -> str:
         try:
-            return digest(call())
+            return digests(call())
         except ConstructalError as exc:  # a failing case is an outcome too
-            return f"{type(exc).__name__}: {exc}".replace("\n", " ")
+            error = f"{type(exc).__name__}: {exc}".replace("\n", " ")
+            return f"{error}\t{error}"
 
     lines = []
     for seed in range(SWEEP["seeds"]):
@@ -100,7 +103,7 @@ def sweep(path: Path) -> None:
                 single, ensemble = map(outcome, (
                     lambda: integrate(mode, costs, cfg, box, X[0], *SWEEP["single"]),
                     lambda: integrate_ensemble(mode, costs, cfg, box, X[1:], *SWEEP["ensemble"])))
-                lines.append(f"{law}-{gmode}-p{p}-s{seed} single {single} ensemble {ensemble}\n")
+                lines.append(f"{law}-{gmode}-p{p}-s{seed}\t{single}\t{ensemble}\n")
     path.write_text("".join(lines), encoding="utf-8")
 
 
@@ -131,12 +134,19 @@ def outputs(tree: Path, states: Path, result: Path) -> None:
 
 
 def moved_cases(results: Path) -> list[str]:
-    """The sweep cases whose digests differ between the two trees."""
+    """The sweep cases whose digests differ between the two trees, each
+    with what moved: its trajectories, its events or both."""
     rev, tree = ((results / label / "sweep" / "sweep.txt") for label in ("rev", "tree"))
     if not (rev.exists() and tree.exists()):
         return []
-    pairs = zip(rev.read_text().splitlines(), tree.read_text().splitlines())
-    return [a.split()[0] for a, b in pairs if a != b]
+    moved = []
+    for a, b in zip(rev.read_text().splitlines(), tree.read_text().splitlines()):
+        a, b = a.split("\t"), b.split("\t")  # case, then (trajectory, events) of single and ensemble
+        trajectories, events = (a[i] != b[i] or a[i + 2] != b[i + 2] for i in (1, 2))
+        if trajectories or events:
+            what = "events only" if not trajectories else "trajectories and events" if events else "trajectories only"
+            moved.append(f"{a[0]} ({what})")
+    return moved
 
 
 def main(argv: list[str]) -> int:
