@@ -313,8 +313,10 @@ def grid_oracle(costs, cfg) -> OracleTable:
 
     Branching numbers come from a bisection root of the penalty gradient
     (cross-checked against a golden-section minimization of the penalty);
-    aspect ratios from a 100,000-point grid plus golden-section refinement
-    of the per-level cost.  No analytic minimizer formulas are consulted.
+    the penalty is centred on ``hm.optimal_branching``, so these columns
+    check the two searches, not the formula.  Aspect ratios come from a
+    100,000-point grid plus golden-section refinement of the per-level
+    cost, without the closed-form ratios.
     """
     p = costs.p
     kappa = np.asarray(cfg.kappa)

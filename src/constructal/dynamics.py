@@ -22,7 +22,9 @@ a step); the core sees nothing else of the law.  A regime is data
 rows in different regimes advance in one batched step.  Every law forms its regimes on
 whole (N, d) stacks; equivalent control runs the clamp-and-drop
 iteration of the Filippov condition on all rows at once, with one
-batched solve of every row's sliding block.
+batched solve of every row's sliding block.  Uniform contraction keeps
+every sliding block nonsingular, so a block too ill-conditioned to solve
+raises SingularSlidingError.
 
 Coordinates held on a box face have zero velocity.  Projected gradient
 is stiff near the optimum (Jacobian eigenvalues from 0.5 to 1024 on the
@@ -55,14 +57,14 @@ n_2..n_p.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import hierarchy as hm
-from .cones import BOUNDARY_TOL, Box, kkt_residual, outward
+from .cones import BOUNDARY_TOL, Box, _check_membership, kkt_residual, outward
 from .errors import DomainError, SingularSlidingError, StepFailureError
 from .stepping import _grid_rows, _initial_step, _locate_events, _ros_advance
 
@@ -87,7 +89,7 @@ BOUNDARY_LAYER = "boundary_layer"
 EVENT_KINDS = ("SwitchCross", "SlideEnter", "SlideExit", "BoundaryContact", "BoundaryRelease")
 SWITCH_CROSS, SLIDE_ENTER, SLIDE_EXIT, BOUNDARY_CONTACT, BOUNDARY_RELEASE = EVENT_KINDS
 
-_COND_MAX = 1e12  # a sliding block beyond this condition (rows equilibrated) steps on the boundary layer
+_COND_MAX = 1e12  # a sliding block beyond this condition (rows equilibrated) raises SingularSlidingError
 _MAX_EVENTS = 64  # more located events in one nominal step raise the chattering guard
 _GRID_BLOCK = 4096  # queued grid rows filled by one _grid_rows call
 _SCREEN_ROOM = 2.0**-40  # rounding allowance of the Psi screen, per unit of the box's magnitude
@@ -284,21 +286,23 @@ def _clamp_and_drop(H: np.ndarray, S: np.ndarray, signs: np.ndarray, gains: np.n
     control and, while a component exceeds its gain, the most saturated
     coordinate leaves S at its saturated velocity (its sign is set so that
     -gain*sign is that velocity).  Updates S and signs in place and returns
-    the velocities and the mask of rows left unsolvable, with a block whose
-    condition number is beyond ``_COND_MAX``.  The equations 0 = d_j R of
-    the block may be scaled freely, and their curvatures H_jj span many
-    decades on deep ladders, so the condition number is that of the block
-    embedded in the identity (:func:`_embedded`) with each row divided by
-    its |diagonal entry|; the solve is unscaled.
+    the velocities.  A block whose condition number is beyond ``_COND_MAX``
+    raises SingularSlidingError naming the coordinates of the first such
+    row.  The equations 0 = d_j R of the block may be scaled freely, and
+    their curvatures H_jj span many decades on deep ladders, so the
+    condition number is that of the block embedded in the identity
+    (:func:`_embedded`) with each row divided by its |diagonal entry|; the
+    solve is unscaled.
     """
     V = -gains * signs
-    unsolvable = np.zeros(len(S), dtype=bool)
     live = np.flatnonzero(S.any(axis=1))
     while live.size:
         M = _embedded(H[live], S[live])
         scale = np.abs(np.diagonal(M, axis1=-2, axis2=-1))[..., None]
-        unsolvable[live] = np.linalg.cond(M / scale) > _COND_MAX
-        live = live[~unsolvable[live]]
+        bad = np.flatnonzero(np.linalg.cond(M / scale) > _COND_MAX)
+        if bad.size:
+            s = np.flatnonzero(S[live[bad[0]]])
+            raise SingularSlidingError(f"sliding block on coordinates {s.tolist()} is ill-conditioned")
         Vl = _equivalent_control(H[live], S[live], V[live])
         over = np.where(S[live], np.abs(Vl) / gains, -np.inf)
         j = np.argmax(over, axis=1)
@@ -310,7 +314,7 @@ def _clamp_and_drop(H: np.ndarray, S: np.ndarray, signs: np.ndarray, gains: np.n
         signs[rows, j] = -direction
         S[rows, j] = False
         live = rows[S[rows].any(axis=1)]
-    return V, unsolvable
+    return V
 
 
 # ---------------------------------------------------------------------------
@@ -331,11 +335,9 @@ class _Frozen:
     ``sliding`` marks the coordinates in their boundary layer or on their
     switching manifold, face-held ones included, and ``signs`` the signs
     of d_j R that set the saturated velocities (0 where none does).
-    ``fallback`` marks the rows of equivalent control whose sliding block
-    cannot be solved: they hold the boundary-layer regime.  ``dae`` and
-    ``falls`` tell whether any row has algebraic coordinates or falls back;
-    ``plain`` that every coordinate of every row is active, none held on a
-    face and none algebraic, so that f = coef * grad R and M = I.
+    ``dae`` tells whether any row has algebraic coordinates; ``plain`` that
+    every coordinate of every row is active, none held on a face and none
+    algebraic, so that f = coef * grad R and M = I.
     """
 
     frozen: np.ndarray    # (N, d) bool
@@ -345,20 +347,14 @@ class _Frozen:
     coef: np.ndarray      # (N, d)
     const: np.ndarray     # (N, d)
     mass: np.ndarray      # (N, d)
-    fallback: np.ndarray  # (N,) bool
 
     def __post_init__(self):
         self.algebraic = self.mass == 0.0
         self.dae = bool(self.algebraic.any())
-        self.falls = bool(self.fallback.any())
         self.plain = not self.dae and bool(self.active.all()) and not self.frozen.any()
 
-    def planes(self) -> tuple[np.ndarray, ...]:
-        """The (N, d) arrays, in field order."""
-        return self.frozen, self.active, self.sliding, self.signs, self.coef, self.const, self.mass
-
     def take(self, rows) -> _Frozen:
-        return _Frozen(*(a[rows] for a in self.planes()), self.fallback[rows])
+        return _Frozen(*(getattr(self, f.name)[rows] for f in fields(self)))
 
     @cached_property
     def bits(self) -> np.ndarray:
@@ -484,7 +480,7 @@ class _PGField(_Field):
         frozen = outward(self.box, Y, self.neg_mob * G, self.opts.boundary_tol)
         zeros = np.zeros(Y.shape)
         return _Frozen(frozen, ~frozen, np.zeros(Y.shape, dtype=bool), zeros, zeros + self.neg_mob,
-                       zeros, zeros + 1.0, np.zeros(Y.shape[0], dtype=bool))
+                       zeros, zeros + 1.0)
 
 
 class _LayerField(_Field):
@@ -502,8 +498,7 @@ class _LayerField(_Field):
         frozen = outward(self.box, Y, -self.scale * np.clip(G / eps, -1.0, 1.0), self.opts.boundary_tol)
         const = np.where(frozen, 0.0, -self.scale * signs)
         ones = np.ones(Y.shape)
-        return _Frozen(frozen, sliding & ~frozen, sliding, signs, ones * self.coef, const,
-                       ones, np.zeros(Y.shape[0], dtype=bool))
+        return _Frozen(frozen, sliding & ~frozen, sliding, signs, ones * self.coef, const, ones)
 
     def monitors(self, y0: np.ndarray, y1: np.ndarray, fz: _Frozen) -> list[_Monitor]:
         """Face monitors plus layer exit (inside) and entry (saturated)."""
@@ -526,35 +521,25 @@ class _SlideField(_Field):
 
     with Jacobian rows [0; H_S,:].  The regime of each row is formed by
     the clamp-and-drop iteration of the Filippov condition
-    (:func:`_clamp_and_drop`).  A row whose sliding block is too
-    ill-conditioned to solve takes the boundary-layer regime instead
-    (``fallback``), and that field's monitors.
+    (:func:`_clamp_and_drop`).
     """
 
     def __init__(self, mode: SignDescent, costs, cfg, box: Box, opts: IntegrationOptions):
         super().__init__(mode, costs, cfg, box, opts, mode.gains(costs.p))
-        self.layer = _LayerField(replace(mode, sliding=BOUNDARY_LAYER), costs, cfg, box, opts)
 
     def regime(self, Y: np.ndarray, G: np.ndarray) -> _Frozen:
         H = self.hess(Y)
         sliding = _on_manifold(G, H, self.opts.switch_tol)
         signs = np.where(sliding, 0.0, np.sign(G))
-        V, unsolvable = _clamp_and_drop(H, sliding, signs, self.scale)
+        V = _clamp_and_drop(H, sliding, signs, self.scale)
         frozen = outward(self.box, Y, V, self.opts.boundary_tol)
         active = sliding & ~frozen
         const = np.where(frozen, 0.0, -self.scale * signs)
-        parts = (frozen, active, sliding, signs, np.ones_like(Y), const, np.where(active, 0.0, 1.0))
-        if unsolvable.any():
-            for own, fill in zip(parts, self.layer.regime(Y[unsolvable], G[unsolvable]).planes()):
-                own[unsolvable] = fill
-        return _Frozen(*parts, unsolvable)
+        return _Frozen(frozen, active, sliding, signs, np.ones_like(Y), const, np.where(active, 0.0, 1.0))
 
     def monitors(self, y0: np.ndarray, y1: np.ndarray, fz: _Frozen) -> list[_Monitor]:
-        """The layer's monitors on a fallback row; else face monitors plus
-        switching-manifold crossings of the external coordinates and the
-        saturation of the equivalent control."""
-        if fz.fallback[0]:
-            return self.layer.monitors(y0, y1, fz)
+        """Face monitors plus switching-manifold crossings of the external
+        coordinates and the saturation of the equivalent control."""
         out = super().monitors(y0, y1, fz)
         signs = fz.signs[0]
         for j in np.flatnonzero(~fz.active[0] & ~fz.frozen[0]):
@@ -599,17 +584,15 @@ def _start(mode: DynamicsMode, costs, cfg, box: Box, X: np.ndarray, options: Int
     """The law's field under the options (defaulted) for a run from the
     rows of the (N, d) stack X, each of which must lie in the box."""
     opts = options or IntegrationOptions()
-    for x in X:
-        if not box.contains(x, opts.boundary_tol):
-            raise DomainError(f"state {x.tolist()} outside the box")
+    _check_membership(box, X, opts.boundary_tol)
     return _field(mode, costs, cfg, box, opts)
 
 
 def velocity(mode: DynamicsMode, costs, cfg, box: Box, x, options: IntegrationOptions | None = None):
     """Filippov velocity selection at a state, the field the core
-    integrates from there, and the regime descriptor it freezes.  Where
-    the sliding block of equivalent control cannot be solved, that is the
-    boundary-layer field and its regime."""
+    integrates from there, and the regime descriptor it freezes.  An
+    ill-conditioned sliding block of equivalent control raises
+    SingularSlidingError."""
     xv = hm._as_vector(x, costs.p)
     Y = xv[None]
     fld = _start(mode, costs, cfg, box, Y, options)
@@ -693,24 +676,21 @@ def _run(fld: _Field, X: np.ndarray, t_end: float, h: float, stop: bool, keep: b
     live rows by one step, each through the frozen regime found at its
     start, and ends it at the row's first regime change (a row with no
     live monitor returns from ``_locate_events`` at once).  An iteration
-    is quiet when no end state is near a face (``near_face``), no row hits
-    an event and none falls back: it then has nothing to clip,
-    re-evaluate, record or guard, and under a law that changes regime only
-    on the faces (``faces_only``, projected gradient) it locates no events
-    and keeps its all-free regime.  Every other iteration takes the full
-    path, and both give the same bits.
+    is quiet when no end state is near a face (``near_face``) and no row
+    hits an event: it then has nothing to clip, re-evaluate, record or
+    guard, and under a law that changes regime only on the faces
+    (``faces_only``, projected gradient) it locates no events and keeps
+    its all-free regime.  Every other iteration takes the full path, and
+    both give the same bits.
 
     A row that hits an event records each coordinate whose regime differs
     between its step and the regime it restarts in (:func:`_changes`).
-    While a row's sliding block cannot be solved (``fallback``), its steps
-    are of at most h; each such episode is recorded once, as SlideExit at
-    index -1, in place of the boundary layer's own events, whose located
-    monitors still count toward the chattering guard.  The per-row stacks
-    hold the live rows only (``ids`` maps them to rows of X), so they are
-    cut when a row finishes and never gathered or scattered per step.  A step's grid rows
-    are queued and filled with those of other steps, about _GRID_BLOCK at
-    a time, and at once only where a DAE projection or the convergence
-    stop needs them (see the notes before _psi_screen).
+    The per-row stacks hold the live rows only (``ids`` maps them to rows
+    of X), so they are cut when a row finishes and never gathered or
+    scattered per step.  A step's grid rows are queued and filled with
+    those of other steps, about _GRID_BLOCK at a time, and at once only
+    where a DAE projection or the convergence stop needs them (see the
+    notes before _psi_screen).
     """
     box, costs, cfg, opts = fld.box, fld.costs, fld.cfg, fld.opts
     times = _nominal_grid(t_end, h)
@@ -756,25 +736,20 @@ def _run(fld: _Field, X: np.ndarray, t_end: float, h: float, stop: bool, keep: b
             queue.clear()
 
     # the live rows: their rows of X, states, gradients, step sizes, times,
-    # next grid rows, events since the last grid row, fallback flags and
-    # largest clips of their end states (fill folds in those of grid rows)
+    # next grid rows and events since the last grid row
     ids = np.arange(N)
     Y = X.copy()
     G = fld.grad(Y)
     t = np.zeros(N)
     filled = np.ones(N, dtype=np.int64)
     since_row = np.zeros(N, dtype=np.int64)
-    fell_before = np.zeros(N, dtype=bool)
-    clipped = np.zeros(N)
     fz = fld.regime(Y, G)
     H = _initial_step(fld, Y, G, fz, np.full(N, t_end))
     record(ids, 0, Y, fz.bits)
     ones = np.ones(N)  # the end fraction of steps that hit no event
     while ids.size:
         n = ids.size
-        fell = fz.fallback
-        limit = np.where(fell, np.minimum(t_end - t, h), t_end - t) if fz.falls else t_end - t
-        st = _ros_advance(fld, Y, G, fz, H, limit, t, h)
+        st = _ros_advance(fld, Y, G, fz, H, t_end - t, t, h)
         near = fld.near_face(st.y1)
         hits = {}
         if near or not fld.faces_only:
@@ -782,9 +757,9 @@ def _run(fld: _Field, X: np.ndarray, t_end: float, h: float, stop: bool, keep: b
                 found = _locate_events(fld, Y, G, fz, st, i)
                 if found is not None:
                     hits[i] = found
-        # a quiet iteration: no end state near a face, no event and no
-        # fallback, so there is nothing to clip, record or guard
-        quiet = not (near or hits or fz.falls)
+        # a quiet iteration: no end state near a face and no event, so
+        # there is nothing to clip, record or guard
+        quiet = not (near or hits)
         if quiet:
             s_end, at_end = ones[:n], st.dt >= t_end - t
         else:
@@ -823,10 +798,10 @@ def _run(fld: _Field, X: np.ndarray, t_end: float, h: float, stop: bool, keep: b
             Y, G = st.y1, st.g1
         else:
             # the next step starts at the event state, or else at the end
-            # state clipped to the box
+            # state clipped to the box (fill folds in the clips of grid rows)
             Y = box.clip(st.y1)
             clip = np.where(hit | done, 0.0, np.maximum.reduce(np.abs(Y - st.y1), axis=1))
-            clipped = np.maximum(clipped, clip)
+            max_clip[ids] = np.maximum(max_clip[ids], clip)
             for i, (_, x_e, _) in hits.items():
                 Y[i] = x_e
             moved = hit | (clip > 0.0)
@@ -836,11 +811,6 @@ def _run(fld: _Field, X: np.ndarray, t_end: float, h: float, stop: bool, keep: b
 
             for i, (_, _, located) in hits.items():
                 since_row[i] += located
-            if fz.falls:  # one record per fallback episode in place of the layer's own events
-                episode = (fell & ~done & ~fell_before).nonzero()[0]
-                since_row[episode] += 1
-                for i in episode:
-                    events[ids[i]].append(EventRecord(time=float(t_next[i]), kind=SLIDE_EXIT, index=-1))
             over = (since_row > _MAX_EVENTS).nonzero()[0]
             if over.size:
                 te = float(t_next[over[0]])
@@ -849,7 +819,7 @@ def _run(fld: _Field, X: np.ndarray, t_end: float, h: float, stop: bool, keep: b
                     f"at t={te:.6g}: likely chattering",
                     te,
                 )
-        H, t, fell_before = st.h_next, t_next, fell
+        H, t = st.h_next, t_next
         # the regime each row restarts in (a quiet step of projected
         # gradient keeps its all-free one) names the events of its step
         if not (quiet and fld.faces_only):
@@ -857,24 +827,21 @@ def _run(fld: _Field, X: np.ndarray, t_end: float, h: float, stop: bool, keep: b
             if hits:
                 kinds = _changes(fz, at)
                 for i in hits:
-                    if not fell[i]:
-                        events[ids[i]] += [EventRecord(time=float(t_next[i]), kind=str(kinds[i, j]), index=int(j))
-                                           for j in np.flatnonzero(kinds[i])]
+                    events[ids[i]] += [EventRecord(time=float(t_next[i]), kind=str(kinds[i, j]), index=int(j))
+                                       for j in np.flatnonzero(kinds[i])]
             fz = at
         live = (filled < n_rows) & ~done
         if not live.all():
             gone = ~live
             left = ids[gone]
             final[left], rows_filled[left] = Y[gone], filled[gone]
-            max_clip[left] = np.maximum(max_clip[left], clipped[gone])
-            ids, Y, G, H, t, filled, since_row, fell_before, clipped = (
-                a[live] for a in (ids, Y, G, H, t, filled, since_row, fell_before, clipped))
+            ids, Y, G, H, t, filled, since_row = (a[live] for a in (ids, Y, G, H, t, filled, since_row))
             fz = fz.take(live)
     flush()
 
     if not keep:
         return EnsembleResult(times=times, final_states=final, R_values=Rs, Psi_values=psis,
-                              max_clip=float(np.max(max_clip)), events=events)
+                              max_clip=float(np.max(max_clip, initial=0.0)), events=events)
     out = []
     for i, n in enumerate(rows_filled):
         kept = [e for e in events[i] if e.time <= times[n - 1]]

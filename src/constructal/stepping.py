@@ -71,12 +71,12 @@ if TYPE_CHECKING:
 # rate) are formed once per step; and a regime with every coordinate free
 # (``_Frozen.plain``) skips the masks of f and J.  A quiet iteration of
 # the run loop (no end state near a face, which one face-band test
-# decides, no event and no fallback) skips clipping, re-gradients, event
-# records and the chattering guard, and under projected gradient event
-# location and the new regime too: the all-free regime of the last
-# iteration is kept.  A canonical step makes about 115 Python and C
-# calls, 200 with every iteration on the full path, where every row is
-# searched for events and the regime is formed anew.  The float
+# decides, and no event) skips clipping, re-gradients, event records and
+# the chattering guard, and under projected gradient event location and
+# the new regime too: the all-free regime of the last iteration is kept.
+# A canonical step makes about 115 Python and C calls, 200 with every
+# iteration on the full path, where every row is searched for events and
+# the regime is formed anew.  The float
 # operations and their order are an invariant: every trajectory, report
 # and ensemble stays bit for bit the same, so a change here may drop
 # calls but not reorder arithmetic.  There is no

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from constructal import dynamics
 from constructal import hierarchy as hm
 from constructal.cli import _load, main
 from constructal.config import (
@@ -230,6 +231,13 @@ class TestCliSimulate:
         assert main(["simulate", "--config", str(cfgp), "--out", str(out)]) == 0
         summary = (out / "summary.txt").read_text()
         assert "events.SlideEnter = 5" in summary
+
+    def test_ill_conditioned_sliding_block_exits_1(self, tmp_path, capsys, monkeypatch):
+        # a condition bound below 1 rejects the first sliding block the run meets
+        monkeypatch.setattr(dynamics, "_COND_MAX", 0.5)
+        cfgp = REPO / "configs" / "equivalent_control.cfg"
+        assert main(["simulate", "--config", str(cfgp), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: sliding block on coordinates [2] is ill-conditioned\n"
 
     def test_too_many_levels_exit_2_without_output(self, tmp_path, capsys):
         cfgp = tmp_path / "deep.cfg"

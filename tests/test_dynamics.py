@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -72,20 +73,14 @@ class TestVelocity:
         with pytest.raises(DomainError):
             velocity(pg_mode, costs, cfg, box, np.array([9.0, 0.5, 0.5, 8.0, 16.0]))
 
-    def test_unsolvable_sliding_block_gives_the_layer_field(self, costs, cfg, box, monkeypatch):
-        # r_3 sits on its manifold, and a condition bound below 1 rejects its
-        # block: integrate steps the boundary layer from here, so velocity
-        # returns that field and its regime
+    def test_ill_conditioned_sliding_block_raises(self, costs, cfg, box, monkeypatch):
+        # r_3 sits on its manifold, and a condition bound below 1 rejects its block
         monkeypatch.setattr(dynamics, "_COND_MAX", 0.5)
         mode = SignDescent(sliding="equivalent_control")
         x = GENERIC_X0.copy()
         x[2] = 0.5
-        v, regime = velocity(mode, costs, cfg, box, x)
-        g = hm.gradient_vec(costs, cfg, x)
-        expected = -mode.gains(costs.p) * np.clip(g / mode.epsilon, -1.0, 1.0)
-        np.testing.assert_allclose(v, expected, rtol=1e-15, atol=0.0)
-        assert regime.sliding == (2,)
-        assert regime.velocity is v
+        with pytest.raises(SingularSlidingError, match=r"coordinates \[2\] is ill-conditioned"):
+            velocity(mode, costs, cfg, box, x)
 
 
 def clamp_and_drop(mode, costs, cfg, x, active):
@@ -95,9 +90,7 @@ def clamp_and_drop(mode, costs, cfg, x, active):
     H = hm.grad_jacobian(costs, cfg, Y, mode.gradient_mode)
     S = np.isin(np.arange(Y.shape[1]), active)[None]
     signs = np.where(dynamics._on_manifold(G, H, IntegrationOptions().switch_tol), 0.0, np.sign(G))
-    V, unsolvable = dynamics._clamp_and_drop(H, S, signs, mode.gains(costs.p))
-    assert not unsolvable.any()
-    return V[0]
+    return dynamics._clamp_and_drop(H, S, signs, mode.gains(costs.p))[0]
 
 
 class TestSlideVelocity:
@@ -181,19 +174,26 @@ class TestEmbeddedSlidingSolve:
     @pytest.mark.parametrize("cond_max", [1e4, dynamics._COND_MAX])
     def test_unsolvable_rows_are_those_of_ill_conditioned_blocks(self, gradient_mode, cond_max, monkeypatch):
         # zero signs: no equivalent control saturates, so every row's
-        # condition is read on its starting set S.  No random block here
+        # condition is read on its starting set S, and a stack raises
+        # naming the first ill-conditioned row.  No random block here
         # reaches the shipped bound; roughly one in ten passes 1e4
         monkeypatch.setattr(dynamics, "_COND_MAX", cond_max)
         decided = []
         for p in range(1, 9):
             for seed in range(4):
                 H, S, _ = random_sliding_stacks(p, gradient_mode, seed)
-                _, unsolvable = dynamics._clamp_and_drop(H, S.copy(), np.zeros(S.shape), np.ones(S.shape[1]))
-                for h, s, u in zip(H, S, unsolvable):
+                ill = []
+                for h, s in zip(H, S):
                     block = h[np.ix_(s, s)]
-                    own = s.any() and np.linalg.cond(block / np.abs(np.diag(block))[:, None]) > cond_max
-                    assert u == own
-                    decided.append(own)
+                    ill.append(s.any() and np.linalg.cond(block / np.abs(np.diag(block))[:, None]) > cond_max)
+                run = lambda: dynamics._clamp_and_drop(H, S.copy(), np.zeros(S.shape), np.ones(S.shape[1]))
+                if any(ill):
+                    first = np.flatnonzero(S[ill.index(True)]).tolist()
+                    with pytest.raises(SingularSlidingError, match=re.escape(f"coordinates {first} is ill-")):
+                        run()
+                else:
+                    run()
+                decided += ill
         assert any(decided) == (cond_max == 1e4) and not all(decided)
 
     def test_singular_block_raises_naming_its_coordinates(self):
@@ -334,31 +334,6 @@ class TestIntegrate:
             integrate(mode, costs, cfg, box, GENERIC_X0, 8.0, 8.0)
         assert err.value.time is not None
 
-    def test_events_on_fallback_steps_reach_the_chattering_guard(self, monkeypatch):
-        # p = 7: r_7 slides with H_jj ~ 1.3e14; a condition bound below 1
-        # rejects its block and it falls back to the boundary layer, which
-        # is 1.5e-18 wide, narrower than one ulp of r_7; every fallback step
-        # locates the layer entry at once, so time stops advancing
-        monkeypatch.setattr(dynamics, "_COND_MAX", 0.5)
-        rng = np.random.default_rng(1042)
-        p = int(rng.integers(1, 9))
-        gradient_mode = ("decoupled", "coupled")[rng.integers(2)]
-        costs, cfg, box, x0 = random_case(rng, p)
-        assert p == 7
-        advance, calls = dynamics._ros_advance, 0
-
-        def counted(*args):
-            nonlocal calls
-            calls += 1
-            if calls > 500:
-                raise RuntimeError("no step failure within 500 steps")
-            return advance(*args)
-
-        monkeypatch.setattr(dynamics, "_ros_advance", counted)
-        mode = SignDescent(sliding="equivalent_control", gradient_mode=gradient_mode)
-        with pytest.raises(StepFailureError, match="chattering"):
-            integrate(mode, costs, cfg, box, x0, 1.0, 1e-2)
-
 
 class TestSlidingInvariance:
     def test_manifold_values_stay_small_after_entry(self, costs, cfg, box):
@@ -442,24 +417,13 @@ class TestEnsemble:
             assert np.array_equal(res.Psi_values[i], single.Psi_values)
             assert res.events[i] == single.events
 
-    def test_unsolvable_sliding_row_falls_back_alone(self, costs, cfg, box, monkeypatch):
-        # a condition bound below 1 rejects every sliding block: row 0
-        # reaches a manifold and continues on the boundary layer, row 1
-        # reaches none before t_end
-        monkeypatch.setattr(dynamics, "_COND_MAX", 0.5)
-        mode = SignDescent(sliding="equivalent_control")
-        opts = IntegrationOptions(stop_on_convergence=False)
-        X0 = np.array([GENERIC_X0, [3.0, 2.5, 2.5, 30.0, 40.0]])
-        res = integrate_ensemble(mode, costs, cfg, box, X0, 0.4, 1e-3, opts)
-        fallbacks = []
-        for i in range(2):
-            single = integrate(mode, costs, cfg, box, X0[i], 0.4, 1e-3, opts)
-            fallbacks.append(("SlideExit", -1) in [(e.kind, e.index) for e in single.events])
-            assert np.array_equal(res.final_states[i], single.final_state)
-            assert np.array_equal(res.R_values[i], single.R_values)
-            assert np.array_equal(res.Psi_values[i], single.Psi_values)
-            assert res.events[i] == single.events
-        assert fallbacks == [True, False]
+    @pytest.mark.parametrize("mode", [ProjectedGradient(), SignDescent(), SignDescent(sliding="equivalent_control")],
+                             ids=["projected_gradient", "boundary_layer", "equivalent_control"])
+    def test_empty_stack_gives_the_empty_result(self, costs, cfg, box, mode):
+        res = integrate_ensemble(mode, costs, cfg, box, np.empty((0, box.dim)), 0.5, 1e-1)
+        assert res.final_states.shape == (0, box.dim)
+        assert res.R_values.shape == res.Psi_values.shape == (0, res.times.size)
+        assert res.events == [] and res.max_clip == 0.0
 
     def test_boundary_layer_rows_keep_their_events(self, costs, cfg, box, x_star):
         # row 0 enters every layer, row 1 starts inside them, and row 2
@@ -476,16 +440,14 @@ class TestEnsemble:
         assert [sorted((e.kind, e.index) for e in row) for row in res.events] == [
             [("SlideEnter", j) for j in range(5)], [], [("SlideEnter", 3)]]
 
-    def test_fallback_and_solvable_rows_step_in_one_run(self, costs, cfg, box, x_star, monkeypatch):
-        # row 0 starts on every manifold with its block rejected, row 1 on
-        # none: their first step already holds one boundary-layer row and
-        # one equivalent-control row in a single regime
-        monkeypatch.setattr(dynamics, "_COND_MAX", 0.5)
+    def test_dae_and_ode_rows_step_in_one_run(self, costs, cfg, box, x_star, monkeypatch):
+        # row 0 starts on every manifold, row 1 on none: their first step
+        # already holds one DAE row and one ODE row in a single regime
         real, formed = dynamics._SlideField.regime, []
 
         def regime(fld, Y, G):
             fz = real(fld, Y, G)
-            formed.append(fz.fallback.tolist())
+            formed.append(fz.algebraic.any(axis=1).tolist())
             return fz
 
         monkeypatch.setattr(dynamics._SlideField, "regime", regime)
@@ -585,7 +547,7 @@ class TestGridBlocks:
         np.minimum.at(lowest, which, hm.imbalance_vec(costs, cfg, Xg))
         assert np.all(dynamics._psi_screen(costs, cfg, box)(Y0, dense) <= lowest)
 
-    @pytest.mark.parametrize("case", ["converging", "face", "layer", "sliding", "fallback"])
+    @pytest.mark.parametrize("case", ["converging", "face", "layer", "sliding"])
     def test_single_runs_do_not_depend_on_the_block(self, case, costs, cfg, box, pg_mode, monkeypatch):
         eqc = SignDescent(sliding="equivalent_control")
         x_face = np.array([1.0, 0.5, 0.5, 3.0, 3.0])
@@ -595,17 +557,13 @@ class TestGridBlocks:
                                        x_face, 2.0, 1e-3), "BoundaryContact:3"),
             "layer": (lambda: integrate(SignDescent(), costs, cfg, box, GENERIC_X0, 2.0, 1e-3), "SlideEnter:0"),
             "sliding": (lambda: integrate(eqc, costs, cfg, box, GENERIC_X0, 8.0, 1e-3), "converged"),
-            "fallback": (lambda: integrate(eqc, costs, cfg, box, GENERIC_X0, 0.4, 1e-3), "SlideExit:-1"),
         }[case]
-        if case == "fallback":
-            monkeypatch.setattr(dynamics, "_COND_MAX", 0.5)
         each, once = grid_blocks(monkeypatch, run)
         assert_same_trajectory(each, once)
         assert tag == once.status or any(tag in tags.split(";") for tags in once.step_events)
 
     def test_paired_runs_and_ensembles_do_not_depend_on_the_block(self, costs, cfg, box, pg_mode,
                                                                   x_star, monkeypatch):
-        monkeypatch.setattr(dynamics, "_COND_MAX", 0.5)
         X0 = np.array([GENERIC_X0, [3.0, 2.5, 2.5, 30.0, 40.0], x_star.vector(), [1.0, 0.5, 0.5, 3.0, 3.0]])
         for mode in (pg_mode, ProjectedGradient(gradient_mode="coupled"), SignDescent(),
                      SignDescent(sliding="equivalent_control")):
@@ -685,9 +643,7 @@ class TestQuietIterations:
     def test_paired_runs_and_ensembles_do_not_depend_on_the_quiet_path(self, costs, cfg, box, x_star,
                                                                        monkeypatch):
         # row 3 starts on the n_2 >= 1 face; row 0 meets that face under
-        # coupled projected gradient, and with every sliding block rejected
-        # the equivalent-control rows fall back to the boundary layer
-        monkeypatch.setattr(dynamics, "_COND_MAX", 0.5)
+        # coupled projected gradient
         X0 = np.array([GENERIC_X0, [3.0, 2.5, 2.5, 30.0, 40.0], x_star.vector(), [1.0, 0.5, 0.5, 1.0, 3.0]])
         for mode in (ProjectedGradient(), ProjectedGradient(gradient_mode="coupled"), SignDescent(),
                      SignDescent(sliding="equivalent_control")):
@@ -941,17 +897,18 @@ class TestSlidingCore:
         assert [e.time for e in traj.events] == pytest.approx([t for t, _, _ in events], abs=1e-8)
         assert dissipation_violations(traj) == 0
 
-    def test_unsolvable_sliding_block_falls_back_to_the_layer(self, costs, cfg, box, x_star, monkeypatch):
-        # a condition bound below 1 rejects every sliding block, so once
-        # r_3 reaches its manifold the run continues on the boundary layer
+    def test_ill_conditioned_sliding_block_stops_the_run(self, costs, cfg, box, monkeypatch):
+        # a condition bound below 1 rejects every sliding block, so the run
+        # raises once r_3 reaches its manifold; so does an ensemble with
+        # one row that reaches it
         monkeypatch.setattr(dynamics, "_COND_MAX", 0.5)
         mode = SignDescent(sliding="equivalent_control")
         opts = IntegrationOptions(stop_on_convergence=False)
-        traj = integrate(mode, costs, cfg, box, GENERIC_X0, 1.0, 1e-3, opts)
-        assert [(e.kind, e.index) for e in traj.events] == [("SlideEnter", 2), ("SlideExit", -1)]
-        assert traj.final_state[:3] == pytest.approx(x_star.vector()[:3], abs=1e-9)
-        assert traj.final_state[3:] == pytest.approx([11.0, 19.0], abs=1e-9)
-        assert dissipation_violations(traj) == 0
+        with pytest.raises(SingularSlidingError, match=r"coordinates \[2\] is ill-conditioned"):
+            integrate(mode, costs, cfg, box, GENERIC_X0, 1.0, 1e-3, opts)
+        X0 = np.array([[3.0, 2.5, 2.5, 30.0, 40.0], GENERIC_X0])
+        with pytest.raises(SingularSlidingError, match=r"coordinates \[2\] is ill-conditioned"):
+            integrate_ensemble(mode, costs, cfg, box, X0, 1.0, 1e-3, opts)
 
     def test_saturated_equivalent_control_exits_its_manifold(self, costs, cfg, box):
         # coupled mode: once n_3 (flat index 4) slides, its equivalent
@@ -1002,8 +959,7 @@ class TestSlidingCore:
     def test_equivalent_control_on_deep_halving_ladders(self, p):
         # from p = 9, H_jj at x* spans more than _COND_MAX (1.1e12 at p = 9);
         # the sliding blocks are well conditioned once their rows are
-        # divided by H_jj, so every coordinate slides onto x* instead of
-        # falling back to a boundary layer narrower than one ulp
+        # divided by H_jj, so every coordinate slides onto x*
         costs = TransportCosts(K=tuple(0.5 ** i for i in range(p + 1)))
         cfg = AssemblyConfig.bejan(costs)
         box = state_box(costs, cfg)
@@ -1042,10 +998,9 @@ class TestSlidingCore:
             mode = SignDescent(sliding=law, epsilon=epsilon, gradient_mode=gradient_mode)
         try:
             traj = integrate(mode, costs, cfg, box, x0, 1.0, 1e-2)
-        except (StepFailureError, SingularSlidingError):
+        except StepFailureError:
             # documented: chattering guard, step underflow (deep ladders
-            # start on an r-face with relaxation times near 1e-15),
-            # singular sliding block
+            # start on an r-face with relaxation times near 1e-15)
             return
         assert traj.max_clip <= 1e-12
         assert np.all(traj.states >= box.lo) and np.all(traj.states <= box.hi)
