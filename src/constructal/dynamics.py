@@ -15,16 +15,16 @@ M y' = f(y) with a diagonal mass matrix M:
   coordinates off their switching manifolds and 0 = d_S R on the sliding
   set S (M_jj = 0 there), so the state slides exactly on the manifolds.
 
-Each law is one small class that owns ``regime`` (the frozen-regime
-field found at a state) and ``monitors`` (the regime changes to watch over
-a step); the core sees nothing else of the law.  A regime is data
-(coefficients, constant velocities and the mass matrix of each row), so
-rows in different regimes advance in one batched step.  Every law forms its regimes on
-whole (N, d) stacks; equivalent control runs the clamp-and-drop
-iteration of the Filippov condition on all rows at once, with one
-batched solve of every row's sliding block.  Uniform contraction keeps
-every sliding block nonsingular, so a block too ill-conditioned to solve
-raises SingularSlidingError.
+Each law is one small class that owns ``regime`` (the frozen-regime field
+found at a state) and its monitors (the regime changes to watch over a
+step); the core sees nothing else of the law.  Both are data on whole
+(N, d) stacks: a regime holds each row's coefficients, constant velocities
+and mass matrix, so rows in different regimes advance in one batched step,
+and the monitors are planes read on all rows at once.  Equivalent control
+runs the clamp-and-drop iteration of the Filippov condition on all rows at
+once, with one batched solve of every row's sliding block.  Uniform
+contraction keeps every sliding block nonsingular, so a block too
+ill-conditioned to solve raises SingularSlidingError.
 
 Coordinates held on a box face have zero velocity.  Projected gradient
 is stiff near the optimum (Jacobian eigenvalues from 0.5 to 1024 on the
@@ -59,14 +59,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import hierarchy as hm
 from .cones import BOUNDARY_TOL, Box, _check_membership, kkt_residual, outward
 from .errors import DomainError, SingularSlidingError, StepFailureError
-from .stepping import _grid_rows, _initial_step, _locate_events, _ros_advance
+from .stepping import _ABS_GRAD, _FACE, _GRAD, _MARGIN, _grid_rows, _initial_step, _locate_events, _ros_advance
 
 __all__ = [
     "ProjectedGradient",
@@ -362,24 +361,18 @@ class _Frozen:
         return (self.frozen | self.sliding) @ (1 << np.arange(self.frozen.shape[1], dtype=np.int64))
 
 
-class _Monitor(NamedTuple):
-    """A regime change: ``phi(x, g)`` (g the mode gradient at x) starts
-    above ``band`` and the transition is phi <= band.  ``face`` is the
-    value coordinate j snaps to at the event, or None; a face monitor
-    reads only x, and is located without the gradient, which is not
-    defined past every face."""
-
-    j: int
-    face: float | None
-    band: float
-    phi: Callable[[np.ndarray, np.ndarray], float]
-
-
 class _Field:
     """Model access and the frozen-regime field shared by the three laws;
-    each law adds its ``regime`` and may extend ``monitors``.
+    each law adds its ``regime`` and may extend its monitors.
     ``regime(Y, G)`` returns the frozen regime of each row of the stack Y
     as data (:class:`_Frozen`): it sets a step's field and names its events.
+
+    The monitors are data: K planes, ``planes`` = (reads, s, c, band, sat).
+    Where ``monitors(Y0, Y1, fz)`` (K (N, d) masks) puts one in a step,
+    monitor (k, i, j) reads phi = s[k, 0, j] * u - c[k, 0, j] at row i with
+    u = x_j (reads[k] = _FACE, a contact, snapped to s * c), d_j R (_GRAD),
+    |d_j R| (_ABS_GRAD) or, in column 0, the row's saturation margin (plane
+    ``sat``), and fires from above band[k] to phi <= band[k].
 
     A coordinate is held on a box face for a whole step when it starts the
     step on the face with an outward velocity (:func:`cones.outward`).
@@ -396,11 +389,17 @@ class _Field:
     slaved_fast = False
     faces_only = False
 
-    def __init__(self, mode: DynamicsMode, costs, cfg, box: Box, opts: IntegrationOptions, scale):
+    def __init__(self, mode: DynamicsMode, costs, cfg, box: Box, opts: IntegrationOptions, scale, planes=()):
         self.mode, self.costs, self.cfg, self.box, self.opts = mode, costs, cfg, box, opts
         self.gmode = mode.gradient_mode
         self.scale = scale
         self.lo_band, self.hi_band = box.lo + opts.boundary_tol, box.hi - opts.boundary_tol
+        # contact with the lower faces, the upper ones (hi_j - x_j as -x_j - (-hi_j)), release from them
+        reads, s, c, band = zip((_FACE, 1.0, box.lo, 0.0), (_FACE, -1.0, -box.hi, 0.0), (_GRAD, scale, 0.0, 0.0),
+                                (_GRAD, -scale, 0.0, 0.0), *planes)
+        S, C = (np.array([np.ones(box.dim) * v for v in x])[:, None] for x in (s, c))  # 1 * v is v
+        self.planes = (np.array(reads), S, C, np.array(band)[:, None, None],
+                       reads.index(_MARGIN) if _MARGIN in reads else None)
 
     def near_face(self, Y: np.ndarray) -> bool:
         """Whether a coordinate of the stack Y is within boundary_tol of a
@@ -442,22 +441,10 @@ class _Field:
         Y[off] -= _solve_blocks(self.hess(Y[off]), algebraic[off], G[off])
         return Y
 
-    def monitors(self, y0: np.ndarray, y1: np.ndarray, fz: _Frozen) -> list[_Monitor]:
-        """Regime-change monitors of a frozen single-row regime for a step
-        from y0 to y1: box-face release of held coordinates (the gradient
-        turns) and contact of free ones that end the step past a face."""
-        box = self.box
-        at_lo = y0 <= self.lo_band
-        free = ~fz.frozen[0]
-        out = []
-        for j in np.flatnonzero(fz.frozen[0]):
-            c = self.scale[j] if at_lo[j] else -self.scale[j]
-            out.append(_Monitor(j, None, 0.0, lambda x, g, j=j, c=c: c * g[j]))
-        for j in np.flatnonzero(free & (y1 <= box.lo)):
-            out.append(_Monitor(j, box.lo[j], 0.0, lambda x, g, j=j: x[j] - box.lo[j]))
-        for j in np.flatnonzero(free & (y1 >= box.hi)):
-            out.append(_Monitor(j, box.hi[j], 0.0, lambda x, g, j=j: box.hi[j] - x[j]))
-        return out
+    def monitors(self, Y0: np.ndarray, Y1: np.ndarray, fz: _Frozen) -> list:
+        """Contact of free coordinates that end past a face, release of held ones."""
+        free, at_lo = ~fz.frozen, Y0 <= self.lo_band
+        return [free & (Y1 <= self.box.lo), free & (Y1 >= self.box.hi), fz.frozen & at_lo, fz.frozen & ~at_lo]
 
 
 class _PGField(_Field):
@@ -488,8 +475,10 @@ class _LayerField(_Field):
     layer |d_j R| <= eps, -gain_j sgn(d_j R) on saturated coordinates."""
 
     def __init__(self, mode: SignDescent, costs, cfg, box: Box, opts: IntegrationOptions):
-        super().__init__(mode, costs, cfg, box, opts, mode.gains(costs.p))
-        self.coef = -self.scale / mode.epsilon
+        eps = mode.epsilon  # layer entry at either sign, exit (eps - |d_j R| as -|d_j R| - (-eps))
+        super().__init__(mode, costs, cfg, box, opts, mode.gains(costs.p),
+                         [(_GRAD, 1.0, eps, 0.0), (_GRAD, -1.0, eps, 0.0), (_ABS_GRAD, -1.0, -eps, 0.0)])
+        self.coef = -self.scale / eps
 
     def regime(self, Y: np.ndarray, G: np.ndarray) -> _Frozen:
         eps = self.mode.epsilon
@@ -500,17 +489,9 @@ class _LayerField(_Field):
         ones = np.ones(Y.shape)
         return _Frozen(frozen, sliding & ~frozen, sliding, signs, ones * self.coef, const, ones)
 
-    def monitors(self, y0: np.ndarray, y1: np.ndarray, fz: _Frozen) -> list[_Monitor]:
-        """Face monitors plus layer exit (inside) and entry (saturated)."""
-        out = super().monitors(y0, y1, fz)
-        eps, sliding, signs = self.mode.epsilon, fz.sliding[0], fz.signs[0]
-        for j in range(y0.size):
-            if sliding[j]:
-                out.append(_Monitor(j, None, 0.0, lambda x, g, j=j: eps - abs(g[j])))
-            else:
-                s = signs[j]
-                out.append(_Monitor(j, None, 0.0, lambda x, g, j=j, s=s: s * g[j] - eps))
-        return out
+    def monitors(self, Y0: np.ndarray, Y1: np.ndarray, fz: _Frozen) -> list:
+        """Face monitors plus layer entry (saturated) and exit (inside)."""
+        return super().monitors(Y0, Y1, fz) + [fz.signs > 0.0, fz.signs < 0.0, fz.sliding]
 
 
 class _SlideField(_Field):
@@ -525,7 +506,10 @@ class _SlideField(_Field):
     """
 
     def __init__(self, mode: SignDescent, costs, cfg, box: Box, opts: IntegrationOptions):
-        super().__init__(mode, costs, cfg, box, opts, mode.gains(costs.p))
+        tol = opts.switch_tol  # manifold crossings at either sign, the saturation margin
+        super().__init__(mode, costs, cfg, box, opts, mode.gains(costs.p),
+                         [(_GRAD, 1.0, 0.0, tol), (_GRAD, -1.0, 0.0, tol), (_MARGIN, 1.0, 0.0, 0.0)])
+        self.column_0 = np.arange(box.dim) == 0
 
     def regime(self, Y: np.ndarray, G: np.ndarray) -> _Frozen:
         H = self.hess(Y)
@@ -537,20 +521,15 @@ class _SlideField(_Field):
         const = np.where(frozen, 0.0, -self.scale * signs)
         return _Frozen(frozen, active, sliding, signs, np.ones_like(Y), const, np.where(active, 0.0, 1.0))
 
-    def monitors(self, y0: np.ndarray, y1: np.ndarray, fz: _Frozen) -> list[_Monitor]:
-        """Face monitors plus switching-manifold crossings of the external
-        coordinates and the saturation of the equivalent control."""
-        out = super().monitors(y0, y1, fz)
-        signs = fz.signs[0]
-        for j in np.flatnonzero(~fz.active[0] & ~fz.frozen[0]):
-            s = signs[j]
-            out.append(_Monitor(j, None, self.opts.switch_tol, lambda x, g, j=j, s=s: s * g[j]))
-        S = np.flatnonzero(fz.active[0])
-        if S.size:
-            gains = self.scale[S]
-            out.append(_Monitor(-1, None, 0.0, lambda x, g: float(
-                np.min(gains - np.abs(self.velocity(x[None], g[None], fz)[0, S])))))
-        return out
+    def monitors(self, Y0: np.ndarray, Y1: np.ndarray, fz: _Frozen) -> list:
+        """Face monitors, manifold crossings and, on sliding rows, saturation."""
+        external = ~fz.active & ~fz.frozen
+        margin = np.logical_or.reduce(fz.active, axis=1, keepdims=True) & self.column_0  # one per sliding row
+        return super().monitors(Y0, Y1, fz) + [external & (fz.signs > 0.0), external & (fz.signs < 0.0), margin]
+
+    def saturation(self, X: np.ndarray, G: np.ndarray, fz: _Frozen) -> np.ndarray:
+        """Each row's margin min_S (gain_j - |v_j|), 0 where the equivalent control saturates."""
+        return np.minimum.reduce(np.where(fz.active, self.scale - np.abs(self.velocity(X, G, fz)), np.inf), 1)
 
 
 def _changes(old: _Frozen, new: _Frozen) -> np.ndarray:
@@ -674,11 +653,11 @@ def _run(fld: _Field, X: np.ndarray, t_end: float, h: float, stop: bool, keep: b
     chattering guard and convergence stop (with ``stop``), so it takes the
     steps of a run of that row alone.  Every loop iteration advances all
     live rows by one step, each through the frozen regime found at its
-    start, and ends it at the row's first regime change (a row with no
-    live monitor returns from ``_locate_events`` at once).  An iteration
-    is quiet when no end state is near a face (``near_face``) and no row
-    hits an event: it then has nothing to clip, re-evaluate, record or
-    guard, and under a law that changes regime only on the faces
+    start, and ends it at the row's first regime change, which one
+    ``_locate_events`` call finds for the whole stack, as arrays.  An
+    iteration is quiet when no end state is near a face (``near_face``) and
+    no row hits an event: it then has nothing to clip, re-evaluate, record
+    or guard, and under a law that changes regime only on the faces
     (``faces_only``, projected gradient) it locates no events and keeps
     its all-free regime.  Every other iteration takes the full path, and
     both give the same bits.
@@ -735,6 +714,12 @@ def _run(fld: _Field, X: np.ndarray, t_end: float, h: float, stop: bool, keep: b
             fill(*map(np.concatenate, zip(*queue)))
             queue.clear()
 
+    def regime(Y, G, t):  # an ill-conditioned sliding block raises with the earliest time t
+        try:
+            return fld.regime(Y, G)
+        except SingularSlidingError as exc:
+            raise SingularSlidingError(str(exc), float(np.min(t))) from exc
+
     # the live rows: their rows of X, states, gradients, step sizes, times,
     # next grid rows and events since the last grid row
     ids = np.arange(N)
@@ -743,29 +728,20 @@ def _run(fld: _Field, X: np.ndarray, t_end: float, h: float, stop: bool, keep: b
     t = np.zeros(N)
     filled = np.ones(N, dtype=np.int64)
     since_row = np.zeros(N, dtype=np.int64)
-    fz = fld.regime(Y, G)
+    fz = regime(Y, G, t)
     H = _initial_step(fld, Y, G, fz, np.full(N, t_end))
     record(ids, 0, Y, fz.bits)
-    ones = np.ones(N)  # the end fraction of steps that hit no event
+    ones, no_hit = np.ones(N), np.zeros(N, dtype=bool)  # end fractions and hits of steps with no event
     while ids.size:
         n = ids.size
         st = _ros_advance(fld, Y, G, fz, H, t_end - t, t, h)
         near = fld.near_face(st.y1)
-        hits = {}
-        if near or not fld.faces_only:
-            for i in range(n):
-                found = _locate_events(fld, Y, G, fz, st, i)
-                if found is not None:
-                    hits[i] = found
-        # a quiet iteration: no end state near a face and no event, so
-        # there is nothing to clip, record or guard
-        quiet = not (near or hits)
-        if quiet:
-            s_end, at_end = ones[:n], st.dt >= t_end - t
+        found = _locate_events(fld, Y, G, fz, st) if near or not fld.faces_only else None
+        quiet = not near and found is None  # nothing near a face, no event: nothing to clip, record or guard
+        if found is None:
+            hit, s_end, at_end = no_hit[:n], ones[:n], st.dt >= t_end - t
         else:
-            hit, s_end = np.zeros(n, dtype=bool), np.ones(n)
-            for i, (s, _, _) in hits.items():
-                hit[i], s_end[i] = True, s
+            hit, s_end, x_e, located = found
             at_end = ~hit & (st.dt >= t_end - t)
         t_next = np.where(at_end, t_end, t + s_end * st.dt)
         stop_row = np.where(at_end, n_rows, times.searchsorted(t_next, side="right"))
@@ -802,15 +778,14 @@ def _run(fld: _Field, X: np.ndarray, t_end: float, h: float, stop: bool, keep: b
             Y = box.clip(st.y1)
             clip = np.where(hit | done, 0.0, np.maximum.reduce(np.abs(Y - st.y1), axis=1))
             max_clip[ids] = np.maximum(max_clip[ids], clip)
-            for i, (_, x_e, _) in hits.items():
-                Y[i] = x_e
+            if found is not None:
+                Y[hit] = x_e[hit]
+                since_row += located
             moved = hit | (clip > 0.0)
             G = st.g1
             if moved.any():
                 G[moved] = fld.grad(Y[moved])
 
-            for i, (_, _, located) in hits.items():
-                since_row[i] += located
             over = (since_row > _MAX_EVENTS).nonzero()[0]
             if over.size:
                 te = float(t_next[over[0]])
@@ -823,12 +798,11 @@ def _run(fld: _Field, X: np.ndarray, t_end: float, h: float, stop: bool, keep: b
         # the regime each row restarts in (a quiet step of projected
         # gradient keeps its all-free one) names the events of its step
         if not (quiet and fld.faces_only):
-            at = fld.regime(Y, G)
-            if hits:
+            at = regime(Y, G, t_next)
+            if found is not None:
                 kinds = _changes(fz, at)
-                for i in hits:
-                    events[ids[i]] += [EventRecord(time=float(t_next[i]), kind=str(kinds[i, j]), index=int(j))
-                                       for j in np.flatnonzero(kinds[i])]
+                for i, j in zip(*(hit[:, None] & (kinds != "")).nonzero()):
+                    events[ids[i]].append(EventRecord(time=float(t_next[i]), kind=str(kinds[i, j]), index=int(j)))
             fz = at
         live = (filled < n_rows) & ~done
         if not live.all():
@@ -870,15 +844,17 @@ def _run(fld: _Field, X: np.ndarray, t_end: float, h: float, stop: bool, keep: b
 
 def _integrate(mode: DynamicsMode, costs, cfg, box: Box, X: np.ndarray, t_end: float, h: float,
                options: IntegrationOptions | None, stop: bool, keep: bool = True):
-    """Checked run of the rows of X (see :func:`_run`).  Step failures
-    propagate with a timestamp."""
+    """Checked run of the rows of X (see :func:`_run`).  Step failures and
+    ill-conditioned sliding blocks propagate with a timestamp."""
     if not (_positive_finite(t_end) and _positive_finite(h)):
         raise DomainError(f"t_end and h must be positive and finite, got t_end={t_end}, h={h}")
     fld = _start(mode, costs, cfg, box, X, options)
     try:
         return _run(fld, box.clip(X), t_end, h, stop, keep)
-    except StepFailureError as exc:
-        raise StepFailureError(f"integration failed at t={exc.time:.6g}: {exc}", exc.time) from exc
+    except (StepFailureError, SingularSlidingError) as exc:
+        if exc.time is None:
+            raise
+        raise type(exc)(f"integration failed at t={exc.time:.6g}: {exc}", exc.time) from exc
 
 
 def integrate(

@@ -24,6 +24,10 @@ class StepFailureError(ConstructalError, RuntimeError):
 class SingularSlidingError(ConstructalError, RuntimeError):
     """The active sliding block is singular beyond the conditioning threshold."""
 
+    def __init__(self, message: str, time: float | None = None):
+        super().__init__(message)
+        self.time = time
+
 
 class DegenerateFitError(ConstructalError, ValueError):
     """Rate fit attempted on a series with no usable positive samples."""

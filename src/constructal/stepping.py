@@ -3,8 +3,8 @@
 RODAS4 steps with a quartic dense output, the grid rows read off that
 output, and the regime changes located on it.  The core sees a law only
 through its frozen-regime field (``rhs``, ``grad``, ``velocity``,
-``jacobian``, ``project`` and ``monitors``; see :mod:`constructal.dynamics`),
-and ``dynamics._run`` is its caller.
+``jacobian``, ``project``) and its monitors as data (see
+:mod:`constructal.dynamics`), and ``dynamics._run`` is its caller.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .cones import Box
 from .errors import StepFailureError
 
 if TYPE_CHECKING:
-    from .dynamics import _Field, _Frozen, _Monitor
+    from .dynamics import _Field, _Frozen
 
 # RODAS4 (Hairer & Wanner, Solving ODEs II, Sec. IV.7) in the transformed
 # variables of its reference code.  With W = M/(dt*gamma) - J the stage
@@ -74,9 +74,9 @@ if TYPE_CHECKING:
 # decides, and no event) skips clipping, re-gradients, event records and
 # the chattering guard, and under projected gradient event location and
 # the new regime too: the all-free regime of the last iteration is kept.
-# A canonical step makes about 115 Python and C calls, 200 with every
-# iteration on the full path, where every row is searched for events and
-# the regime is formed anew.  The float
+# A canonical step makes about 115 Python and C calls, 160 with every
+# iteration on the full path, where one dense test reads every row's
+# monitors and the regime is formed anew.  The float
 # operations and their order are an invariant: every trajectory, report
 # and ensemble stays bit for bit the same, so a change here may drop
 # calls but not reorder arithmetic.  There is no
@@ -292,74 +292,92 @@ def _initial_step(fld: _Field, Y, G, fz: _Frozen, span) -> np.ndarray:
     return np.where(np.isfinite(h) & (h > 0.0), h, np.minimum(1e-6, span))
 
 
-def _bisect_fraction(phi, event_tol: float) -> float:
-    """First root of phi on [0, 1] (phi(0) > 0 >= phi(1)) by bisection.
-
-    Returns a fraction on the crossed side (phi <= 0), as close to the
-    root as the value tolerance allows, so that the regime re-evaluated
-    there sees the transition.
-    """
-    a, b = 0.0, 1.0
-    for _ in range(200):
-        m = 0.5 * (a + b)
-        fm = phi(m)
-        if fm > 0.0:
-            a = m
-        else:
-            b = m
-            if -fm <= event_tol:
-                break
-        if b - a <= 64.0 * np.finfo(float).eps:
-            break
-    return b
+_FACE, _GRAD, _ABS_GRAD, _MARGIN = range(4)  # what a monitor reads (see dynamics._Field)
+_WIDTH = 64.0 * np.finfo(float).eps  # a bisection bracket this narrow stops
 
 
-def _locate_events(fld: _Field, Y0, G0, fz: _Frozen, st: _Step, row: int):
-    """Regime changes within the accepted step of one row of a stack.
+def _bisect(at, pairs: list, tol: float) -> np.ndarray:
+    """First roots on [0, 1] of functions with phi(0) > 0 >= phi(1), each to
+    ``tol`` at or below 0 or to a bracket _WIDTH wide, on the crossed side:
+    ``at(pairs, m)`` gives each at its own fraction from per-pair arrays.
+    Each bracket [a, a + width] halves exactly, so all share one width."""
+    out = np.ones(len(pairs[0]))
+    left, a, width = np.arange(out.size), np.zeros(out.size), 1.0
+    while left.size and width > _WIDTH:
+        width *= 0.5
+        m = a + width
+        fm = at(pairs, m)
+        up = fm > 0.0
+        a = np.where(up, m, a)
+        stop = ~up & (fm >= -tol)
+        if np.count_nonzero(stop):
+            out[left[stop]], keep = m[stop], ~stop
+            left, a, pairs = left[keep], a[keep], [p[keep] for p in pairs]
+    out[left] = a + width
+    return out
 
-    Returns None, or (s, x_e, located) with s the step fraction of the
-    earliest transition, x_e the state there (contact coordinates snapped
-    to their face) and located the number of monitors that fire there.
-    Box-face contact is located first: the frozen-regime flow beyond a
-    face is not the model's, so the other monitors are read only up to
-    the earliest contact.  A monitor that ends inside its band without a
-    sign change fires at that end.
-    """
-    y0, g0, y1, g1, dense = Y0[row], G0[row], st.y1[row], st.g1[row], st.dense[row]
-    fz = fz if len(Y0) == 1 else fz.take(slice(row, row + 1))
-    live = [m for m in fld.monitors(y0, y1, fz) if m.phi(y0, g0) > m.band]
-    if not live:
+
+def _locate_events(fld: _Field, Y0, G0, fz: _Frozen, st: _Step):
+    """Regime changes within the accepted steps of a stack's rows: None if
+    none, else (hit, s, x_e, located), hit the rows with one, s (N,) the
+    fraction of each row's earliest one (1 if none), x_e the states there
+    (contacts snapped to their face) and located the monitors fired there.
+    A dense test reads the monitors at both step ends.  Box-face contacts
+    are located first (the flow beyond a face is not the model's), the
+    others up to each row's earliest contact, where one within its band
+    fires; each phase bisects all its firing (row, monitor) pairs at once."""
+    n, tol, y1, dense = len(Y0), fld.opts.event_tol, st.y1, st.dense
+    reads, S, C, band, sat = fld.planes
+
+    def read(X, G, on, rows=None):  # x, g, |g|, margin on the states ``on`` of stack rows ``rows``, (R, M, d)
+        U = [X] if G is None else [X, G, np.abs(G)] + ([] if on is None else [np.zeros(X.shape)])
+        if on is not None and on.any():
+            sub = fz if rows is None and on.all() else fz.take(on if rows is None else rows[on])
+            U[_MARGIN][on] = fld.saturation(X[on], G[on], sub)[:, None]
+        return np.array(U)
+
+    def values(X, G, need):  # phi of every monitor at the states X of the rows, (K, N, d)
+        return S * read(X, G, None if sat is None else need[sat, :, 0])[reads] - C
+
+    on = np.array(fld.monitors(Y0, y1, fz))
+    live = on & (values(Y0, G0, on) > band)
+    with np.errstate(all="ignore"):  # the end state of a row with a contact may lie past a face
+        end = values(y1, st.g1, live)
+    fire = live & (end <= band)
+    if not fire.any():
         return None
 
-    def state_at(s: float) -> np.ndarray:
-        if s == 1.0:
-            return y1.copy()
-        return _dense_eval(y0, dense, np.array([[s]]))[0]
+    def phi(r, i, j, s, c, X, grad, margin):  # phi of monitors reading r at (i, j), each at its state of X
+        U = read(X, fld.grad(X) if grad else None, r == _MARGIN if margin else None, i)
+        return s * U[r, np.arange(r.size), j] - c
 
-    def fraction(m: _Monitor, s_end: float) -> float:
-        def at(u: float) -> float:
-            x = state_at(u * s_end)
-            return m.phi(x, None if m.face is not None else fld.grad(x[None])[0])
+    def fractions(k, i, j, scale, grad):  # bisected step fractions of monitors (k, i, j) on [0, scale]
+        margin = sat in k  # whether to read saturation margins
+        at = lambda Q, m: phi(*Q[3:], _dense_eval(Q[0], Q[1].swapaxes(0, 1), (m * Q[2])[:, None]), grad, margin)
+        return scale * _bisect(at, [Y0[i], dense[i], scale, reads[k], i, j, S[k, 0, j], C[k, 0, j]], tol)
 
-        return s_end * _bisect_fraction(at, fld.opts.event_tol)
+    def state_at(s):  # the rows' states at fractions s (N, 1): y1 at s = 1, else the dense output
+        return np.where(s == 1.0, y1, _dense_eval(Y0, dense.swapaxes(0, 1), s))
 
-    located = [(fraction(m, 1.0), i) for i, m in enumerate(live)
-               if m.face is not None and m.phi(y1, g1) <= 0.0]
-    s_end, x_end, g_end = 1.0, y1, g1
-    if located:
-        s_end = min(located)[0]
-        x_end = state_at(s_end)
-        g_end = fld.grad(x_end[None])[0]
-    for i, m in enumerate(live):
-        if m.face is None and m.phi(x_end, g_end) <= m.band:
-            located.append((s_end if m.phi(x_end, g_end) > 0.0 else fraction(m, s_end), i))
-    if not located:
-        return None
-    s, first = min(located)
-    x_e = state_at(s)
-    g_e = fld.grad(x_e[None])[0]
-    fired = [first] + [i for _, i in located if i != first and live[i].phi(x_e, g_e) <= live[i].band]
-    for i in fired:
-        if live[i].face is not None:
-            x_e[live[i].j] = live[i].face
-    return s, x_e, len(fired)
+    face = (reads == _FACE)[:, None, None]
+    k, i, j = (fire & face).nonzero()
+    s_end = np.ones(n)
+    if k.size:  # the other monitors are read at each row's earliest contact
+        np.minimum.at(s_end, i, fractions(k, i, j, np.ones(k.size), False))
+        x_end = state_at(s_end[:, None])
+        with np.errstate(all="ignore"):  # as at y1, on the rows without a contact
+            end = values(x_end, fld.grad(x_end), live)
+        fire = fire & face | live & ~face & (end <= band)
+    gk, gi, gj = (fire & ~face).nonzero()
+    frac2 = s_end[gi]
+    cross = end[gk, gi, gj] <= 0.0  # the others end inside their band and fire at s_end
+    frac2[cross] = fractions(gk[cross], gi[cross], gj[cross], frac2[cross], True)
+    s = s_end.copy()
+    np.minimum.at(s, gi, frac2)
+    k, i, j = (np.concatenate(v) for v in ((k, gk), (i, gi), (j, gj)))
+    x_e = state_at(s[:, None])
+    fired = phi(reads[k], i, j, S[k, 0, j], C[k, 0, j], x_e[i], True, sat in k) <= band[k, 0, 0]
+    snap = fired & (reads[k] == _FACE)
+    x_e[i[snap], j[snap]] = (S * C)[k[snap], 0, j[snap]]
+    located = np.bincount(i[fired], minlength=n)
+    return located > 0, s, x_e, located

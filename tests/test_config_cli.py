@@ -237,7 +237,8 @@ class TestCliSimulate:
         monkeypatch.setattr(dynamics, "_COND_MAX", 0.5)
         cfgp = REPO / "configs" / "equivalent_control.cfg"
         assert main(["simulate", "--config", str(cfgp), "--out", str(tmp_path / "out")]) == 1
-        assert capsys.readouterr().err == "error: sliding block on coordinates [2] is ill-conditioned\n"
+        err = capsys.readouterr().err
+        assert err == "error: integration failed at t=0.2: sliding block on coordinates [2] is ill-conditioned\n"
 
     def test_too_many_levels_exit_2_without_output(self, tmp_path, capsys):
         cfgp = tmp_path / "deep.cfg"

@@ -1,4 +1,5 @@
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -409,13 +410,44 @@ class TestEnsemble:
         X0 = (box.lo + np.random.default_rng(2024).random((100, box.dim)) * (box.hi - box.lo))[:20]
         res = integrate_ensemble(rc.mode, rc.costs, rc.cfg, box, X0, 80.0, rc.h, rc.options)
         assert np.max(np.abs(res.final_states - x_star.vector())) <= 1e-9
+        # the rows log 100 events, many located in the same iteration;
+        # row 17 takes steps that end past the n >= 1 face
+        assert sum(map(len, res.events)) == 100
         opts = IntegrationOptions(stop_on_convergence=False)
-        for i in (0, 17):  # row 17 takes steps that end past the n >= 1 face
+        for i in range(len(X0)):
             single = integrate(rc.mode, rc.costs, rc.cfg, box, X0[i], 80.0, rc.h, opts)
             assert np.array_equal(res.final_states[i], single.final_state)
             assert np.array_equal(res.R_values[i], single.R_values)
             assert np.array_equal(res.Psi_values[i], single.Psi_values)
             assert res.events[i] == single.events
+
+    @pytest.mark.parametrize("mode", [ProjectedGradient(), SignDescent(), SignDescent(sliding="equivalent_control")],
+                             ids=["projected_gradient", "boundary_layer", "equivalent_control"])
+    def test_stacked_locator_equals_its_rows(self, costs, cfg, box, x_star, mode):
+        # one step of 3 from the stacked states: under sign descent rows
+        # 0, 2 and 3 locate events within it (row 3 three monitors under
+        # equivalent control); projected gradient steps too short for any
+        X = np.array([GENERIC_X0, x_star.vector(), [1.0, 0.5, 0.5, 5.0, 64.0], [3.0, 2.5, 2.5, 30.0, 40.0]])
+        fld = dynamics._start(mode, costs, cfg, box, X, None)
+        G = fld.grad(X)
+        fz = fld.regime(X, G)
+        st = stepping._ros_advance(fld, X, G, fz, np.full(4, 3.0), np.full(4, 10.0), np.zeros(4), 1e-2)
+        found = stepping._locate_events(fld, X, G, fz, st)
+        hits = []
+        for i in range(4):
+            row = slice(i, i + 1)
+            step = stepping._Step(*(getattr(st, f.name)[row] for f in fields(stepping._Step)))
+            one = stepping._locate_events(fld, X[row], G[row], fz.take(row), step)
+            if found is None:
+                assert one is None
+            elif one is None:
+                assert not found[0][i] and found[1][i] == 1.0 and found[3][i] == 0
+                assert np.array_equal(found[2][i], st.y1[i])
+            else:
+                hits.append(i)
+                for stacked, single in zip(found, one):
+                    assert np.array_equal(stacked[i], single[0])
+        assert hits == ([] if isinstance(mode, ProjectedGradient) else [0, 2, 3])
 
     @pytest.mark.parametrize("mode", [ProjectedGradient(), SignDescent(), SignDescent(sliding="equivalent_control")],
                              ids=["projected_gradient", "boundary_layer", "equivalent_control"])
@@ -899,13 +931,17 @@ class TestSlidingCore:
 
     def test_ill_conditioned_sliding_block_stops_the_run(self, costs, cfg, box, monkeypatch):
         # a condition bound below 1 rejects every sliding block, so the run
-        # raises once r_3 reaches its manifold; so does an ensemble with
-        # one row that reaches it
+        # raises once r_3 reaches its manifold, where the unpatched run logs
+        # SlideEnter:2 at t = 0.2; so does an ensemble with one row that
+        # reaches it
         monkeypatch.setattr(dynamics, "_COND_MAX", 0.5)
         mode = SignDescent(sliding="equivalent_control")
         opts = IntegrationOptions(stop_on_convergence=False)
-        with pytest.raises(SingularSlidingError, match=r"coordinates \[2\] is ill-conditioned"):
+        with pytest.raises(SingularSlidingError,
+                           match=r"^integration failed at t=0\.2: sliding block on coordinates \[2\] is ill-"
+                           ) as err:
             integrate(mode, costs, cfg, box, GENERIC_X0, 1.0, 1e-3, opts)
+        assert abs(err.value.time - 0.2) <= 1e-3
         X0 = np.array([[3.0, 2.5, 2.5, 30.0, 40.0], GENERIC_X0])
         with pytest.raises(SingularSlidingError, match=r"coordinates \[2\] is ill-conditioned"):
             integrate_ensemble(mode, costs, cfg, box, X0, 1.0, 1e-3, opts)
