@@ -65,7 +65,7 @@ import numpy as np
 from . import hierarchy as hm
 from .cones import BOUNDARY_TOL, Box, _check_membership, kkt_residual, outward
 from .errors import DomainError, SingularSlidingError, StepFailureError
-from .stepping import _ABS_GRAD, _FACE, _GRAD, _MARGIN, _grid_rows, _initial_step, _locate_events, _ros_advance
+from .stepping import _ABS_GRAD, _FACE, _GRAD, _SPEED, _grid_rows, _initial_step, _locate_events, _ros_advance
 
 __all__ = [
     "ProjectedGradient",
@@ -367,12 +367,12 @@ class _Field:
     ``regime(Y, G)`` returns the frozen regime of each row of the stack Y
     as data (:class:`_Frozen`): it sets a step's field and names its events.
 
-    The monitors are data: K planes, ``planes`` = (reads, s, c, band, sat).
+    The monitors are data: K planes, ``planes`` = (reads, s, c, band).
     Where ``monitors(Y0, Y1, fz)`` (K (N, d) masks) puts one in a step,
     monitor (k, i, j) reads phi = s[k, 0, j] * u - c[k, 0, j] at row i with
     u = x_j (reads[k] = _FACE, a contact, snapped to s * c), d_j R (_GRAD),
-    |d_j R| (_ABS_GRAD) or, in column 0, the row's saturation margin (plane
-    ``sat``), and fires from above band[k] to phi <= band[k].
+    |d_j R| (_ABS_GRAD) or |v_j|, the speed of the row's frozen-regime
+    velocity (_SPEED), and fires from above band[k] to phi <= band[k].
 
     A coordinate is held on a box face for a whole step when it starts the
     step on the face with an outward velocity (:func:`cones.outward`).
@@ -398,8 +398,7 @@ class _Field:
         reads, s, c, band = zip((_FACE, 1.0, box.lo, 0.0), (_FACE, -1.0, -box.hi, 0.0), (_GRAD, scale, 0.0, 0.0),
                                 (_GRAD, -scale, 0.0, 0.0), *planes)
         S, C = (np.array([np.ones(box.dim) * v for v in x])[:, None] for x in (s, c))  # 1 * v is v
-        self.planes = (np.array(reads), S, C, np.array(band)[:, None, None],
-                       reads.index(_MARGIN) if _MARGIN in reads else None)
+        self.planes = (np.array(reads), S, C, np.array(band)[:, None, None])
 
     def near_face(self, Y: np.ndarray) -> bool:
         """Whether a coordinate of the stack Y is within boundary_tol of a
@@ -506,10 +505,9 @@ class _SlideField(_Field):
     """
 
     def __init__(self, mode: SignDescent, costs, cfg, box: Box, opts: IntegrationOptions):
-        tol = opts.switch_tol  # manifold crossings at either sign, the saturation margin
-        super().__init__(mode, costs, cfg, box, opts, mode.gains(costs.p),
-                         [(_GRAD, 1.0, 0.0, tol), (_GRAD, -1.0, 0.0, tol), (_MARGIN, 1.0, 0.0, 0.0)])
-        self.column_0 = np.arange(box.dim) == 0
+        tol, gains = opts.switch_tol, mode.gains(costs.p)  # manifold crossings at either sign, then
+        super().__init__(mode, costs, cfg, box, opts, gains,  # saturation (gain_j - |v_j| as -|v_j| - (-gain_j))
+                         [(_GRAD, 1.0, 0.0, tol), (_GRAD, -1.0, 0.0, tol), (_SPEED, -1.0, -gains, 0.0)])
 
     def regime(self, Y: np.ndarray, G: np.ndarray) -> _Frozen:
         H = self.hess(Y)
@@ -522,14 +520,10 @@ class _SlideField(_Field):
         return _Frozen(frozen, active, sliding, signs, np.ones_like(Y), const, np.where(active, 0.0, 1.0))
 
     def monitors(self, Y0: np.ndarray, Y1: np.ndarray, fz: _Frozen) -> list:
-        """Face monitors, manifold crossings and, on sliding rows, saturation."""
+        """Face monitors, manifold crossings and, on each sliding coordinate,
+        saturation: its equivalent control reaching the gain, |v_j| = gain_j."""
         external = ~fz.active & ~fz.frozen
-        margin = np.logical_or.reduce(fz.active, axis=1, keepdims=True) & self.column_0  # one per sliding row
-        return super().monitors(Y0, Y1, fz) + [external & (fz.signs > 0.0), external & (fz.signs < 0.0), margin]
-
-    def saturation(self, X: np.ndarray, G: np.ndarray, fz: _Frozen) -> np.ndarray:
-        """Each row's margin min_S (gain_j - |v_j|), 0 where the equivalent control saturates."""
-        return np.minimum.reduce(np.where(fz.active, self.scale - np.abs(self.velocity(X, G, fz)), np.inf), 1)
+        return super().monitors(Y0, Y1, fz) + [external & (fz.signs > 0.0), external & (fz.signs < 0.0), fz.active]
 
 
 def _changes(old: _Frozen, new: _Frozen) -> np.ndarray:

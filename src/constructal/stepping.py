@@ -119,10 +119,12 @@ _FAC_MAX = 6.0
 
 @dataclass
 class _Step:
-    """Accepted RODAS4 steps, one per row."""
+    """Accepted RODAS4 steps, one per row, with the velocities that monitors read."""
 
     y1: np.ndarray      # (N, d) end states
     g1: np.ndarray      # (N, d) raw gradients at y1
+    v0: np.ndarray      # (N, d) velocities y' at the start states (f on an ODE stack)
+    v1: np.ndarray      # (N, d) velocities y' at y1, of the accepted attempts
     dt: np.ndarray      # (N,) step sizes taken
     h_next: np.ndarray  # (N,) proposed next step sizes
     dense: np.ndarray   # (N, 4, d): coefficients of s, s^2, s^3, s^4
@@ -161,11 +163,11 @@ def _inverse(W: np.ndarray) -> np.ndarray:
 
 
 def _ros_attempt(fld: _Field, Y, F0, V0, J, noise_rate, fast, fz: _Frozen, dt, h: float):
-    """One RODAS4 step per row; returns (y1, g1, dense, err).
+    """One RODAS4 step per row; returns (y1, g1, V1, dense, err).
 
-    F0 is f(Y), V0 the velocity y' at Y, J the Jacobian and h the output
-    interval, which sets the velocity-change bound of steps shorter than
-    h.  ``noise_rate`` (rounding times |diag J|) and ``fast`` (the
+    F0 is f(Y), V0 and V1 the velocities y' at Y and y1, J the Jacobian and
+    h the output interval, which sets the velocity-change bound of steps
+    shorter than h.  ``noise_rate`` (rounding times |diag J|) and ``fast`` (the
     components exempt from the bound, or None) depend on the start state
     alone, so a retry reuses them.  err is the larger of the error
     estimate over the error scale and the fourth power of the
@@ -221,7 +223,7 @@ def _ros_attempt(fld: _Field, Y, F0, V0, J, noise_rate, fast, fz: _Frozen, dt, h
         bend[fast] = 0.0
     err = np.maximum(err, np.maximum.reduce(bend, axis=1) ** 4)
     err[~(np.isfinite(err) & np.logical_and.reduce(np.isfinite(y1), axis=1))] = np.inf
-    return y1, g1, dense, err
+    return y1, g1, V1, dense, err
 
 
 def _ros_advance(fld: _Field, Y, G, fz: _Frozen, H, limit, t, h: float) -> _Step:
@@ -246,7 +248,7 @@ def _ros_advance(fld: _Field, Y, G, fz: _Frozen, H, limit, t, h: float) -> _Step
             fast = rate * _VELOCITY_CHANGE > slowest
         noise_rate = _ROUNDING * rate
         dt = np.minimum(H, limit)
-        y1, g1, dense, err = _ros_attempt(fld, Y, F0, V0, J, noise_rate, fast, fz, dt, h)
+        y1, g1, V1, dense, err = _ros_attempt(fld, Y, F0, V0, J, noise_rate, fast, fz, dt, h)
         fac = np.minimum(np.maximum(_SAFETY * err ** -0.25, _FAC_MIN), _FAC_MAX)
         grown = dt * fac
         h_next = np.where(dt < H, np.maximum(grown, H), grown)
@@ -260,15 +262,15 @@ def _ros_advance(fld: _Field, Y, G, fz: _Frozen, H, limit, t, h: float) -> _Step
                     "substep size underflow (field too stiff or non-finite)",
                     float(t[rej][tiny][0]),
                 )
-            yt, gt, dn, err = _ros_attempt(fld, Y[rej], F0[rej], V0[rej], J[rej], noise_rate[rej],
+            yt, gt, vt, dn, err = _ros_attempt(fld, Y[rej], F0[rej], V0[rej], J[rej], noise_rate[rej],
                                            None if fast is None else fast[rej], fz.take(rej), dt[rej], h)
             fac = np.minimum(np.maximum(_SAFETY * err ** -0.25, _FAC_MIN), 1.0)
             ok = err <= 1.0
             acc = rej[ok]
-            y1[acc], g1[acc], dense[acc] = yt[ok], gt[ok], dn[ok]
+            y1[acc], g1[acc], V1[acc], dense[acc] = yt[ok], gt[ok], vt[ok], dn[ok]
             h_next[acc] = dt[acc] * fac[ok]
             rej, fac = rej[~ok], fac[~ok]
-    return _Step(y1=y1, g1=g1, dt=dt, h_next=h_next, dense=dense)
+    return _Step(y1=y1, g1=g1, v0=V0, v1=V1, dt=dt, h_next=h_next, dense=dense)
 
 
 def _initial_step(fld: _Field, Y, G, fz: _Frozen, span) -> np.ndarray:
@@ -292,7 +294,7 @@ def _initial_step(fld: _Field, Y, G, fz: _Frozen, span) -> np.ndarray:
     return np.where(np.isfinite(h) & (h > 0.0), h, np.minimum(1e-6, span))
 
 
-_FACE, _GRAD, _ABS_GRAD, _MARGIN = range(4)  # what a monitor reads (see dynamics._Field)
+_FACE, _GRAD, _ABS_GRAD, _SPEED = range(4)  # what a monitor reads (see dynamics._Field)
 _WIDTH = 64.0 * np.finfo(float).eps  # a bisection bracket this narrow stops
 
 
@@ -322,38 +324,35 @@ def _locate_events(fld: _Field, Y0, G0, fz: _Frozen, st: _Step):
     none, else (hit, s, x_e, located), hit the rows with one, s (N,) the
     fraction of each row's earliest one (1 if none), x_e the states there
     (contacts snapped to their face) and located the monitors fired there.
-    A dense test reads the monitors at both step ends.  Box-face contacts
+    A dense test reads the monitors at both step ends, with no model call
+    (the step formed their gradients and velocities).  Box-face contacts
     are located first (the flow beyond a face is not the model's), the
     others up to each row's earliest contact, where one within its band
     fires; each phase bisects all its firing (row, monitor) pairs at once."""
-    n, tol, y1, dense = len(Y0), fld.opts.event_tol, st.y1, st.dense
-    reads, S, C, band, sat = fld.planes
+    reads, S, C, band = fld.planes
+    n, tol, y1, dense, speed = len(Y0), fld.opts.event_tol, st.y1, st.dense, _SPEED in reads
 
-    def read(X, G, on, rows=None):  # x, g, |g|, margin on the states ``on`` of stack rows ``rows``, (R, M, d)
-        U = [X] if G is None else [X, G, np.abs(G)] + ([] if on is None else [np.zeros(X.shape)])
-        if on is not None and on.any():
-            sub = fz if rows is None and on.all() else fz.take(on if rows is None else rows[on])
-            U[_MARGIN][on] = fld.saturation(X[on], G[on], sub)[:, None]
-        return np.array(U)
+    def read(X, G, V):  # x, d_j R, |d_j R| and, with V, |v_j| at the states X, (R, M, d)
+        return np.array([X] if G is None else [X, G, np.abs(G)] + ([] if V is None else [np.abs(V)]))
 
-    def values(X, G, need):  # phi of every monitor at the states X of the rows, (K, N, d)
-        return S * read(X, G, None if sat is None else need[sat, :, 0])[reads] - C
+    def values(X, G, V):  # phi of every monitor at the states X of the rows, (K, N, d)
+        return S * read(X, G, V if speed else None)[reads] - C
 
     on = np.array(fld.monitors(Y0, y1, fz))
-    live = on & (values(Y0, G0, on) > band)
+    live = on & (values(Y0, G0, st.v0) > band)
     with np.errstate(all="ignore"):  # the end state of a row with a contact may lie past a face
-        end = values(y1, st.g1, live)
+        end = values(y1, st.g1, st.v1)
     fire = live & (end <= band)
     if not fire.any():
         return None
 
-    def phi(r, i, j, s, c, X, grad, margin):  # phi of monitors reading r at (i, j), each at its state of X
-        U = read(X, fld.grad(X) if grad else None, r == _MARGIN if margin else None, i)
-        return s * U[r, np.arange(r.size), j] - c
+    def phi(r, i, j, s, c, X, grad):  # phi of monitors reading r at (i, j), each at its state of X
+        G = fld.grad(X) if grad else None
+        V = fld.velocity(X, G, fz.take(i)) if grad and speed and (r == _SPEED).any() else None
+        return s * read(X, G, V)[r, np.arange(r.size), j] - c
 
     def fractions(k, i, j, scale, grad):  # bisected step fractions of monitors (k, i, j) on [0, scale]
-        margin = sat in k  # whether to read saturation margins
-        at = lambda Q, m: phi(*Q[3:], _dense_eval(Q[0], Q[1].swapaxes(0, 1), (m * Q[2])[:, None]), grad, margin)
+        at = lambda Q, m: phi(*Q[3:], _dense_eval(Q[0], Q[1].swapaxes(0, 1), (m * Q[2])[:, None]), grad)
         return scale * _bisect(at, [Y0[i], dense[i], scale, reads[k], i, j, S[k, 0, j], C[k, 0, j]], tol)
 
     def state_at(s):  # the rows' states at fractions s (N, 1): y1 at s = 1, else the dense output
@@ -366,7 +365,9 @@ def _locate_events(fld: _Field, Y0, G0, fz: _Frozen, st: _Step):
         np.minimum.at(s_end, i, fractions(k, i, j, np.ones(k.size), False))
         x_end = state_at(s_end[:, None])
         with np.errstate(all="ignore"):  # as at y1, on the rows without a contact
-            end = values(x_end, fld.grad(x_end), live)
+            G_end = fld.grad(x_end)
+            fresh = (live[reads == _SPEED] & (s_end < 1.0)[:, None]).any()  # a row with a contact may saturate
+            end = values(x_end, G_end, fld.velocity(x_end, G_end, fz) if fresh else st.v1)
         fire = fire & face | live & ~face & (end <= band)
     gk, gi, gj = (fire & ~face).nonzero()
     frac2 = s_end[gi]
@@ -376,7 +377,7 @@ def _locate_events(fld: _Field, Y0, G0, fz: _Frozen, st: _Step):
     np.minimum.at(s, gi, frac2)
     k, i, j = (np.concatenate(v) for v in ((k, gk), (i, gi), (j, gj)))
     x_e = state_at(s[:, None])
-    fired = phi(reads[k], i, j, S[k, 0, j], C[k, 0, j], x_e[i], True, sat in k) <= band[k, 0, 0]
+    fired = phi(reads[k], i, j, S[k, 0, j], C[k, 0, j], x_e[i], True) <= band[k, 0, 0]
     snap = fired & (reads[k] == _FACE)
     x_e[i[snap], j[snap]] = (S * C)[k[snap], 0, j[snap]]
     located = np.bincount(i[fired], minlength=n)

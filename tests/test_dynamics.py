@@ -965,16 +965,45 @@ class TestSlidingCore:
         assert v4[0] < v4[1] < 1.06
         assert v4[2] == pytest.approx(1.06, abs=1e-12)
         assert traj.regime_masks[k - 1] == 0x17 and traj.regime_masks[k] == 0x7
+        # an ensemble of nearby states saturates n_3 on every row, at
+        # t = 1.64 to 2.54, and each row is its single run bit for bit
+        x0 = np.array([0.51, 1.06, 0.42, 6.9, 6.6])
+        X = box.clip(x0 * (1.0 + np.random.default_rng(0).uniform(-0.05, 0.05, (8, 5))))
+        res = integrate_ensemble(mode, costs, cfg, box, X, 4.0, 1e-2, opts)
+        for i in range(8):
+            single = integrate(mode, costs, cfg, box, X[i], 4.0, 1e-2, opts)
+            assert np.array_equal(res.final_states[i], single.final_state)
+            assert np.array_equal(res.R_values[i], single.R_values)
+            assert res.events[i] == single.events
+            assert [e for e in single.step_events if "SlideExit" in e] == ["SlideExit:4"]
+            assert 1.6 < next(e.time for e in single.events if e.kind == "SlideExit") < 2.6
 
     def test_equivalent_control_evaluation_ceiling(self, costs, cfg, box, monkeypatch):
         counts = count_model_calls(monkeypatch)
         mode = SignDescent(sliding="equivalent_control")
         traj = integrate(mode, costs, cfg, box, GENERIC_X0, 6.0, 1e-3)
         assert traj.converged and traj.event_counts() == {"SlideEnter": 5}
-        # 44 calls: one per regime, velocity and projection call; RK4 with
-        # step doubling on the index-reduced ODE made 57,134.  The margin
-        # leaves room for small changes of step policy.
-        assert counts["jacobians"] <= 60
+        # 25 Jacobians: 8 regimes, 7 steps, 9 velocities at the ends of
+        # the sliding steps' attempts and one in an event search, and 8,115
+        # gradient rows; RK4 with step doubling on the index-reduced ODE
+        # made 57,134 Jacobians
+        assert counts["jacobians"] <= 30
+        assert counts["grad_rows"] <= 9_000
+
+    def test_event_search_without_events_makes_no_model_call(self, costs, cfg, box, x_star, monkeypatch):
+        # both rows slide on every coordinate and cross no monitor within
+        # the step: the dense test reads the gradients and velocities that
+        # the step formed at its ends
+        mode = SignDescent(sliding="equivalent_control")
+        X = np.array([x_star.vector(), x_star.vector() * (1.0 + 1e-13)])
+        fld = dynamics._start(mode, costs, cfg, box, X, None)
+        G = fld.grad(X)
+        fz = fld.regime(X, G)
+        assert fz.algebraic.all()
+        st = stepping._ros_advance(fld, X, G, fz, np.full(2, 0.1), np.full(2, 10.0), np.zeros(2), 1e-2)
+        counts = count_model_calls(monkeypatch)
+        assert stepping._locate_events(fld, X, G, fz, st) is None
+        assert counts == {"grad_rows": 0, "jacobians": 0}
 
     @pytest.mark.parametrize("p", range(1, 9))
     def test_equivalent_control_on_halving_ladders(self, p):

@@ -7,10 +7,11 @@ tree and in this one, the 16 CLI invocations (table, simulate, certify and
 converge on each of the four shipped configs: exit code, stdout, stderr and
 report files), ``perfbench/ensemble_op.py`` on 64 seeded canonical states
 (x* scaled by factors in [0.7, 1.3], clipped to the box, t_end 16, h 4e-3)
-and a seeded sweep (see :func:`sweep`).  Then ``diff -r`` compares the two
-result trees.  Exits 0 only when they are identical, and prints the
-differences and every sweep case that moved (its trajectories, its events
-or both) otherwise.  With REV = HEAD on a clean checkout, any difference
+and a seeded sweep with a family of saturating equivalent-control runs
+(see :func:`sweep`).  Then ``diff -r`` compares the two result trees.
+Exits 0 only when they are identical, and prints the differences and
+every sweep case that moved (its trajectories, its events or both)
+otherwise.  With REV = HEAD on a clean checkout, any difference
 is non-determinism.
 
     python3 tools/same_outputs.py --sweep OUT
@@ -34,6 +35,9 @@ ROOT = Path(__file__).resolve().parents[1]
 COMMANDS = ("table", "simulate", "certify", "converge")
 ENSEMBLE = {"states": 64, "spread": 0.3, "t_end": 16.0, "h": 4e-3, "seed": 1}
 SWEEP = {"seeds": 40, "depths": 6, "faces": 0.3, "single": (3.0, 1e-2), "ensemble": (1.5, 1e-2), "rows": 4}
+# canonical ladder, gains under which coupled equivalent control saturates n_3's sliding
+SATURATION = {"K": (1.0, 0.5, 0.25, 0.125), "eta": (2.4, 4.2, 3.4), "zeta": (0.7, 1.06),
+              "x0": (0.51, 1.06, 0.42, 6.9, 6.6), "rows": 8, "spread": 0.05, "seed": 0, "run": (4.0, 1e-2)}
 
 
 def ensemble_states(path: Path) -> None:
@@ -59,13 +63,16 @@ def sweep(path: Path) -> None:
     (projected gradient, boundary-layer and equivalent-control sign
     descent) in each gradient mode, a single run from the first state
     (t_end 3, h 1e-2) and an ensemble of the other four (t_end 1.5,
-    h 1e-2).  Each outcome is two digests, a tab apart: the trajectory's
-    (every array, the status and max_clip of the result) and the events',
-    or twice the error a run raised."""
+    h 1e-2).  Then the saturation family, in each gradient mode: under
+    equivalent control with SATURATION's gains, a single run from its x0
+    and an ensemble of 8 states x0 (1 + U(-0.05, 0.05)) clipped to the box
+    (t_end 4, h 1e-2, no convergence stop).  Each outcome is two digests, a
+    tab apart: the trajectory's (every array, the status and max_clip of
+    the result) and the events', or twice the error a run raised."""
     import numpy as np
 
-    from constructal import (AssemblyConfig, ProjectedGradient, SignDescent, TransportCosts, integrate,
-                             integrate_ensemble, state_box)
+    from constructal import (AssemblyConfig, IntegrationOptions, ProjectedGradient, SignDescent,
+                             TransportCosts, integrate, integrate_ensemble, state_box)
     from constructal.errors import ConstructalError
 
     def digests(result) -> str:
@@ -104,6 +111,20 @@ def sweep(path: Path) -> None:
                     lambda: integrate(mode, costs, cfg, box, X[0], *SWEEP["single"]),
                     lambda: integrate_ensemble(mode, costs, cfg, box, X[1:], *SWEEP["ensemble"])))
                 lines.append(f"{law}-{gmode}-p{p}-s{seed}\t{single}\t{ensemble}\n")
+    costs = TransportCosts(K=SATURATION["K"])
+    cfg = AssemblyConfig.bejan(costs)
+    box = state_box(costs, cfg)
+    x0 = np.array(SATURATION["x0"])
+    spread, rng = SATURATION["spread"], np.random.default_rng(SATURATION["seed"])
+    X = box.clip(x0 * (1.0 + rng.uniform(-spread, spread, (SATURATION["rows"], x0.size))))
+    opts = IntegrationOptions(stop_on_convergence=False)
+    for gmode in ("decoupled", "coupled"):
+        mode = SignDescent(eta=SATURATION["eta"], zeta=SATURATION["zeta"], sliding="equivalent_control",
+                           gradient_mode=gmode)
+        single, ensemble = map(outcome, (
+            lambda: integrate(mode, costs, cfg, box, x0, *SATURATION["run"], opts),
+            lambda: integrate_ensemble(mode, costs, cfg, box, X, *SATURATION["run"], opts)))
+        lines.append(f"saturation-{gmode}\t{single}\t{ensemble}\n")
     path.write_text("".join(lines), encoding="utf-8")
 
 
