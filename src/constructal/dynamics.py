@@ -21,8 +21,8 @@ step); the core sees nothing else of the law.  Both are data on whole
 (N, d) stacks: a regime holds each row's coefficients, constant velocities
 and mass matrix, so rows in different regimes advance in one batched step,
 and the monitors are planes read on all rows at once.  Equivalent control
-runs the clamp-and-drop iteration of the Filippov condition on all rows at
-once, with one batched solve of every row's sliding block.  Uniform
+forms its Filippov selection, face holds included, in one loop over all
+rows, with one batched solve of every row's sliding block.  Uniform
 contraction keeps every sliding block nonsingular, so a block too
 ill-conditioned to solve raises SingularSlidingError.
 
@@ -279,41 +279,44 @@ def _equivalent_control(H: np.ndarray, S: np.ndarray, V: np.ndarray) -> np.ndarr
     return np.where(S, _solve_blocks(H, S, B), V)
 
 
-def _clamp_and_drop(H: np.ndarray, S: np.ndarray, signs: np.ndarray, gains: np.ndarray):
-    """Clamp-and-drop iteration of the Filippov sliding condition on the
-    rows of (n, d) stacks: each sliding set S is solved for its equivalent
-    control and, while a component exceeds its gain, the most saturated
-    coordinate leaves S at its saturated velocity (its sign is set so that
-    -gain*sign is that velocity).  Updates S and signs in place and returns
-    the velocities.  A block whose condition number is beyond ``_COND_MAX``
-    raises SingularSlidingError naming the coordinates of the first such
-    row.  The equations 0 = d_j R of the block may be scaled freely, and
-    their curvatures H_jj span many decades on deep ladders, so the
-    condition number is that of the block embedded in the identity
-    (:func:`_embedded`) with each row divided by its |diagonal entry|; the
-    solve is unscaled.
+def _clamp_and_drop(H: np.ndarray, S: np.ndarray, signs: np.ndarray, gains: np.ndarray, pushed):
+    """Filippov selection of equivalent control on the rows of (n, d)
+    stacks, one loop over the whole stack.  Each pass solves every sliding
+    set S, held coordinates at velocity 0 and the other external ones at
+    -gain*sign; holds every coordinate that ``pushed(V)`` finds pushed out
+    of a box face (it leaves S); and only when none is newly held drops
+    from S each row's most saturated coordinate past its gain, at that
+    velocity (sign set to match).  Updates S and signs in place; returns
+    (velocities, held).  A block beyond ``_COND_MAX`` raises
+    SingularSlidingError naming the first such row's coordinates; the
+    condition is that of the block embedded in the identity, rows divided
+    by their |diagonal| (the equations 0 = d_j R scale freely, and their
+    H_jj span decades on deep ladders), while the solve is unscaled.
     """
-    V = -gains * signs
-    live = np.flatnonzero(S.any(axis=1))
-    while live.size:
-        M = _embedded(H[live], S[live])
-        scale = np.abs(np.diagonal(M, axis1=-2, axis2=-1))[..., None]
-        bad = np.flatnonzero(np.linalg.cond(M / scale) > _COND_MAX)
-        if bad.size:
-            s = np.flatnonzero(S[live[bad[0]]])
-            raise SingularSlidingError(f"sliding block on coordinates {s.tolist()} is ill-conditioned")
-        Vl = _equivalent_control(H[live], S[live], V[live])
-        over = np.where(S[live], np.abs(Vl) / gains, -np.inf)
-        j = np.argmax(over, axis=1)
-        done = over[np.arange(live.size), j] <= 1.0 + 1e-12
-        V[live[done]] = Vl[done]
-        rows, j = live[~done], j[~done]
-        direction = np.where(Vl[~done, j] > 0.0, 1.0, -1.0)
-        V[rows, j] = direction * gains[j]
-        signs[rows, j] = -direction
-        S[rows, j] = False
-        live = rows[S[rows].any(axis=1)]
-    return V
+    V, held = -gains * signs, np.zeros(S.shape, dtype=bool)
+    while True:
+        if S.any():
+            M = _embedded(H, S)
+            scale = np.abs(np.diagonal(M, axis1=-2, axis2=-1))[..., None]
+            bad = np.flatnonzero(S.any(axis=1) & (np.linalg.cond(M / scale) > _COND_MAX))
+            if bad.size:
+                s = np.flatnonzero(S[bad[0]])
+                raise SingularSlidingError(f"sliding block on coordinates {s.tolist()} is ill-conditioned")
+            V = _equivalent_control(H, S, V)
+        new = pushed(V)
+        if new.any():
+            held |= new
+            S &= ~new
+            V[new] = 0.0
+            continue
+        over = np.where(S, np.abs(V) / gains, -np.inf)
+        j = np.argmax(over, axis=1)[:, None]
+        drop = (np.arange(S.shape[1]) == j) & ~(np.take_along_axis(over, j, 1) <= 1.0 + 1e-12)
+        if not drop.any():
+            return V, held
+        signs[drop] = np.where(V > 0.0, -1.0, 1.0)[drop]
+        V = np.where(drop, -gains * signs, V)
+        S &= ~drop
 
 
 # ---------------------------------------------------------------------------
@@ -499,9 +502,9 @@ class _SlideField(_Field):
         x_ext' = -gain sgn(d R)  (0 on face-held coordinates),
         0      = d_S R           on the sliding set S,
 
-    with Jacobian rows [0; H_S,:].  The regime of each row is formed by
-    the clamp-and-drop iteration of the Filippov condition
-    (:func:`_clamp_and_drop`).
+    with Jacobian rows [0; H_S,:].  The regime of each row is the Filippov
+    selection on the box (:func:`_clamp_and_drop`): its face holds enter
+    the sliding solve at velocity 0, as in projected dynamical systems.
     """
 
     def __init__(self, mode: SignDescent, costs, cfg, box: Box, opts: IntegrationOptions):
@@ -511,13 +514,10 @@ class _SlideField(_Field):
 
     def regime(self, Y: np.ndarray, G: np.ndarray) -> _Frozen:
         H = self.hess(Y)
-        sliding = _on_manifold(G, H, self.opts.switch_tol)
-        signs = np.where(sliding, 0.0, np.sign(G))
-        V = _clamp_and_drop(H, sliding, signs, self.scale)
-        frozen = outward(self.box, Y, V, self.opts.boundary_tol)
-        active = sliding & ~frozen
-        const = np.where(frozen, 0.0, -self.scale * signs)
-        return _Frozen(frozen, active, sliding, signs, np.ones_like(Y), const, np.where(active, 0.0, 1.0))
+        S = _on_manifold(G, H, self.opts.switch_tol)
+        signs = np.where(S, 0.0, np.sign(G))
+        V, frozen = _clamp_and_drop(H, S, signs, self.scale, lambda v: outward(self.box, Y, v, self.opts.boundary_tol))
+        return _Frozen(frozen, S, signs == 0.0, signs, np.ones_like(Y), V, np.where(S, 0.0, 1.0))
 
     def monitors(self, Y0: np.ndarray, Y1: np.ndarray, fz: _Frozen) -> list:
         """Face monitors, manifold crossings and, on each sliding coordinate,
@@ -812,10 +812,9 @@ def _run(fld: _Field, X: np.ndarray, t_end: float, h: float, stop: bool, keep: b
                               max_clip=float(np.max(max_clip, initial=0.0)), events=events)
     out = []
     for i, n in enumerate(rows_filled):
-        kept = [e for e in events[i] if e.time <= times[n - 1]]
-        rows = np.maximum(np.searchsorted(times[:n], [e.time for e in kept], side="left"), 1)
+        rows = np.maximum(np.searchsorted(times[:n], [e.time for e in events[i]], side="left"), 1)
         step_events = [""] * n
-        for e, k in zip(kept, rows):
+        for e, k in zip(events[i], rows):
             tag = f"{e.kind}:{e.index}"
             step_events[k] = f"{step_events[k]};{tag}" if step_events[k] else tag
         out.append(Trajectory(
@@ -824,7 +823,7 @@ def _run(fld: _Field, X: np.ndarray, t_end: float, h: float, stop: bool, keep: b
             R_values=Rs[i, :n],
             Psi_values=psis[i, :n],
             regime_masks=masks[i, :n],
-            events=kept,
+            events=events[i],
             step_events=step_events,
             status="converged" if converged[i] else "finished",
             max_clip=float(max_clip[i]),

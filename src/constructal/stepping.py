@@ -361,13 +361,14 @@ def _locate_events(fld: _Field, Y0, G0, fz: _Frozen, st: _Step):
     face = (reads == _FACE)[:, None, None]
     k, i, j = (fire & face).nonzero()
     s_end = np.ones(n)
-    if k.size:  # the other monitors are read at each row's earliest contact
+    if k.size:  # the other monitors are read at each row's earliest contact; the rest end at y1 as read
         np.minimum.at(s_end, i, fractions(k, i, j, np.ones(k.size), False))
-        x_end = state_at(s_end[:, None])
-        with np.errstate(all="ignore"):  # as at y1, on the rows without a contact
-            G_end = fld.grad(x_end)
-            fresh = (live[reads == _SPEED] & (s_end < 1.0)[:, None]).any()  # a row with a contact may saturate
-            end = values(x_end, G_end, fld.velocity(x_end, G_end, fz) if fresh else st.v1)
+        c = s_end < 1.0
+        x_c = _dense_eval(Y0[c], dense[c].swapaxes(0, 1), s_end[c, None])
+        with np.errstate(all="ignore"):  # as at y1
+            G_c = fld.grad(x_c)
+            fresh = live[reads == _SPEED][:, c].any()  # a row with a contact may saturate
+            end[:, c] = values(x_c, G_c, fld.velocity(x_c, G_c, fz.take(c)) if fresh else st.v1[c])
         fire = fire & face | live & ~face & (end <= band)
     gk, gi, gj = (fire & ~face).nonzero()
     frac2 = s_end[gi]

@@ -195,6 +195,25 @@ class TestCliTable:
     def test_missing_file_exits_2(self):
         assert main(["table", "--config", "/nonexistent/x.cfg"]) == 2
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"box.r_lo": 2.0, "box.r_hi": 2.0}, "need 0 < r_lo < r_hi"),
+            ({"box.n_hi": 1.0}, "need n_hi > 1"),
+            ({"assembly.kappa": [1.0]}, "kappa must have one entry per assembly level (p-1)"),
+            ({"assembly.alpha": [0.3, 0.5, 0.5], "assembly.beta": [0.5, 0.5]}, "alpha and beta must have equal length"),
+            ({"assembly.alpha": [0.3, 0.5, 0.5], "assembly.beta": [0.5, -0.5, 0.5]}, "prefactors must be positive"),
+            ({"sampling.subbox_lo": [1.2, 0.8, 0.3, 12.0, 20.0], "sampling.subbox_hi": [1.0, 0.8, 0.3, 12.0, 20.0]},
+             "sampling sub-box needs lo <= hi componentwise"),
+        ],
+        ids=["r_lo=r_hi", "n_hi=1", "kappa=short", "alpha_beta=unequal", "beta=negative", "subbox=reversed"],
+    )
+    def test_inconsistent_config_exits_2_with_its_reason(self, tmp_path, capsys, overrides, message):
+        path = tmp_path / "bad.cfg"
+        write_config(canonical_data(**overrides), path)
+        assert main(["table", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
 
 class TestCliSimulate:
     def test_writes_outputs_and_summary(self, tmp_path, capsys):

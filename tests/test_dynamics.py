@@ -22,6 +22,7 @@ from constructal import (
 )
 from constructal import dynamics, stepping
 from constructal import hierarchy as hm
+from constructal.cones import kkt_residual
 from constructal.config import load_config
 from constructal.errors import DomainError, SingularSlidingError, StepFailureError
 
@@ -42,9 +43,10 @@ def random_case(rng, p):
     return costs, cfg, box, np.where(face < 0.2, box.lo, np.where(face < 0.4, box.hi, x0))
 
 
-def dissipation_violations(traj):
-    dR = np.diff(traj.R_values)
-    tol = 1e-9 * (1.0 + np.abs(traj.R_values[:-1]))
+def dissipation_violations(run):
+    """Grid rows where R rises, of a trajectory or of every ensemble row."""
+    dR = np.diff(run.R_values)
+    tol = 1e-9 * (1.0 + np.abs(run.R_values[..., :-1]))
     return int(np.sum(dR > tol))
 
 
@@ -84,14 +86,20 @@ class TestVelocity:
             velocity(mode, costs, cfg, box, x)
 
 
+def no_face(V):
+    """No coordinate pushed out of a box face."""
+    return np.zeros(V.shape, dtype=bool)
+
+
 def clamp_and_drop(mode, costs, cfg, x, active):
-    """Clamp-and-drop velocity at x from the sliding set ``active``."""
+    """Clamp-and-drop velocity at x from the sliding set ``active``, with
+    no coordinate on a box face."""
     Y = np.asarray(x, dtype=float)[None]
     G = hm.gradient_vec(costs, cfg, Y, mode.gradient_mode)
     H = hm.grad_jacobian(costs, cfg, Y, mode.gradient_mode)
     S = np.isin(np.arange(Y.shape[1]), active)[None]
     signs = np.where(dynamics._on_manifold(G, H, IntegrationOptions().switch_tol), 0.0, np.sign(G))
-    return dynamics._clamp_and_drop(H, S, signs, mode.gains(costs.p))[0]
+    return dynamics._clamp_and_drop(H, S, signs, mode.gains(costs.p), no_face)[0][0]
 
 
 class TestSlideVelocity:
@@ -124,6 +132,59 @@ class TestSlideVelocity:
         v = clamp_and_drop(mode, costs, cfg, GENERIC_X0, [3, 4])
         assert v[3] == gains[3] and v[4] == gains[4]
         assert np.all(np.abs(v) <= gains)
+
+
+COUPLED_EC = SignDescent(sliding="equivalent_control", gradient_mode="coupled")
+
+
+def settles_at_kkt_points(costs, X, t_end, h):
+    """Dissipation violations of a coupled equivalent-control ensemble from
+    the rows of X, and the largest coupled KKT residual of its final states."""
+    cfg = AssemblyConfig.bejan(costs)
+    box = state_box(costs, cfg)
+    res = integrate_ensemble(COUPLED_EC, costs, cfg, box, X, t_end, h)
+    g = hm.gradient_vec(costs, cfg, res.final_states, "coupled")
+    return dissipation_violations(res), float(np.max(kkt_residual(box, res.final_states, g)))
+
+
+class TestFaceHeldSelection:
+    """Equivalent control's Filippov selection on the box: a coordinate held
+    on a face enters the sliding solve at velocity 0.  Coupled mode only; in
+    decoupled mode every face velocity points into the box."""
+
+    def test_velocity_at_the_coupled_constrained_optimum_is_zero(self, costs, cfg, box):
+        # n_2 (flat index 3) on its lower face, n_3 on its manifold; solved
+        # against n_2's saturated velocity instead of 0, n_3's equivalent
+        # control exceeds its gain and n_3 was expelled uphill at +1
+        x = np.array([1.0, 0.5, 0.5, 1.0, 14.973913600124835])
+        v, regime = velocity(COUPLED_EC, costs, cfg, box, x)
+        assert np.max(np.abs(v)) <= 1e-12
+        assert 4 in regime.sliding and 3 not in regime.sliding
+        assert regime.lower == (3,)
+
+    def test_canonical_box_states_settle(self, costs, box):
+        rng = np.random.default_rng(5)
+        X = box.lo + rng.random((40, box.dim)) * (box.hi - box.lo)
+        violations, kkt = settles_at_kkt_points(costs, X, 200.0, 0.1)
+        assert violations == 0 and kkt <= 1e-20
+
+    @pytest.mark.parametrize("s", [1, 2, 3, pytest.param(4, marks=pytest.mark.xfail(
+        strict=True, reason="one constant-velocity step of dt 17.1 crosses d_8R = 0 twice, unseen at its ends"))])
+    def test_random_ladder_box_states_settle(self, s):
+        rng = np.random.default_rng(100 + s)
+        costs = random_ladder(rng, 2 + s % 5)
+        box = state_box(costs, AssemblyConfig.bejan(costs))
+        X = box.lo + rng.random((16, box.dim)) * (box.hi - box.lo)
+        violations, kkt = settles_at_kkt_points(costs, X, 200.0, 0.1)
+        assert violations == 0 and kkt <= 1e-20
+
+    @pytest.mark.parametrize("p", [3, 8, 20, 32])
+    def test_halving_ladders_run_to_the_end(self, p):
+        costs = TransportCosts(K=tuple(0.5 ** i for i in range(p + 1)))
+        cfg = AssemblyConfig.bejan(costs)
+        box = state_box(costs, cfg)
+        traj = integrate(COUPLED_EC, costs, cfg, box, box.clip(1.2 * optimum_state(costs, cfg).vector()), 30.0, 1e-2)
+        assert traj.times[-1] == 30.0 and dissipation_violations(traj) == 0
 
 
 def random_sliding_stacks(p, gradient_mode, seed, rows=64):
@@ -187,7 +248,8 @@ class TestEmbeddedSlidingSolve:
                 for h, s in zip(H, S):
                     block = h[np.ix_(s, s)]
                     ill.append(s.any() and np.linalg.cond(block / np.abs(np.diag(block))[:, None]) > cond_max)
-                run = lambda: dynamics._clamp_and_drop(H, S.copy(), np.zeros(S.shape), np.ones(S.shape[1]))
+                run = lambda: dynamics._clamp_and_drop(H, S.copy(), np.zeros(S.shape), np.ones(S.shape[1]),
+                                                       no_face)
                 if any(ill):
                     first = np.flatnonzero(S[ill.index(True)]).tolist()
                     with pytest.raises(SingularSlidingError, match=re.escape(f"coordinates {first} is ill-")):
@@ -1004,6 +1066,22 @@ class TestSlidingCore:
         counts = count_model_calls(monkeypatch)
         assert stepping._locate_events(fld, X, G, fz, st) is None
         assert counts == {"grad_rows": 0, "jacobians": 0}
+
+    def test_contact_re_read_takes_only_the_contact_rows(self, costs, cfg, box, monkeypatch):
+        # coupled boundary layer: row 0's n_2 reaches its lower face at a
+        # fifth of the step; row 1 meets no face, ends at y1, whose
+        # gradient the step formed, and is not read again
+        mode = SignDescent(gradient_mode="coupled")
+        X = np.array([[1.0, 0.5, 0.5, 1.01, 15.0], GENERIC_X0])
+        fld = dynamics._start(mode, costs, cfg, box, X, None)
+        G = fld.grad(X)
+        fz = fld.regime(X, G)
+        st = stepping._ros_advance(fld, X, G, fz, np.full(2, 0.05), np.full(2, 10.0), np.zeros(2), 1e-2)
+        rows = []
+        monkeypatch.setattr(fld, "grad", lambda Y, real=fld.grad: rows.append(len(Y)) or real(Y))
+        hit, s, _, located = stepping._locate_events(fld, X, G, fz, st)
+        assert hit.tolist() == [True, False] and s[0] == pytest.approx(0.2) and s[1] == 1.0
+        assert rows[0] == 1  # the re-read at the contact
 
     @pytest.mark.parametrize("p", range(1, 9))
     def test_equivalent_control_on_halving_ladders(self, p):

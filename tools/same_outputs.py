@@ -8,11 +8,11 @@ converge on each of the four shipped configs: exit code, stdout, stderr and
 report files), ``perfbench/ensemble_op.py`` on 64 seeded canonical states
 (x* scaled by factors in [0.7, 1.3], clipped to the box, t_end 16, h 4e-3)
 and a seeded sweep with a family of saturating equivalent-control runs
-(see :func:`sweep`).  Then ``diff -r`` compares the two result trees.
-Exits 0 only when they are identical, and prints the differences and
-every sweep case that moved (its trajectories, its events or both)
-otherwise.  With REV = HEAD on a clean checkout, any difference
-is non-determinism.
+and a long coupled one that holds box faces (see :func:`sweep`).  Then
+``diff -r`` compares the two result trees.  Exits 0 only when they are
+identical, and prints the differences and every sweep case that moved
+(its trajectories, its events or both) otherwise.  With REV = HEAD on a
+clean checkout, any difference is non-determinism.
 
     python3 tools/same_outputs.py --sweep OUT
 
@@ -38,6 +38,8 @@ SWEEP = {"seeds": 40, "depths": 6, "faces": 0.3, "single": (3.0, 1e-2), "ensembl
 # canonical ladder, gains under which coupled equivalent control saturates n_3's sliding
 SATURATION = {"K": (1.0, 0.5, 0.25, 0.125), "eta": (2.4, 4.2, 3.4), "zeta": (0.7, 1.06),
               "x0": (0.51, 1.06, 0.42, 6.9, 6.6), "rows": 8, "spread": 0.05, "seed": 0, "run": (4.0, 1e-2)}
+# canonical ladder, box states from which coupled equivalent control holds n_2 on its face and slides n_3
+FACE_HOLDS = {"K": (1.0, 0.5, 0.25, 0.125), "rows": 16, "seed": 5, "run": (100.0, 0.1)}
 
 
 def ensemble_states(path: Path) -> None:
@@ -66,7 +68,10 @@ def sweep(path: Path) -> None:
     h 1e-2).  Then the saturation family, in each gradient mode: under
     equivalent control with SATURATION's gains, a single run from its x0
     and an ensemble of 8 states x0 (1 + U(-0.05, 0.05)) clipped to the box
-    (t_end 4, h 1e-2, no convergence stop).  Each outcome is two digests, a
+    (t_end 4, h 1e-2, no convergence stop).  Then the face-hold family:
+    coupled equivalent control on the canonical ladder, a single run from
+    the first of 16 states uniform in its box and an ensemble of all 16
+    (t_end 100, h 0.1).  Each outcome is two digests, a
     tab apart: the trajectory's (every array, the status and max_clip of
     the result) and the events', or twice the error a run raised."""
     import numpy as np
@@ -125,6 +130,15 @@ def sweep(path: Path) -> None:
             lambda: integrate(mode, costs, cfg, box, x0, *SATURATION["run"], opts),
             lambda: integrate_ensemble(mode, costs, cfg, box, X, *SATURATION["run"], opts)))
         lines.append(f"saturation-{gmode}\t{single}\t{ensemble}\n")
+    costs = TransportCosts(K=FACE_HOLDS["K"])
+    cfg = AssemblyConfig.bejan(costs)
+    box = state_box(costs, cfg)
+    X = box.lo + np.random.default_rng(FACE_HOLDS["seed"]).random((FACE_HOLDS["rows"], box.dim)) * (box.hi - box.lo)
+    mode = SignDescent(sliding="equivalent_control", gradient_mode="coupled")
+    single, ensemble = map(outcome, (
+        lambda: integrate(mode, costs, cfg, box, X[0], *FACE_HOLDS["run"]),
+        lambda: integrate_ensemble(mode, costs, cfg, box, X, *FACE_HOLDS["run"])))
+    lines.append(f"face-holds-coupled\t{single}\t{ensemble}\n")
     path.write_text("".join(lines), encoding="utf-8")
 
 
