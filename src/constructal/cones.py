@@ -60,7 +60,7 @@ class Box:
 
     def interior_point(self, x, tol: float = BOUNDARY_TOL) -> bool:
         x = np.asarray(x, dtype=float)
-        return bool(np.all(x > self.lo + tol) and np.all(x < self.hi - tol))
+        return bool(np.logical_and.reduce((x > self.lo + tol) & (x < self.hi - tol), axis=None))
 
 
 @dataclass(frozen=True)

@@ -385,7 +385,8 @@ class _Field:
     ``slaved_fast`` exempts fast components from the velocity-change bound
     (see the notes on the core).  ``faces_only`` tells that the law changes
     regime only on the box faces: its monitors are the face monitors, and
-    at states off the face bands (see :meth:`near_face`) its regime is the
+    at states off the face bands (strictly inside the box shrunk by
+    ``boundary_tol``, :meth:`cones.Box.interior_point`) its regime is the
     all-free one.
     """
 
@@ -396,19 +397,11 @@ class _Field:
         self.mode, self.costs, self.cfg, self.box, self.opts = mode, costs, cfg, box, opts
         self.gmode = mode.gradient_mode
         self.scale = scale
-        self.lo_band, self.hi_band = box.lo + opts.boundary_tol, box.hi - opts.boundary_tol
         # contact with the lower faces, the upper ones (hi_j - x_j as -x_j - (-hi_j)), release from them
         reads, s, c, band = zip((_FACE, 1.0, box.lo, 0.0), (_FACE, -1.0, -box.hi, 0.0), (_GRAD, scale, 0.0, 0.0),
                                 (_GRAD, -scale, 0.0, 0.0), *planes)
         S, C = (np.array([np.ones(box.dim) * v for v in x])[:, None] for x in (s, c))  # 1 * v is v
         self.planes = (np.array(reads), S, C, np.array(band)[:, None, None])
-
-    def near_face(self, Y: np.ndarray) -> bool:
-        """Whether a coordinate of the stack Y is within boundary_tol of a
-        face (in its face band) or past it.  Only such a coordinate can be
-        held on a face (:func:`cones.outward`), fire a face monitor or be
-        clipped."""
-        return not np.logical_and.reduce((Y > self.lo_band) & (Y < self.hi_band), axis=None)
 
     def grad(self, Y: np.ndarray) -> np.ndarray:
         return hm.gradient_vec(self.costs, self.cfg, Y, self.gmode)
@@ -445,7 +438,7 @@ class _Field:
 
     def monitors(self, Y0: np.ndarray, Y1: np.ndarray, fz: _Frozen) -> list:
         """Contact of free coordinates that end past a face, release of held ones."""
-        free, at_lo = ~fz.frozen, Y0 <= self.lo_band
+        free, at_lo = ~fz.frozen, self.box.active_lower(Y0, self.opts.boundary_tol)
         return [free & (Y1 <= self.box.lo), free & (Y1 >= self.box.hi), fz.frozen & at_lo, fz.frozen & ~at_lo]
 
 
@@ -573,7 +566,7 @@ def velocity(mode: DynamicsMode, costs, cfg, box: Box, x, options: IntegrationOp
     fz = fld.regime(Y, G)
     v = fld.velocity(Y, G, fz)[0]
     held = fz.frozen[0]
-    lower = held & (xv <= fld.lo_band)
+    lower = held & box.active_lower(xv, fld.opts.boundary_tol)
     regime = Regime(sliding=_indices(fz.sliding[0]), lower=_indices(lower), upper=_indices(held & ~lower),
                     signs=tuple(int(s) for s in fz.signs[0]), velocity=v)
     return v, regime
@@ -649,11 +642,11 @@ def _run(fld: _Field, X: np.ndarray, t_end: float, h: float, stop: bool, keep: b
     live rows by one step, each through the frozen regime found at its
     start, and ends it at the row's first regime change, which one
     ``_locate_events`` call finds for the whole stack, as arrays.  An
-    iteration is quiet when no end state is near a face (``near_face``) and
-    no row hits an event: it then has nothing to clip, re-evaluate, record
-    or guard, and under a law that changes regime only on the faces
-    (``faces_only``, projected gradient) it locates no events and keeps
-    its all-free regime.  Every other iteration takes the full path, and
+    iteration is quiet when no end state is near a face (in a face band or
+    past a face) and no row hits an event: it then has nothing to clip,
+    re-evaluate, record or guard, and under a law that changes regime only
+    on the faces (``faces_only``, projected gradient) it locates no events
+    and keeps its all-free regime.  Every other iteration takes the full path, and
     both give the same bits.
 
     A row that hits an event records each coordinate whose regime differs
@@ -729,7 +722,9 @@ def _run(fld: _Field, X: np.ndarray, t_end: float, h: float, stop: bool, keep: b
     while ids.size:
         n = ids.size
         st = _ros_advance(fld, Y, G, fz, H, t_end - t, t, h)
-        near = fld.near_face(st.y1)
+        # only a coordinate in a face band or past a face can be held on a
+        # face (cones.outward), fire a face monitor or be clipped
+        near = not box.interior_point(st.y1, opts.boundary_tol)
         found = _locate_events(fld, Y, G, fz, st) if near or not fld.faces_only else None
         quiet = not near and found is None  # nothing near a face, no event: nothing to clip, record or guard
         if found is None:

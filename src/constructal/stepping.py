@@ -74,15 +74,19 @@ if TYPE_CHECKING:
 # decides, and no event) skips clipping, re-gradients, event records and
 # the chattering guard, and under projected gradient event location and
 # the new regime too: the all-free regime of the last iteration is kept.
-# A canonical step makes about 115 Python and C calls, 160 with every
+# A canonical step makes about 123 Python and C calls, 175 with every
 # iteration on the full path, where one dense test reads every row's
-# monitors and the regime is formed anew.  The float
+# monitors and the regime is formed anew (sys.setprofile's "call" and
+# "c_call" events, which no ufunc call makes, by name or by operator).
+# Every law and regime takes one attempt: on an ODE stack the mass factor
+# (1.0), the projection and the algebraic cubic fallback change nothing,
+# nor does the fast mask off projected gradient (all false).  The float
 # operations and their order are an invariant: every trajectory, report
 # and ensemble stays bit for bit the same, so a change here may drop
-# calls but not reorder arithmetic.  There is no
-# scalar path for N = 1: it would be a second path to keep equal to this
-# one, and Python's float power rounds differently from NumPy's (about 5 %
-# of random r ** 1.5 differ in the last bit).
+# calls but not reorder arithmetic.  There is no scalar path for N = 1:
+# it would be a second path to keep equal to this one, and Python's float
+# power rounds differently from NumPy's (about 5 % of random r ** 1.5
+# differ in the last bit).
 #
 # W is inverted by the LAPACK gufunc that np.linalg.inv wraps, without
 # the wrapper's checks and its own errstate, which turns a singular row
@@ -105,8 +109,10 @@ _ROS_C = (
     (8.083246795921522, -7.981132988064893, -31.52159432874371, 16.3193054312314,
      -6.058818238834054),
 )
-# each stage's (a_ij, c_ij) pairs as (2, 1, 1) arrays, to form both sums at once
-_ROS_AC = [[np.array(ac)[:, None, None] for ac in zip(*rows)] for rows in zip(_ROS_A, _ROS_C)]
+# The stage increments are one (6, N, d) array; stage i + 1 forms both its
+# sums as the product of its (2, i) block of a_ij and c_ij (j <= i, held as
+# (2, i, 1, 1)) with the first i increments, reduced over the stage axis.
+_ROS_AC = [np.array(ac)[..., None, None] for ac in zip(_ROS_A, _ROS_C)]
 _ROUNDING = 8.0 * np.finfo(float).eps
 _SAFETY = 0.9
 # substep error scale: _ATOL + _RTOL * max(1, |y|)
@@ -168,12 +174,13 @@ def _ros_attempt(fld: _Field, Y, F0, V0, J, noise_rate, fast, fz: _Frozen, dt, h
     F0 is f(Y), V0 and V1 the velocities y' at Y and y1, J the Jacobian and
     h the output interval, which sets the velocity-change bound of steps
     shorter than h.  ``noise_rate`` (rounding times |diag J|) and ``fast`` (the
-    components exempt from the bound, or None) depend on the start state
-    alone, so a retry reuses them.  err is the larger of the error
+    (N, d) mask of components exempt from the bound) depend on the start
+    state alone, so a retry reuses them.  err is the larger of the error
     estimate over the error scale and the fourth power of the
     velocity-change ratio, so that both are accepted at err <= 1 and steer
     the step size with the same exponent.  It is inf wherever a stage or
-    the result is not finite.
+    the result is not finite; the model reads the start state of such a
+    row in place of its trial state, so no sliding solve meets a NaN.
     """
     n, d = Y.shape
     W = np.zeros(J.shape)
@@ -181,22 +188,20 @@ def _ros_attempt(fld: _Field, Y, F0, V0, J, noise_rate, fast, fz: _Frozen, dt, h
     W -= J
     W_inv = _inverse(W)
     inv_dt = (1.0 / dt)[:, None]
-    U = [(W_inv @ F0[..., None])[..., 0]]
-    for ac_row in _ROS_AC:
-        # both stage sums at once, in stage order from the first term: a
-        # zero sum may differ in sign from 0 + sum, which changes no state
-        # (nonzero plus zero) and no error norm (absolute values)
-        sums = ac_row[0] * U[0]
-        for ac, u in zip(ac_row[1:], U[1:]):
-            sums += ac * u
-        ua, uc = sums
+    U = np.empty((6, n, d))
+    np.matmul(W_inv, F0[..., None], out=U[0, ..., None])
+    for i, ac in enumerate(_ROS_AC, 1):
+        # both stage sums at once, in stage order: the reduce starts from
+        # +0 where a sum from its first term starts from that term, so a
+        # zero sum may differ in sign, which changes no state (nonzero plus
+        # zero) and no error norm (absolute values)
+        ua, uc = np.add.reduce(ac * U[:i], axis=1)
         Yi = Y + ua
         Fi = fld.rhs(fld.grad(Yi), fz)
-        corr = inv_dt * uc
-        U.append((W_inv @ (Fi + (fz.mass * corr if fz.dae else corr))[..., None])[..., 0])
+        np.matmul(W_inv, (Fi + fz.mass * (inv_dt * uc))[..., None], out=U[i, ..., None])
     y1 = Yi + U[5]
-    if fz.dae:
-        y1 = fld.project(y1, fz.algebraic, 0.1 * fld.opts.switch_tol)
+    finite = np.logical_and.reduce(np.isfinite(y1), axis=1)
+    y1 = fld.project(np.where(finite[:, None], y1, Y), fz.algebraic, 0.1 * fld.opts.switch_tol)
     g1 = fld.grad(y1)
     V1 = fld.velocity(y1, g1, fz)
     dt_col = dt[:, None]
@@ -206,9 +211,7 @@ def _ros_attempt(fld: _Field, Y, F0, V0, J, noise_rate, fast, fz: _Frozen, dt, h
     a = dt_col * V0
     b = (0.5 * dt_col * dt_col) * (J @ V0[..., None])[..., 0]
     b_cubic = 3.0 * step - 2.0 * a - dt_col * V1
-    cubic = np.abs(b - b_cubic) > np.abs(step) + scale
-    if fz.dae:
-        cubic |= fz.algebraic
+    cubic = (np.abs(b - b_cubic) > np.abs(step) + scale) | fz.algebraic
     b = np.where(cubic, b_cubic, b)
     r1 = step - a - b
     r2 = dt_col * V1 - a - 2.0 * b
@@ -219,10 +222,9 @@ def _ros_attempt(fld: _Field, Y, F0, V0, J, noise_rate, fast, fz: _Frozen, dt, h
     allowed = (_VELOCITY_CHANGE * np.maximum(1.0, h / dt))[:, None]
     resolved = allowed * np.maximum(np.abs(V0), np.abs(V1)) + _ATOL * inv_dt
     bend = np.abs(V1 - V0) / np.maximum(resolved, noise_rate * size)
-    if fast is not None:
-        bend[fast] = 0.0
+    bend[fast] = 0.0
     err = np.maximum(err, np.maximum.reduce(bend, axis=1) ** 4)
-    err[~(np.isfinite(err) & np.logical_and.reduce(np.isfinite(y1), axis=1))] = np.inf
+    err[~(np.isfinite(err) & finite)] = np.inf
     return y1, g1, V1, dense, err
 
 
@@ -242,7 +244,7 @@ def _ros_advance(fld: _Field, Y, G, fz: _Frozen, H, limit, t, h: float) -> _Step
         V0 = fld.velocity(Y, G, fz) if fz.dae else F0  # f is y' on an ODE
         J = fld.jacobian(Y, fz)
         rate = np.abs(J.diagonal(axis1=1, axis2=2))
-        fast = None
+        fast = np.zeros(Y.shape, dtype=bool)
         if fld.slaved_fast:
             slowest = np.minimum.reduce(np.where(rate > 0.0, rate, np.inf), axis=1, keepdims=True)
             fast = rate * _VELOCITY_CHANGE > slowest
@@ -262,8 +264,8 @@ def _ros_advance(fld: _Field, Y, G, fz: _Frozen, H, limit, t, h: float) -> _Step
                     "substep size underflow (field too stiff or non-finite)",
                     float(t[rej][tiny][0]),
                 )
-            yt, gt, vt, dn, err = _ros_attempt(fld, Y[rej], F0[rej], V0[rej], J[rej], noise_rate[rej],
-                                           None if fast is None else fast[rej], fz.take(rej), dt[rej], h)
+            yt, gt, vt, dn, err = _ros_attempt(fld, Y[rej], F0[rej], V0[rej], J[rej], noise_rate[rej], fast[rej],
+                                               fz.take(rej), dt[rej], h)
             fac = np.minimum(np.maximum(_SAFETY * err ** -0.25, _FAC_MIN), 1.0)
             ok = err <= 1.0
             acc = rej[ok]

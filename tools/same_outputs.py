@@ -7,12 +7,13 @@ tree and in this one, the 16 CLI invocations (table, simulate, certify and
 converge on each of the four shipped configs: exit code, stdout, stderr and
 report files), ``perfbench/ensemble_op.py`` on 64 seeded canonical states
 (x* scaled by factors in [0.7, 1.3], clipped to the box, t_end 16, h 4e-3)
-and a seeded sweep with a family of saturating equivalent-control runs
-and a long coupled one that holds box faces (see :func:`sweep`).  Then
-``diff -r`` compares the two result trees.  Exits 0 only when they are
-identical, and prints the differences and every sweep case that moved
-(its trajectories, its events or both) otherwise.  With REV = HEAD on a
-clean checkout, any difference is non-determinism.
+and a seeded sweep with a family of saturating equivalent-control runs,
+a long coupled one that holds box faces and coupled runs on deep halving
+ladders (see :func:`sweep`).  Then ``diff -r`` compares the two result
+trees.  Exits 0 only when they are identical, and prints the differences
+and every sweep case that moved (its trajectories, its events or both)
+otherwise.  With REV = HEAD on a clean checkout, any difference is
+non-determinism.
 
     python3 tools/same_outputs.py --sweep OUT
 
@@ -40,6 +41,8 @@ SATURATION = {"K": (1.0, 0.5, 0.25, 0.125), "eta": (2.4, 4.2, 3.4), "zeta": (0.7
               "x0": (0.51, 1.06, 0.42, 6.9, 6.6), "rows": 8, "spread": 0.05, "seed": 0, "run": (4.0, 1e-2)}
 # canonical ladder, box states from which coupled equivalent control holds n_2 on its face and slides n_3
 FACE_HOLDS = {"K": (1.0, 0.5, 0.25, 0.125), "rows": 16, "seed": 5, "run": (100.0, 0.1)}
+# halving ladders K_k = 2^-k on which coupled equivalent control tries steps to non-finite states
+DEEP_LADDERS = {"depths": (14, 27), "start": 1.2, "run": (30.0, 1e-2)}
 
 
 def ensemble_states(path: Path) -> None:
@@ -71,13 +74,17 @@ def sweep(path: Path) -> None:
     (t_end 4, h 1e-2, no convergence stop).  Then the face-hold family:
     coupled equivalent control on the canonical ladder, a single run from
     the first of 16 states uniform in its box and an ensemble of all 16
-    (t_end 100, h 0.1).  Each outcome is two digests, a
-    tab apart: the trajectory's (every array, the status and max_clip of
-    the result) and the events', or twice the error a run raised."""
+    (t_end 100, h 0.1).  Then the deep-ladder family: coupled equivalent
+    control on the halving ladders K_k = 2^-k of depth p = 14 and 27, a
+    single run from 1.2 x* clipped to the box (t_end 30, h 1e-2), whose
+    trial steps reach non-finite states; its lines have "-" for the
+    ensemble.  Each outcome is two digests, a tab apart: the trajectory's
+    (every array, the status and max_clip of the result) and the events',
+    or twice the error a run raised."""
     import numpy as np
 
     from constructal import (AssemblyConfig, IntegrationOptions, ProjectedGradient, SignDescent,
-                             TransportCosts, integrate, integrate_ensemble, state_box)
+                             TransportCosts, integrate, integrate_ensemble, optimum_state, state_box)
     from constructal.errors import ConstructalError
 
     def digests(result) -> str:
@@ -139,6 +146,13 @@ def sweep(path: Path) -> None:
         lambda: integrate(mode, costs, cfg, box, X[0], *FACE_HOLDS["run"]),
         lambda: integrate_ensemble(mode, costs, cfg, box, X, *FACE_HOLDS["run"])))
     lines.append(f"face-holds-coupled\t{single}\t{ensemble}\n")
+    for p in DEEP_LADDERS["depths"]:
+        costs = TransportCosts(K=tuple(0.5 ** k for k in range(p + 1)))
+        cfg = AssemblyConfig.bejan(costs)
+        box = state_box(costs, cfg)
+        x0 = box.clip(DEEP_LADDERS["start"] * optimum_state(costs, cfg).vector())
+        single = outcome(lambda: integrate(mode, costs, cfg, box, x0, *DEEP_LADDERS["run"]))
+        lines.append(f"deep-ladder-coupled-p{p}\t{single}\t-\t-\n")
     path.write_text("".join(lines), encoding="utf-8")
 
 
