@@ -64,7 +64,7 @@ import numpy as np
 
 from . import hierarchy as hm
 from .cones import BOUNDARY_TOL, Box, _check_membership, kkt_residual, outward
-from .errors import DomainError, SingularSlidingError, StepFailureError
+from .errors import DomainError, RunError, SingularSlidingError, StepFailureError
 from .stepping import _ABS_GRAD, _FACE, _GRAD, _SPEED, _grid_rows, _initial_step, _locate_events, _ros_advance
 
 __all__ = [
@@ -656,7 +656,9 @@ def _run(fld: _Field, X: np.ndarray, t_end: float, h: float, stop: bool, keep: b
     scattered per step.  A step's grid rows are queued and filled with
     those of other steps, about _GRID_BLOCK at a time, and at once only
     where a DAE projection or the convergence stop needs them (see the
-    notes before _psi_screen).
+    notes before _psi_screen).  A RunError raised with no time, such as a
+    sliding solve that fails inside a step, gets the earliest time of the
+    live rows.
     """
     box, costs, cfg, opts = fld.box, fld.costs, fld.cfg, fld.opts
     times = _nominal_grid(t_end, h)
@@ -701,105 +703,100 @@ def _run(fld: _Field, X: np.ndarray, t_end: float, h: float, stop: bool, keep: b
             fill(*map(np.concatenate, zip(*queue)))
             queue.clear()
 
-    def regime(Y, G, t):  # an ill-conditioned sliding block raises with the earliest time t
-        try:
-            return fld.regime(Y, G)
-        except SingularSlidingError as exc:
-            raise SingularSlidingError(str(exc), float(np.min(t))) from exc
-
     # the live rows: their rows of X, states, gradients, step sizes, times,
     # next grid rows and events since the last grid row
     ids = np.arange(N)
     Y = X.copy()
-    G = fld.grad(Y)
     t = np.zeros(N)
     filled = np.ones(N, dtype=np.int64)
     since_row = np.zeros(N, dtype=np.int64)
-    fz = regime(Y, G, t)
-    H = _initial_step(fld, Y, G, fz, np.full(N, t_end))
-    record(ids, 0, Y, fz.bits)
     ones, no_hit = np.ones(N), np.zeros(N, dtype=bool)  # end fractions and hits of steps with no event
-    while ids.size:
-        n = ids.size
-        st = _ros_advance(fld, Y, G, fz, H, t_end - t, t, h)
-        # only a coordinate in a face band or past a face can be held on a
-        # face (cones.outward), fire a face monitor or be clipped
-        near = not box.interior_point(st.y1, opts.boundary_tol)
-        found = _locate_events(fld, Y, G, fz, st) if near or not fld.faces_only else None
-        quiet = not near and found is None  # nothing near a face, no event: nothing to clip, record or guard
-        if found is None:
-            hit, s_end, at_end = no_hit[:n], ones[:n], st.dt >= t_end - t
-        else:
-            hit, s_end, x_e, located = found
-            at_end = ~hit & (st.dt >= t_end - t)
-        t_next = np.where(at_end, t_end, t + s_end * st.dt)
-        stop_row = np.where(at_end, n_rows, times.searchsorted(t_next, side="right"))
-        first = filled
-        wrote = stop_row > first
-        done = np.zeros(n, dtype=bool)
-        if wrote.any():
-            since_row[wrote] = 0
-            filled = np.maximum(first, stop_row)
-            step = (ids, t, Y, st.dt, st.dense, st.y1, first, stop_row, s_end, fz.bits)
-            # the rows that may stop converged; a step ending in an event records it first
-            check = (wrote if quiet else wrote & ~hit).nonzero()[0] if stop else ()
-            if fz.dae or len(check) and np.logical_or.reduce(
-                    psi_floor(Y[check], st.dense[check]) <= 2.0 * opts.converge_tol):  # fill it now
-                which, Xg = fill(*step, fz.algebraic if fz.dae else None)
-                for i in check:
-                    j = _first_converged(fld, Xg[which == i], psis[ids[i], first[i]:stop_row[i]])
-                    if j is not None:
-                        filled[i] = first[i] + j + 1
-                        done[i] = True
-                converged[ids[done]] = True
+    try:
+        G = fld.grad(Y)
+        fz = fld.regime(Y, G)
+        H = _initial_step(fld, Y, G, fz, np.full(N, t_end))
+        record(ids, 0, Y, fz.bits)
+        while ids.size:
+            n = ids.size
+            st = _ros_advance(fld, Y, G, fz, H, t_end - t, t, h)
+            # only a coordinate in a face band or past a face can be held on a
+            # face (cones.outward), fire a face monitor or be clipped
+            near = not box.interior_point(st.y1, opts.boundary_tol)
+            found = _locate_events(fld, Y, G, fz, st) if near or not fld.faces_only else None
+            quiet = not near and found is None  # nothing near a face, no event: nothing to clip, record or guard
+            if found is None:
+                hit, s_end, at_end = no_hit[:n], ones[:n], st.dt >= t_end - t
             else:
-                queue.append(step)
-                queued += np.add.reduce(filled - first)
-                if queued >= _GRID_BLOCK:
-                    flush()
-                    queued = 0
+                hit, s_end, x_e, located = found
+                at_end = ~hit & (st.dt >= t_end - t)
+            t_next = np.where(at_end, t_end, t + s_end * st.dt)
+            stop_row = np.where(at_end, n_rows, times.searchsorted(t_next, side="right"))
+            first = filled
+            wrote = stop_row > first
+            done = np.zeros(n, dtype=bool)
+            if wrote.any():
+                since_row[wrote] = 0
+                filled = np.maximum(first, stop_row)
+                step = (ids, t, Y, st.dt, st.dense, st.y1, first, stop_row, s_end, fz.bits)
+                # the rows that may stop converged; a step ending in an event records it first
+                check = (wrote if quiet else wrote & ~hit).nonzero()[0] if stop else ()
+                if fz.dae or len(check) and np.logical_or.reduce(
+                        psi_floor(Y[check], st.dense[check]) <= 2.0 * opts.converge_tol):  # fill it now
+                    which, Xg = fill(*step, fz.algebraic if fz.dae else None)
+                    for i in check:
+                        j = _first_converged(fld, Xg[which == i], psis[ids[i], first[i]:stop_row[i]])
+                        if j is not None:
+                            filled[i] = first[i] + j + 1
+                            done[i] = True
+                    converged[ids[done]] = True
+                else:
+                    queue.append(step)
+                    queued += np.add.reduce(filled - first)
+                    if queued >= _GRID_BLOCK:
+                        flush()
+                        queued = 0
 
-        if quiet:
-            Y, G = st.y1, st.g1
-        else:
-            # the next step starts at the event state, or else at the end
-            # state clipped to the box (fill folds in the clips of grid rows)
-            Y = box.clip(st.y1)
-            clip = np.where(hit | done, 0.0, np.maximum.reduce(np.abs(Y - st.y1), axis=1))
-            max_clip[ids] = np.maximum(max_clip[ids], clip)
-            if found is not None:
-                Y[hit] = x_e[hit]
-                since_row += located
-            moved = hit | (clip > 0.0)
-            G = st.g1
-            if moved.any():
-                G[moved] = fld.grad(Y[moved])
+            if quiet:
+                Y, G = st.y1, st.g1
+            else:
+                # the next step starts at the event state, or else at the end
+                # state clipped to the box (fill folds in the clips of grid rows)
+                Y = box.clip(st.y1)
+                clip = np.where(hit | done, 0.0, np.maximum.reduce(np.abs(Y - st.y1), axis=1))
+                max_clip[ids] = np.maximum(max_clip[ids], clip)
+                if found is not None:
+                    Y[hit] = x_e[hit]
+                    since_row += located
+                moved = hit | (clip > 0.0)
+                G = st.g1
+                if moved.any():
+                    G[moved] = fld.grad(Y[moved])
 
-            over = (since_row > _MAX_EVENTS).nonzero()[0]
-            if over.size:
-                te = float(t_next[over[0]])
-                raise StepFailureError(
-                    f"more than {_MAX_EVENTS} events within one nominal step "
-                    f"at t={te:.6g}: likely chattering",
-                    te,
-                )
-        H, t = st.h_next, t_next
-        # the regime each row restarts in (a quiet step of projected
-        # gradient keeps its all-free one) names the events of its step
-        if not (quiet and fld.faces_only):
-            at = regime(Y, G, t_next)
-            if found is not None:
-                kinds = _changes(fz, at)
-                for i, j in zip(*(hit[:, None] & (kinds != "")).nonzero()):
-                    events[ids[i]].append(EventRecord(time=float(t_next[i]), kind=str(kinds[i, j]), index=int(j)))
-            fz = at
-        live = (filled < n_rows) & ~done
-        if not live.all():
-            gone = ~live
-            left = ids[gone]
-            final[left], rows_filled[left] = Y[gone], filled[gone]
-            ids, Y, G, H, t, filled, since_row = (a[live] for a in (ids, Y, G, H, t, filled, since_row))
-            fz = fz.take(live)
+                over = (since_row > _MAX_EVENTS).nonzero()[0]
+                if over.size:
+                    raise StepFailureError(f"more than {_MAX_EVENTS} events within one nominal step: "
+                                           "likely chattering", float(t_next[over[0]]))
+            H, t = st.h_next, t_next
+            # the regime each row restarts in (a quiet step of projected
+            # gradient keeps its all-free one) names the events of its step
+            if not (quiet and fld.faces_only):
+                at = fld.regime(Y, G)
+                if found is not None:
+                    kinds = _changes(fz, at)
+                    for i, j in zip(*(hit[:, None] & (kinds != "")).nonzero()):
+                        events[ids[i]].append(EventRecord(time=float(t_next[i]), kind=str(kinds[i, j]), index=int(j)))
+                fz = at
+            live = (filled < n_rows) & ~done
+            if not live.all():
+                gone = ~live
+                left = ids[gone]
+                final[left], rows_filled[left] = Y[gone], filled[gone]
+                ids, Y, G, H, t, filled, since_row = (a[live] for a in (ids, Y, G, H, t, filled, since_row))
+                fz = fz.take(live)
+    except RunError as exc:
+        if exc.time is None:
+            exc.time = float(np.min(t, initial=t_end))
+        raise
     flush()
 
     if not keep:
@@ -833,16 +830,10 @@ def _run(fld: _Field, X: np.ndarray, t_end: float, h: float, stop: bool, keep: b
 def _integrate(mode: DynamicsMode, costs, cfg, box: Box, X: np.ndarray, t_end: float, h: float,
                options: IntegrationOptions | None, stop: bool, keep: bool = True):
     """Checked run of the rows of X (see :func:`_run`).  Step failures and
-    ill-conditioned sliding blocks propagate with a timestamp."""
+    ill-conditioned sliding blocks propagate with their time."""
     if not (_positive_finite(t_end) and _positive_finite(h)):
         raise DomainError(f"t_end and h must be positive and finite, got t_end={t_end}, h={h}")
-    fld = _start(mode, costs, cfg, box, X, options)
-    try:
-        return _run(fld, box.clip(X), t_end, h, stop, keep)
-    except (StepFailureError, SingularSlidingError) as exc:
-        if exc.time is None:
-            raise
-        raise type(exc)(f"integration failed at t={exc.time:.6g}: {exc}", exc.time) from exc
+    return _run(_start(mode, costs, cfg, box, X, options), box.clip(X), t_end, h, stop, keep)
 
 
 def integrate(

@@ -325,6 +325,8 @@ def resistance_lyapunov_vec(
     reference areas of the optimal assembly instead.  Both coincide at the
     optimum and anywhere on the optimal-branching manifold.
     """
+    if mode not in ("decoupled", "coupled"):
+        raise DomainError(f"unknown gradient mode {mode!r}")
     p, aK, bK, kappa, n_opt, _, wA = _model_consts(costs, cfg)
     X = _checked_state(X, p)
     r, n = X[..., :p], X[..., p:]

@@ -32,6 +32,26 @@ def pg_mode():
     return ProjectedGradient(mobility=1.0)
 
 
+@pytest.fixture
+def third_projection_fails(monkeypatch):
+    """_Field.project raising SingularSlidingError, with no time, on its
+    third call with algebraic rows: on configs/equivalent_control.cfg that
+    is a trial state's projection inside the step from t = 0.3."""
+    from constructal import dynamics
+    from constructal.errors import SingularSlidingError
+
+    project, calls = dynamics._Field.project, []
+
+    def failing(self, Y, algebraic, tol):
+        if algebraic.any():
+            calls.append(tol)
+            if len(calls) == 3:
+                raise SingularSlidingError("sliding block on coordinates [2] is singular")
+        return project(self, Y, algebraic, tol)
+
+    monkeypatch.setattr(dynamics._Field, "project", failing)
+
+
 def random_ladder(rng, p=3):
     """Strictly decreasing ladder whose optimum sits inside the default box."""
     ratios = rng.uniform(0.3, 0.9, p)

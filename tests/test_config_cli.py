@@ -259,6 +259,12 @@ class TestCliSimulate:
         err = capsys.readouterr().err
         assert err == "error: integration failed at t=0.2: sliding block on coordinates [2] is ill-conditioned\n"
 
+    def test_sliding_failure_inside_a_step_exits_1_with_its_time(self, tmp_path, capsys, third_projection_fails):
+        cfgp = REPO / "configs" / "equivalent_control.cfg"
+        assert main(["simulate", "--config", str(cfgp), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: integration failed at t=0.3: sliding block on coordinates [2] is singular\n"
+
     def test_too_many_levels_exit_2_without_output(self, tmp_path, capsys):
         cfgp = tmp_path / "deep.cfg"
         K = [0.9**i for i in range(35)]

@@ -24,7 +24,7 @@ from constructal import cones, dynamics, stepping
 from constructal import hierarchy as hm
 from constructal.cones import kkt_residual
 from constructal.config import load_config
-from constructal.errors import DomainError, SingularSlidingError, StepFailureError
+from constructal.errors import DomainError, RunError, SingularSlidingError, StepFailureError
 
 from conftest import random_ladder
 
@@ -82,8 +82,10 @@ class TestVelocity:
         mode = SignDescent(sliding="equivalent_control")
         x = GENERIC_X0.copy()
         x[2] = 0.5
-        with pytest.raises(SingularSlidingError, match=r"coordinates \[2\] is ill-conditioned"):
+        with pytest.raises(SingularSlidingError, match=r"^sliding block on coordinates \[2\] is ill-conditioned$"
+                           ) as err:
             velocity(mode, costs, cfg, box, x)
+        assert err.value.time is None  # no run, no time
 
 
 def no_face(V):
@@ -397,7 +399,14 @@ class TestIntegrate:
         mode = SignDescent(sliding="equivalent_control")
         with pytest.raises(StepFailureError) as err:
             integrate(mode, costs, cfg, box, GENERIC_X0, 8.0, 8.0)
-        assert err.value.time is not None
+        assert err.value.time == pytest.approx(0.3, abs=1e-9)
+        # the time is printed once, by RunError
+        assert str(err.value) == "integration failed at t=0.3: more than 1 events within one nominal step: " \
+                                 "likely chattering"
+
+    def test_run_error_prints_its_time_once_it_has_one(self):
+        assert str(RunError("m")) == "m"
+        assert str(RunError("m", 0.25)) == "integration failed at t=0.25: m"
 
 
 class TestSlidingInvariance:
@@ -1116,6 +1125,14 @@ class TestSlidingCore:
         X0 = np.array([[3.0, 2.5, 2.5, 30.0, 40.0], GENERIC_X0])
         with pytest.raises(SingularSlidingError, match=r"coordinates \[2\] is ill-conditioned"):
             integrate_ensemble(mode, costs, cfg, box, X0, 1.0, 1e-3, opts)
+
+    def test_sliding_failure_inside_a_step_carries_its_time(self, third_projection_fails):
+        rc = load_config(CONFIGS / "equivalent_control.cfg")
+        with pytest.raises(SingularSlidingError,
+                           match=r"^integration failed at t=0\.3: sliding block on coordinates \[2\] is singular$"
+                           ) as err:
+            integrate(rc.mode, rc.costs, rc.cfg, rc.box, rc.x0, rc.t_end, rc.h)
+        assert err.value.time == pytest.approx(0.3, abs=1e-9)
 
     def test_saturated_equivalent_control_exits_its_manifold(self, costs, cfg, box):
         # coupled mode: once n_3 (flat index 4) slides, its equivalent

@@ -406,6 +406,13 @@ class TestLyapunovFunctional:
             float(hm.resistance_vec(costs, cfg, vec)), rel=1e-15
         )
 
+    @pytest.mark.parametrize("fn", [hm.gradient_vec, hm.resistance_lyapunov_vec, hm.grad_jacobian])
+    @pytest.mark.parametrize("mode", ["Coupled", "decouple", ""])
+    def test_unknown_gradient_mode_raises(self, costs, cfg, fn, mode):
+        # no mode falls back to the decoupled surrogate
+        with pytest.raises(DomainError, match="unknown gradient mode"):
+            fn(costs, cfg, np.array([0.9, 0.6, 0.4, 5.0, 20.0]), mode)
+
 
 class TestConfigValidation:
     def test_optimum_must_be_interior(self, costs):

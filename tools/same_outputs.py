@@ -5,7 +5,11 @@
 Extracts ``git archive REV`` to a temporary directory and runs, in that
 tree and in this one, the 16 CLI invocations (table, simulate, certify and
 converge on each of the four shipped configs: exit code, stdout, stderr and
-report files), ``perfbench/ensemble_op.py`` on 64 seeded canonical states
+report files), a simulate run that fails (``canonical.cfg`` with
+``mode.mobility = 1e300``, written to the temporary directory: its first
+step underflows, so it exits 1 with "error: integration failed at t=0:
+substep size underflow ..." on stderr and writes no report),
+``perfbench/ensemble_op.py`` on 64 seeded canonical states
 (x* scaled by factors in [0.7, 1.3], clipped to the box, t_end 16, h 4e-3)
 and a seeded sweep with a family of saturating equivalent-control runs,
 a long coupled one that holds box faces and coupled runs on deep halving
@@ -26,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -43,6 +48,7 @@ SATURATION = {"K": (1.0, 0.5, 0.25, 0.125), "eta": (2.4, 4.2, 3.4), "zeta": (0.7
 FACE_HOLDS = {"K": (1.0, 0.5, 0.25, 0.125), "rows": 16, "seed": 5, "run": (100.0, 0.1)}
 # halving ladders K_k = 2^-k on which coupled equivalent control tries steps to non-finite states
 DEEP_LADDERS = {"depths": (14, 27), "start": 1.2, "run": (30.0, 1e-2)}
+STIFF_MOBILITY = "1e300"  # canonical.cfg with this mobility stops on a substep underflow at t = 0
 
 
 def ensemble_states(path: Path) -> None:
@@ -58,6 +64,15 @@ def ensemble_states(path: Path) -> None:
     rng = np.random.default_rng([ENSEMBLE["seed"], 2])
     scale = 1.0 + rng.uniform(-ENSEMBLE["spread"], ENSEMBLE["spread"], (ENSEMBLE["states"], x_opt.size))
     path.write_text(json.dumps(np.clip(x_opt * scale, rc.box.lo, rc.box.hi).tolist()), encoding="utf-8")
+
+
+def stiff_config(path: Path) -> None:
+    """This tree's canonical.cfg with the mobility set to STIFF_MOBILITY."""
+    text = (ROOT / "configs" / "canonical.cfg").read_text(encoding="utf-8")
+    text, count = re.subn(r"(?m)^mode\.mobility = .*$", f"mode.mobility = {STIFF_MOBILITY}", text)
+    if count != 1:
+        raise SystemExit("canonical.cfg has no single mode.mobility line")
+    path.write_text(text, encoding="utf-8")
 
 
 def sweep(path: Path) -> None:
@@ -167,13 +182,15 @@ def run(tree: Path, argv: list[str], result: Path) -> None:
     (result / "stderr").write_bytes(done.stderr)
 
 
-def outputs(tree: Path, states: Path, result: Path) -> None:
+def outputs(tree: Path, states: Path, stiff: Path, result: Path) -> None:
     for cfg in sorted((ROOT / "configs").glob("*.cfg")):
         for command in COMMANDS:
             target = result / f"{command}-{cfg.stem}"
             argv = ["-m", "constructal.cli", command, "--config", f"configs/{cfg.name}",
                     "--out", str(target / "out")]
             run(tree, argv, target)
+    target = result / "simulate-stiff"
+    run(tree, ["-m", "constructal.cli", "simulate", "--config", str(stiff), "--out", str(target / "out")], target)
     target = result / "ensemble"
     argv = ["perfbench/ensemble_op.py", "configs/canonical.cfg", str(states),
             repr(ENSEMBLE["t_end"]), repr(ENSEMBLE["h"]), str(target / "ensemble.txt")]
@@ -214,8 +231,10 @@ def main(argv: list[str]) -> int:
         subprocess.run(["tar", "-x", "-C", str(base)], input=archive.stdout, check=True)
         states = work / "states.json"
         ensemble_states(states)
+        stiff = work / "stiff.cfg"
+        stiff_config(stiff)
         for label, tree in (("rev", base), ("tree", ROOT)):
-            outputs(tree, states, work / "results" / label)
+            outputs(tree, states, stiff, work / "results" / label)
         diff = subprocess.run(["diff", "-r", "rev", "tree"], cwd=work / "results",
                               capture_output=True, text=True)
         print(diff.stdout + diff.stderr, end="")
